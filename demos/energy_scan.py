@@ -1,9 +1,9 @@
 """Scan the bound-state energy over the (alpha, lambda) parameter square.
 
 Two independent routes are compared at every point: the closed-form
-gamma-product expression, and a bisection root of the defining spectral
-integral computed by adaptive quadrature.  Agreement across the grid is
-the main evidence that the closed form is transcribed correctly.
+gamma-product expression, and an ITP root in log|E| of the defining
+spectral integral computed by adaptive quadrature.  Agreement across
+the grid is the main evidence that the closed form is transcribed correctly.
 """
 
 import numpy as np

@@ -2,7 +2,7 @@
 
 The package has four numerical layers plus a command line front end:
 
-- ``quadrature``: adaptive and oscillatory integration, bisection root
+- ``quadrature``: adaptive and oscillatory integration, ITP root
   finding.  Every closed form in the package is cross-checked against
   this layer, so it stays deliberately independent of the rest.
 - ``gammafn`` / ``hfox``: complex gamma kernel and a Fox H-function
@@ -22,7 +22,7 @@ from .quadrature import (
     NoBracket,
     integrate_adaptive,
     integrate_oscillatory,
-    root_bisect,
+    root_itp,
 )
 from .hfox import (
     HFoxParams,
@@ -73,7 +73,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "QuadSpec", "QuadFailure", "NonIntegrable", "NonDecaying", "NoBracket",
-    "integrate_adaptive", "integrate_oscillatory", "root_bisect",
+    "integrate_adaptive", "integrate_oscillatory", "root_itp",
     "HFoxParams", "ConvergenceProfile", "EvalOutcome", "validate",
     "convergence_profile", "eval_series", "eval_contour", "eval_auto",
     "mellin", "mellin_numeric_check", "rescale_power", "cancel_pairs",

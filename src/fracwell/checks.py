@@ -201,7 +201,7 @@ def check_energy_oracle_agreement():
         eo = energy_oracle(cfg, _QUAD).energy
         worst = max(worst, abs(ec - eo) / abs(eo))
     return _result("energy_oracle_agreement", worst, 1e-6,
-                   "closed form vs bisection oracle, 4-point sample")
+                   "closed form vs quadrature oracle, 4-point sample")
 
 
 def check_energy_scaling():

@@ -11,9 +11,9 @@ must fail loudly before any quadrature runs.
 Two independent energy routes are provided.  energy_closed_form
 evaluates the analytic eigenvalue obtained by pushing the bound-state
 condition through the gamma-function integral identity; energy_oracle
-solves the same condition numerically (split quadrature plus
-bisection) and shares no code with the closed form beyond the gamma
-kernel.  The acceptance suite treats the oracle as the arbiter.
+solves the same condition numerically (split quadrature plus an ITP
+root search in log|E|) and shares no code with the closed form beyond
+the gamma kernel.  The acceptance suite treats the oracle as the arbiter.
 
 Note on the closed form: source texts for this eigenvalue print the
 exponent (alpha-lam)/alpha and a pi^lam power, which contradicts the
@@ -54,7 +54,7 @@ from .gammafn import gamma_real
 from .hfox import HFoxParams, eval_auto
 from .measure import MeasureDim, integrate as measure_integrate
 from .quadrature import (QuadSpec, QuadFailure, integrate_adaptive,
-                         integrate_oscillatory, root_bisect)
+                         integrate_oscillatory, root_itp)
 
 
 class DomainError(Exception):
@@ -62,7 +62,7 @@ class DomainError(Exception):
 
 
 class BracketFailure(Exception):
-    """Doubling/halving search could not bracket the energy root."""
+    """The energy root lies outside the double range of |E|."""
 
 
 @dataclass(frozen=True)
@@ -118,6 +118,10 @@ class BoundState:
     def __post_init__(self):
         if not self.energy < 0:
             raise DomainError(f"bound energy must be negative, got {self.energy}")
+        if not (math.isfinite(self.energy) and math.isfinite(self.kappa)):
+            raise OverflowError(
+                f"bound state out of double range: energy={self.energy}, "
+                f"kappa={self.kappa}")
         if not (self.kappa > 0 and self.amplitude > 0):
             raise DomainError("kappa and amplitude must be positive")
         if self.provenance not in ("closed_form", "oracle"):
@@ -172,39 +176,52 @@ def _radial_integral(cfg, abs_e, spec):
     return i1 / lam + i2 / (a - lam), e1 / lam + e2 / (a - lam)
 
 
+# log|E| range in which |E| is a normal double
+_LOG_E_MIN = -708.0
+_LOG_E_MAX = 709.0
+
+
 def energy_oracle(cfg, spec=QuadSpec()):
     """Bound-state energy with no closed-form input.
 
     The defining condition is
     (2 pi^(lam/2)/Gamma(lam/2)) int_0^inf p^(lam-1)/(D p^alpha + |E|) dp
-    = (2 pi hbar)^lam / gamma; the left side is strictly decreasing in
-    |E|, so g(|E|) = lhs - rhs has one root, bracketed by doubling or
-    halving from |E| = 1 and then bisected.
+    = (2 pi hbar)^lam / gamma.  With t = log|E| it reads
+    h(t) = log(lhs) - log(rhs) = 0, where h is strictly decreasing and
+    close to linear.  The root is bracketed by steps of 1, 2, 4, ... in
+    t from t = 0 and then refined by ITP to a bracket 1e-12 wide in t,
+    i.e. 1e-12 relative precision in |E|.  BracketFailure means the
+    root lies beyond the double range of |E|.
     """
-    nm = cfg.measure_norm
-    rhs = (2.0 * math.pi * cfg.hbar) ** cfg.lam / cfg.gamma_strength
+    # log(rhs / nm), taken term by term so no power over- or underflows
+    log_target = (cfg.lam * math.log(2.0 * math.pi * cfg.hbar)
+                  - math.log(cfg.gamma_strength) - math.log(cfg.measure_norm))
 
-    def g(abs_e):
-        val, _ = _radial_integral(cfg, abs_e, spec)
-        return nm * val - rhs
+    def h(t):
+        val, _ = _radial_integral(cfg, math.exp(t), spec)
+        # an integral that underflows to 0 lies far below the target
+        return math.log(val) - log_target if val > 0 else -math.inf
 
-    lo = hi = 1.0
-    glo = ghi = g(1.0)
-    for _ in range(200):
-        if glo > 0 and ghi <= 0:
-            break
-        if ghi > 0:          # integral still too large: root lies higher
-            lo, glo = hi, ghi
-            hi *= 2.0
-            ghi = g(hi)
-        else:                # root lies below
-            hi, ghi = lo, glo
-            lo *= 0.5
-            glo = g(lo)
+    t, ht = 0.0, h(0.0)
+    rising = ht > 0          # lhs still too large: the root lies above t
+    edge = _LOG_E_MAX if rising else _LOG_E_MIN
+    step = 1.0
+    prev_t, prev_h = t, ht
+    while ht != 0.0 and (ht > 0) == rising:
+        if t == edge:
+            raise BracketFailure(
+                f"spectral condition keeps one sign out to |E| = e^{edge:g}")
+        prev_t, prev_h = t, ht
+        t = min(t + step, edge) if rising else max(t - step, edge)
+        ht = h(t)
+        step *= 2.0
+    if ht == 0.0:
+        log_e = t
+    elif rising:
+        log_e = root_itp(h, prev_t, t, prev_h, ht, tol=1e-12)
     else:
-        raise BracketFailure(
-            f"no sign change in [{lo:.3e}, {hi:.3e}] after 200 expansions")
-    abs_e = root_bisect(g, lo, hi, tol=1e-12 * hi)
+        log_e = root_itp(h, t, prev_t, ht, prev_h, tol=1e-12)
+    abs_e = math.exp(log_e)
     return BoundState(energy=-abs_e, kappa=_kappa(cfg, abs_e),
                       provenance="oracle")
 

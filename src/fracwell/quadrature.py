@@ -1,4 +1,4 @@
-"""Adaptive and oscillatory quadrature plus bisection root finding.
+"""Adaptive and oscillatory quadrature plus ITP root finding.
 
 This layer is the package's independent oracle: closed forms elsewhere
 are accepted only when they agree with these routines, so nothing here
@@ -30,7 +30,7 @@ __all__ = [
     "NoBracket",
     "integrate_adaptive",
     "integrate_oscillatory",
-    "root_bisect",
+    "root_itp",
 ]
 
 
@@ -306,39 +306,58 @@ def integrate_oscillatory(envelope, omega, spec=QuadSpec(), *,
         raise QuadFailure(
             f"oscillatory tail not converged after {max_segments} segments "
             f"(spread {best_spread:.3e})")
-    if not done:
-        raise QuadFailure(
-            f"oscillatory tail not converged after {max_segments} segments "
-            f"(spread {best_spread:.3e})")
     return best, best_spread + quad_err
 
 
-def root_bisect(g, lo, hi, tol=1e-12, max_iter=200):
-    """Bisection root of g on [lo, hi]; returns the bracket midpoint.
+def root_itp(g, lo, hi, glo, ghi, tol=1e-12, max_iter=200):
+    """ITP root of g on [lo, hi] given glo = g(lo) and ghi = g(hi).
 
-    Chosen over Newton for the spectral condition: robustness wins, and
-    the extra evaluations are cheap next to each integrand call.
-    Raises NoBracket when g(lo) and g(hi) share a sign.
+    Interpolate-truncate-project (Oliveira & Takahashi, ACM TOMS 47(1),
+    2020) with kappa1 = 0.2/(hi-lo), kappa2 = 2, n0 = 1: each step takes
+    the regula-falsi point, nudges it toward the midpoint and projects
+    it into a window around the midpoint that shrinks so that the
+    bracket is at most tol wide after ceil(log2((hi-lo)/tol)) + 1
+    steps, bisection's bound plus one.  On smooth functions it
+    converges superlinearly.  g is never evaluated at lo or hi; the
+    caller supplies those values, usually left over from a bracket
+    search.  Returns the bracket midpoint, or an exact zero as found.
+    Raises NoBracket when glo and ghi share a sign.
     """
     if not lo < hi:
         raise ValueError("need lo < hi")
-    glo = g(lo)
-    ghi = g(hi)
     if glo == 0.0:
         return lo
     if ghi == 0.0:
         return hi
-    if np.sign(glo) == np.sign(ghi):
+    if (glo > 0) == (ghi > 0):
         raise NoBracket(f"g({lo!r}) and g({hi!r}) have the same sign")
-    for _ in range(max_iter):
+    kappa1 = 0.2 / (hi - lo)
+    eps = 0.5 * tol
+    n_max = max(0, math.ceil(math.log2((hi - lo) / tol))) + 1
+    # after n_max steps the bracket is within tol up to rounding, which
+    # can leave it a few ulps wider; stopping there keeps the bound
+    for j in range(min(n_max, max_iter)):
+        width = hi - lo
+        if width <= tol:
+            break
         mid = 0.5 * (lo + hi)
-        if hi - lo <= tol:
-            return mid
-        gm = g(mid)
-        if gm == 0.0:
-            return mid
-        if np.sign(gm) == np.sign(glo):
-            lo, glo = mid, gm
+        # interpolation: regula falsi, or the midpoint when rounding or
+        # an infinite endpoint value puts it outside the open bracket
+        x_f = (ghi * lo - glo * hi) / (ghi - glo)
+        if not lo < x_f < hi:
+            x_f = mid
+        # truncation toward the midpoint
+        sigma = math.copysign(1.0, mid - x_f)
+        delta = kappa1 * width * width
+        x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
+        # projection into the minmax window around the midpoint
+        r = max(0.0, eps * 2.0 ** (n_max - j) - 0.5 * width)
+        x = x_t if abs(x_t - mid) <= r else mid - sigma * r
+        gx = g(x)
+        if gx == 0.0:
+            return x
+        if (gx > 0) == (glo > 0):
+            lo, glo = x, gx
         else:
-            hi, ghi = mid, gm
+            hi, ghi = x, gx
     return 0.5 * (lo + hi)

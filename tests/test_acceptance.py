@@ -38,7 +38,7 @@ def test_criterion_1_classical_limit():
 
 
 def test_criterion_2_oracle_agreement():
-    # closed form vs independent bisection oracle across the whole
+    # closed form vs independent root-search oracle across the whole
     # alpha x lambda grid; every point satisfies lam < alpha
     worst = 0.0
     for alpha in ALPHAS:
@@ -78,7 +78,7 @@ def test_criterion_4_existence_window(monkeypatch):
 
     monkeypatch.setattr(dw, "integrate_adaptive", trip)
     monkeypatch.setattr(dw, "integrate_oscillatory", trip)
-    monkeypatch.setattr(dw, "root_bisect", trip)
+    monkeypatch.setattr(dw, "root_itp", trip)
     with pytest.raises(DomainError, match="0 < lam < alpha"):
         PotentialConfig(alpha=1.2, lam=1.5)
     print("criterion 4: (alpha=1.2, lam=1.5) rejected, no quadrature ran")

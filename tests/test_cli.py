@@ -64,6 +64,17 @@ def test_energy_rejects_bad_alpha(tmp_path, capsys):
     assert "alpha" in capsys.readouterr().err
 
 
+def test_energy_out_of_double_range_exits_3(capsys):
+    # |E| ~ 10^2505: the closed form overflows and must not be printed
+    with np.errstate(over="ignore"):
+        code = cli.main(["--mode", "energy", "--alpha", "1.001",
+                         "--lambda", "1"])
+    assert code == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "OverflowError" in err
+
+
 # ------------------------------------------------------------ wavefunction
 
 def test_wavefunction_csv_classical(tmp_path):

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from fracwell import deltawell as dw
 from fracwell.deltawell import BoundState, DomainError, PotentialConfig
+from fracwell.quadrature import QuadSpec
 
 
 # ------------------------------------------------------------ closed form
@@ -21,7 +22,7 @@ def test_energy_classical_limit(gamma, d):
 
 
 def test_energy_fractional_anchor():
-    # frozen from the bisection oracle (agrees to 2e-13) and an
+    # frozen from the quadrature oracle (agrees to 2e-13) and an
     # independent 50-digit evaluation of the gamma-product bracket
     cfg = PotentialConfig(alpha=1.5, lam=0.5)
     assert_allclose(dw.energy_closed_form(cfg).energy,
@@ -71,6 +72,39 @@ def test_energy_oracle_bracket_adapts_to_tiny_coupling():
     assert_allclose(st.energy, -2.5e-13, rtol=1e-5)
 
 
+def test_energy_oracle_work_is_pinned(monkeypatch):
+    # a few bracket steps in log|E| plus the ITP steps: about a dozen
+    # spectral integrals per energy
+    calls = [0]
+    radial = dw._radial_integral
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return radial(*args, **kwargs)
+
+    monkeypatch.setattr(dw, "_radial_integral", counted)
+    spec = QuadSpec(abs_tol=1e-12, rel_tol=1e-10)   # the validate suite's
+    for alpha, lam in ((1.2, 0.5), (1.5, 0.8), (1.8, 0.3), (2.0, 1.0)):
+        calls[0] = 0
+        dw.energy_oracle(PotentialConfig(alpha=alpha, lam=lam), spec)
+        assert calls[0] <= 16, (alpha, lam, calls[0])
+
+
+def test_energy_oracle_beyond_two_to_the_200():
+    # |E| ~ 8.02e102 > 2^200 ~ 1.6e60
+    cfg = PotentialConfig(alpha=1.03, lam=1.0, gamma_strength=10.0,
+                          d_alpha=0.1)
+    ec = dw.energy_closed_form(cfg).energy
+    eo = dw.energy_oracle(cfg).energy
+    assert 8.0e102 < -ec < 8.05e102
+    assert abs(ec - eo) / abs(eo) <= 1e-6
+
+
+def test_energy_oracle_root_beyond_double_range():
+    with pytest.raises(dw.BracketFailure):
+        dw.energy_oracle(PotentialConfig(alpha=1.001, lam=1.0))
+
+
 # ----------------------------------------------------------------- domain
 
 def test_existence_window_rejected():
@@ -100,6 +134,16 @@ def test_bound_state_validation():
         BoundState(energy=-1.0, kappa=0.0)
     with pytest.raises(DomainError):
         BoundState(energy=-1.0, kappa=1.0, provenance="guess")
+
+
+def test_bound_state_rejects_non_finite():
+    with pytest.raises(OverflowError):
+        BoundState(energy=-math.inf, kappa=math.inf)
+    with pytest.raises(OverflowError):
+        BoundState(energy=-1.0, kappa=math.inf)
+    # the closed form overflows here: |E| ~ 10^2505
+    with np.errstate(over="ignore"), pytest.raises(OverflowError):
+        dw.energy_closed_form(PotentialConfig(alpha=1.001, lam=1.0))
 
 
 # --------------------------------------------------------------- momentum

@@ -13,7 +13,7 @@ from fracwell.quadrature import (
     QuadSpec,
     integrate_adaptive,
     integrate_oscillatory,
-    root_bisect,
+    root_itp,
 )
 
 
@@ -138,30 +138,66 @@ def test_oscillatory_rejects_bad_kernel():
         integrate_oscillatory(lambda p: np.exp(-p), 1.0, kernel="tan")
 
 
-# ----------------------------------------------------------------- bisect
+# ------------------------------------------------------------- root finding
+
+def _itp(g, lo, hi, **kw):
+    return root_itp(g, lo, hi, g(lo), g(hi), **kw)
+
 
 def test_root_bisect_cosine():
-    r = root_bisect(math.cos, 0.0, 2.0)
+    r = _itp(math.cos, 0.0, 2.0)
     assert abs(r - math.pi / 2.0) < 1e-11
 
 
 def test_root_bisect_endpoint_hit():
-    assert root_bisect(lambda x: x, 0.0, 1.0) == 0.0
-    assert root_bisect(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+    assert _itp(lambda x: x, 0.0, 1.0) == 0.0
+    assert _itp(lambda x: x - 1.0, 0.0, 1.0) == 1.0
 
 
 def test_root_bisect_no_bracket():
     with pytest.raises(NoBracket):
-        root_bisect(lambda x: x * x + 1.0, -1.0, 1.0)
+        _itp(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
 def test_root_bisect_bad_interval():
     with pytest.raises(ValueError):
-        root_bisect(math.cos, 2.0, 0.0)
+        _itp(math.cos, 2.0, 0.0)
 
 
 def test_root_bisect_monotone_decreasing():
     # the spectral condition is strictly decreasing; same orientation here
     g = lambda x: 1.0 - x * x
-    r = root_bisect(g, 0.5, 3.0, tol=1e-13)
+    r = _itp(g, 0.5, 3.0, tol=1e-13)
     assert abs(r - 1.0) < 1e-12
+
+
+def test_root_itp_never_evaluates_endpoints():
+    for g, lo, hi in ((math.cos, 0.0, 2.0),
+                      (lambda x: 1.0 - x * x, 0.5, 3.0),
+                      (lambda x: math.exp(x) - 1e6, -5.0, 40.0)):
+        seen = []
+
+        def traced(x):
+            seen.append(x)
+            return g(x)
+
+        root_itp(traced, lo, hi, g(lo), g(hi))
+        assert seen and lo not in seen and hi not in seen
+        assert all(lo < x < hi for x in seen)
+
+
+@pytest.mark.parametrize("jump", [0.1, 1.0 / 3.0, 0.7071067811865476, 0.999])
+@pytest.mark.parametrize("low", [-1.0, -1000.0])
+def test_root_itp_worst_case_step_bound(jump, low):
+    # a step function defeats interpolation; the projection must still
+    # hold ITP to bisection's step count plus one
+    lo, hi, tol = 0.0, 1.0, 1e-12
+    steps = [0]
+
+    def g(x):
+        steps[0] += 1
+        return 1.0 if x < jump else low
+
+    r = root_itp(g, lo, hi, 1.0, low, tol=tol)
+    assert steps[0] <= math.ceil(math.log2((hi - lo) / tol)) + 1
+    assert abs(r - jump) <= tol
