@@ -15,6 +15,7 @@ The package has four numerical layers plus a command line front end:
 """
 
 from .quadrature import (
+    NumericalFailure,
     QuadSpec,
     QuadFailure,
     NonIntegrable,
@@ -72,8 +73,9 @@ from .deltawell import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "QuadSpec", "QuadFailure", "NonIntegrable", "NonDecaying", "NoBracket",
-    "integrate_adaptive", "integrate_oscillatory", "root_itp",
+    "NumericalFailure", "QuadSpec", "QuadFailure", "NonIntegrable",
+    "NonDecaying", "NoBracket", "integrate_adaptive", "integrate_oscillatory",
+    "root_itp",
     "HFoxParams", "ConvergenceProfile", "EvalOutcome", "validate",
     "convergence_profile", "eval_series", "eval_contour", "eval_auto",
     "mellin", "mellin_numeric_check", "rescale_power", "cancel_pairs",

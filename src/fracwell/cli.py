@@ -20,7 +20,8 @@ the long flag names without the leading dashes; explicit flags always
 override file values.
 
 Exit codes: 0 success, 1 validation-suite failure, 2 domain or usage
-error, 3 numerical-convergence failure.
+error, 3 numerical-convergence failure (a NumericalFailure, or a result
+beyond the double range).
 """
 
 import argparse
@@ -34,19 +35,15 @@ import numpy as np
 
 from . import __version__, checks
 from .gammafn import gamma_real
-from .hfox import (HFoxParams, eval_auto, validate as hfox_validate,
-                   NonSimplePoles, SeriesDiverged, OutOfRegion,
-                   NoSeparatingContour)
-from .quadrature import (QuadSpec, QuadFailure, NonIntegrable, NonDecaying,
-                         NoBracket)
-from .deltawell import (PotentialConfig, DomainError, BracketFailure,
+from .hfox import HFoxParams, eval_auto, validate as hfox_validate
+from .quadrature import NumericalFailure, QuadSpec
+from .deltawell import (PotentialConfig, DomainError,
                         energy_closed_form, energy_oracle, normalize,
                         position_wavefunction_quadrature,
                         position_wavefunction_hfox)
 
-_CONVERGENCE_ERRORS = (QuadFailure, NonIntegrable, NonDecaying, NoBracket,
-                       BracketFailure, NonSimplePoles, SeriesDiverged,
-                       OutOfRegion, NoSeparatingContour, OverflowError)
+# exit code 3: a typed numerical failure, or a result beyond the double range
+_CONVERGENCE_ERRORS = (NumericalFailure, OverflowError)
 
 
 def _fmt(x):
@@ -136,10 +133,8 @@ def run_energy(rc):
 
 def _hfox_measure_norm(cfg, kappa):
     # closed-form norm of exp(-kappa|x|) under the lam measure:
-    # 2 pi^(lam/2) Gamma(lam) / (Gamma(lam/2) (2 kappa)^lam)
-    lam = cfg.lam
-    n2 = (2.0 * math.pi ** (0.5 * lam) * gamma_real(lam)
-          / (gamma_real(0.5 * lam) * (2.0 * kappa) ** lam))
+    # measure_norm * Gamma(lam) / (2 kappa)^lam
+    n2 = cfg.measure_norm * gamma_real(cfg.lam) / (2.0 * kappa) ** cfg.lam
     return math.sqrt(n2)
 
 

@@ -50,18 +50,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gammafn import gamma_real
+from .gammafn import gammaln_sign
 from .hfox import HFoxParams, eval_auto
 from .measure import MeasureDim, integrate as measure_integrate
-from .quadrature import (QuadSpec, QuadFailure, integrate_adaptive,
-                         integrate_oscillatory, root_itp)
+from .quadrature import (NumericalFailure, QuadSpec, QuadFailure,
+                         integrate_adaptive, integrate_oscillatory, root_itp)
 
 
 class DomainError(Exception):
     """Physical parameters outside the admissible window."""
 
 
-class BracketFailure(Exception):
+class BracketFailure(NumericalFailure):
     """The energy root lies outside the double range of |E|."""
 
 
@@ -101,7 +101,7 @@ class PotentialConfig:
     @property
     def measure_norm(self):
         """Surface factor 2 pi^(lam/2) / Gamma(lam/2) of the measure."""
-        return 2.0 * math.pi ** (0.5 * self.lam) / gamma_real(0.5 * self.lam)
+        return 2.0 * self.dim.weight_norm
 
 
 @dataclass(frozen=True)
@@ -132,6 +132,15 @@ def _kappa(cfg, abs_e):
     return (abs_e / (cfg.d_alpha * cfg.hbar ** cfg.alpha)) ** (1.0 / cfg.alpha)
 
 
+# log|E| range in which |E| is a normal double
+_LOG_E_MIN = -708.0
+_LOG_E_MAX = 709.0
+
+
+def _log_gamma(x):
+    return float(gammaln_sign(x)[0])   # every argument here is positive
+
+
 def energy_closed_form(cfg):
     """Analytic bound-state energy.
 
@@ -139,16 +148,23 @@ def energy_closed_form(cfg):
            / (pi^(lam/2) hbar^lam G(lam/2) alpha D^(lam/alpha)) ]^(alpha/(alpha-lam))
 
     (see the module docstring for why the exponent and pi power differ
-    from some printed forms of this result).
+    from some printed forms of this result).  The bracket and its power
+    are formed as logs term by term, so nothing over- or underflows on
+    the way; OverflowError means |E| itself lies outside the double
+    range.
     """
     a, lam = cfg.alpha, cfg.lam
-    bracket = (cfg.gamma_strength
-               * gamma_real(lam / a) * gamma_real(1.0 - lam / a)
-               * 2.0 ** (1.0 - lam)
-               / (math.pi ** (0.5 * lam) * cfg.hbar ** lam
-                  * gamma_real(0.5 * lam) * a
-                  * cfg.d_alpha ** (lam / a)))
-    abs_e = bracket ** (a / (a - lam))
+    log_bracket = (math.log(cfg.gamma_strength)
+                   + _log_gamma(lam / a) + _log_gamma(1.0 - lam / a)
+                   + (1.0 - lam) * math.log(2.0)
+                   - 0.5 * lam * math.log(math.pi) - lam * math.log(cfg.hbar)
+                   - _log_gamma(0.5 * lam) - math.log(a)
+                   - (lam / a) * math.log(cfg.d_alpha))
+    log_e = log_bracket * (a / (a - lam))
+    if not _LOG_E_MIN <= log_e <= _LOG_E_MAX:
+        raise OverflowError(
+            f"closed-form energy out of double range: log|E| = {log_e:.6g}")
+    abs_e = math.exp(log_e)
     return BoundState(energy=-abs_e, kappa=_kappa(cfg, abs_e),
                       provenance="closed_form")
 
@@ -174,11 +190,6 @@ def _radial_integral(cfg, abs_e, spec):
     i1, e1 = integrate_adaptive(head, 0.0, p0 ** lam, spec)
     i2, e2 = integrate_adaptive(tail, 0.0, p0 ** (lam - a), spec)
     return i1 / lam + i2 / (a - lam), e1 / lam + e2 / (a - lam)
-
-
-# log|E| range in which |E| is a normal double
-_LOG_E_MIN = -708.0
-_LOG_E_MAX = 709.0
 
 
 def energy_oracle(cfg, spec=QuadSpec()):
@@ -380,8 +391,7 @@ def hfox_comparison_report(cfg, spec=QuadSpec()):
     abs_e = -state.energy
     x0_val, _ = _radial_integral(cfg, abs_e, spec)
     x0_exp = ((2.0 * math.pi * cfg.hbar) ** cfg.lam
-              * gamma_real(0.5 * cfg.lam)
-              / (cfg.gamma_strength * 2.0 * math.pi ** (0.5 * cfg.lam)))
+              / (cfg.gamma_strength * cfg.measure_norm))
     shape = hfox_shape_check(state, cfg, spec)
 
     xs = np.linspace(4.0, 12.0, 8) / state.kappa

@@ -11,13 +11,15 @@ The engine evaluates
     h(s) = prod_{j<=m} Gamma(b_j + B_j s) * prod_{j<=n} Gamma(1 - a_j - A_j s)
          / ( prod_{j>m} Gamma(1 - b_j - B_j s) * prod_{j>n} Gamma(a_j + A_j s) ),
 
-with w = arg_scale * z.  Source texts for this function family disagree
-on the sign of the A_j s / B_j s terms and on the kernel power (z^s vs
-z^{-s}); the convention above is the one fixed by the anchor values
-H^{1,0}_{0,1}[z|(0,1)] = exp(-z), H^{1,1}_{1,1}[z|(0,1);(0,1)] =
-1/(1+z), and the Mellin transform value Gamma(1/2)^2 = pi of the
-rational family at s = 1/2, all of which are enforced by the test
-suite against the quadrature oracle.
+with w = arg_scale * z.  _factors is the one place where this layout
+lives: every routine that evaluates h(s), bounds its strip or sums its
+residues reads the factor table from there.  Source texts for this
+function family disagree on the sign of the A_j s / B_j s terms and on
+the kernel power (z^s vs z^{-s}); the convention above is the one fixed
+by the anchor values H^{1,0}_{0,1}[z|(0,1)] = exp(-z),
+H^{1,1}_{1,1}[z|(0,1);(0,1)] = 1/(1+z), and the Mellin transform value
+Gamma(1/2)^2 = pi of the rational family at s = 1/2, all of which are
+enforced by the test suite against the quadrature oracle.
 
 Pole families: Gamma(b_j + B_j s), j <= m, contributes the left set
 s = -(b_j + k)/B_j; Gamma(1 - a_j - A_j s), j <= n, the right set
@@ -36,7 +38,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .gammafn import gammaln_sign, loggamma
-from .quadrature import QuadFailure, QuadSpec, integrate_adaptive, integrate_oscillatory
+from .quadrature import (NumericalFailure, QuadFailure, QuadSpec,
+                         integrate_adaptive, integrate_oscillatory)
 
 __all__ = [
     "COINCIDENCE_TOL",
@@ -71,19 +74,19 @@ __all__ = [
 COINCIDENCE_TOL = 1e-12
 
 
-class NonSimplePoles(Exception):
+class NonSimplePoles(NumericalFailure):
     """Two series poles coincide; the plain residue formula is invalid."""
 
 
-class SeriesDiverged(Exception):
+class SeriesDiverged(NumericalFailure):
     """Residue terms failed to decay within the term budget."""
 
 
-class OutOfRegion(Exception):
+class OutOfRegion(NumericalFailure):
     """The argument sits where neither residue series converges."""
 
 
-class NoSeparatingContour(Exception):
+class NoSeparatingContour(NumericalFailure):
     """Left and right pole families interleave; no vertical line splits them."""
 
 
@@ -183,6 +186,32 @@ class CosineTransformCheck:
     transform: CosineTransform
 
 
+def _factors(params):
+    """Gamma-factor table (c, d, e) with h(s) = prod Gamma(c + d s)^e.
+
+    Rows run lower[:m], upper[:n] (numerators, e = +1), then lower[m:],
+    upper[n:] (denominators, e = -1).  A numerator row with d > 0 is a
+    left pole family, one with d < 0 a right family.
+    """
+    m, n = params.m, params.n
+    rows = ([(b, B, 1.0) for b, B in params.lower[:m]]
+            + [(1.0 - a, -A, 1.0) for a, A in params.upper[:n]]
+            + [(1.0 - b, -B, -1.0) for b, B in params.lower[m:]]
+            + [(a, A, -1.0) for a, A in params.upper[n:]])
+    c, d, e = np.array(rows, dtype=float).reshape(-1, 3).T
+    return c, d, e
+
+
+def _strip(params):
+    """Fundamental strip (left_max, right_min): the rightmost left pole
+    and the leftmost right pole, -inf / +inf for an empty family."""
+    c, d, e = _factors(params)
+    edge = -c / d
+    left, right = edge[(e > 0) & (d > 0)], edge[(e > 0) & (d < 0)]
+    return (float(left.max()) if left.size else -math.inf,
+            float(right.min()) if right.size else math.inf)
+
+
 def validate(params):
     """Structural validation; returns a report rather than raising."""
     v = []
@@ -200,11 +229,13 @@ def validate(params):
     if not params.arg_scale > 0:
         v.append(f"arg_scale must be positive, got {params.arg_scale}")
     if not v and m > 0 and n > 0:
-        left_max = max(-b / B for b, B in params.lower[:m])
-        right_min = min((1.0 - a) / A for a, A in params.upper[:n])
+        left_max, right_min = _strip(params)
         if left_max >= right_min - COINCIDENCE_TOL:
-            lefts = _poles_above(params.lower[:m], right_min - 1e-9)
-            rights = _poles_below(params.upper[:n], left_max + 1e-9)
+            c, d, _ = _factors(params)
+            lefts = [s for j in range(m)
+                     for s in _poles_beyond(c[j], d[j], right_min - 1e-9)]
+            rights = [s for j in range(m, m + n)
+                      for s in _poles_beyond(c[j], d[j], left_max + 1e-9)]
             for l in lefts:
                 for r in rights:
                     if abs(l - r) < COINCIDENCE_TOL * max(1.0, abs(l)):
@@ -218,36 +249,24 @@ def _require_valid(params):
         raise ValueError("invalid H-function parameters: " + "; ".join(rep.violations))
 
 
-def _poles_above(lower_pairs, bound, cap=4096):
-    """Left poles s = -(b+k)/B with s >= bound."""
+def _poles_beyond(c, d, bound, cap=4096):
+    """Poles s = -(c + k)/d of Gamma(c + d s) on the far side of bound:
+    s >= bound for a left family (d > 0), s <= bound for a right one."""
     out = []
-    for b, B in lower_pairs:
-        kmax = int(math.floor(-bound * B - b)) + 1
-        for k in range(0, max(0, min(kmax + 1, cap))):
-            s = -(b + k) / B
-            if s >= bound:
-                out.append(s)
-    return out
-
-
-def _poles_below(upper_pairs, bound, cap=4096):
-    """Right poles s = (1 - a + k)/A with s <= bound."""
-    out = []
-    for a, A in upper_pairs:
-        kmax = int(math.floor(bound * A - 1.0 + a)) + 1
-        for k in range(0, max(0, min(kmax + 1, cap))):
-            s = (1.0 - a + k) / A
-            if s <= bound:
-                out.append(s)
+    kmax = int(math.floor(-bound * d - c)) + 1
+    for k in range(0, max(0, min(kmax + 1, cap))):
+        s = -(c + k) / d
+        if (s >= bound) if d > 0 else (s <= bound):
+            out.append(s)
     return out
 
 
 def convergence_profile(params):
-    m, n = params.m, params.n
+    _, d, e = _factors(params)
+    delta = float(np.sum(e * np.abs(d)))
+    mu = float(np.sum(e * d))   # sum(B) - sum(A)
     A = [A for _, A in params.upper]
     B = [B for _, B in params.lower]
-    delta = sum(A[:n]) - sum(A[n:]) + sum(B[:m]) - sum(B[m:])
-    mu = sum(B) - sum(A)
     log_beta = sum(b * math.log(b) for b in B) - sum(a * math.log(a) for a in A)
     beta = math.exp(log_beta)
     if mu > COINCIDENCE_TOL:
@@ -283,21 +302,39 @@ def _series_core(params, w, tol, max_terms, raise_on_exhaust=True):
     reports the cancellation loss on the rest.  Returns
     (values, err_ests, terms_used).
     """
-    m, n = params.m, params.n
-    upper, lower = params.upper, params.lower
+    m = params.m
     if m == 0:
         raise OutOfRegion("no left pole family; the residue series is empty")
+    c, d, e = _factors(params)   # rows j < m are the left families (b_j, B_j)
+    ks = np.arange(max_terms)
+    power = (c[:m, None] + ks) / d[:m, None]   # left pole k of family j: -power[j, k]
 
     # coincidence scan over the truncation horizon
     if m > 1:
-        all_poles = np.concatenate([
-            -(b + np.arange(max_terms)) / B for b, B in lower[:m]])
-        sp = np.sort(all_poles)
+        sp = np.sort(-power.ravel())
         gaps = np.diff(sp)
         if np.any(gaps < COINCIDENCE_TOL * np.maximum(1.0, np.abs(sp[:-1]))):
             raise NonSimplePoles(
                 "coinciding left poles within the truncation horizon; "
                 "reduce the parameter block (pair cancellation) first")
+
+    # residue of family j at pole k: sign * exp(logabs + power * log w),
+    # the other factors' gammas taken in one call over the horizon.  A
+    # vanishing reciprocal gamma leaves sign = 0 (the term is zero); a
+    # numerator pole makes the poles non-simple once the sum reaches it
+    log_fact = np.array([math.lgamma(k + 1) for k in range(max_terms)])
+    logabs = np.array([-log_fact - math.log(B) for B in d[:m]])
+    sign = np.tile((-1.0) ** ks, (m, 1))
+    clash = max_terms
+    with np.errstate(invalid="ignore"):
+        for j in range(m):
+            rest = np.arange(len(c)) != j
+            la, sg = gammaln_sign(c[rest, None] + d[rest, None] * -power[j])
+            for la_i, sg_i, e_i in zip(la, sg, e[rest]):
+                logabs[j] = logabs[j] + la_i if e_i > 0 else logabs[j] - la_i
+                sign[j] *= sg_i
+                if e_i > 0 and not np.all(sg_i):
+                    clash = min(clash, int(np.argmin(sg_i != 0.0)))
 
     w = np.asarray(w, dtype=float)
     logw = np.log(w)
@@ -310,47 +347,13 @@ def _series_core(params, w, tol, max_terms, raise_on_exhaust=True):
     exhausted = True
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for k in range(max_terms):
+            if k == clash:
+                raise NonSimplePoles(
+                    f"a numerator gamma has a pole at left pole k={k}")
             term = np.zeros_like(w)
             for j in range(m):
-                b, B = lower[j]
-                s0 = -(b + k) / B
-                logabs = -math.lgamma(k + 1) - math.log(B)
-                sign = 1.0 if k % 2 == 0 else -1.0
-                ok = True
-                for i in range(m):
-                    if i == j:
-                        continue
-                    la, sg = gammaln_sign(lower[i][0] + lower[i][1] * s0)
-                    if sg == 0.0:
-                        raise NonSimplePoles(
-                            f"numerator gamma pole at series pole s={s0}")
-                    logabs += la
-                    sign *= sg
-                for i in range(n):
-                    la, sg = gammaln_sign(1.0 - upper[i][0] - upper[i][1] * s0)
-                    if sg == 0.0:
-                        raise NonSimplePoles(
-                            f"left pole s={s0} sits on a right-family pole")
-                    logabs += la
-                    sign *= sg
-                for i in range(m, len(lower)):
-                    la, sg = gammaln_sign(1.0 - lower[i][0] - lower[i][1] * s0)
-                    if sg == 0.0:
-                        ok = False   # reciprocal gamma vanishes: term is zero
-                        break
-                    logabs -= la
-                    sign *= sg
-                if ok:
-                    for i in range(n, len(upper)):
-                        la, sg = gammaln_sign(upper[i][0] + upper[i][1] * s0)
-                        if sg == 0.0:
-                            ok = False
-                            break
-                        logabs -= la
-                        sign *= sg
-                if not ok:
-                    continue
-                term = term + sign * np.exp(logabs + ((b + k) / B) * logw)
+                if sign[j, k] != 0.0:
+                    term = term + sign[j, k] * np.exp(logabs[j, k] + power[j, k] * logw)
             acc = np.where(live, acc + term, acc)
             dead_now = live & ~np.isfinite(acc)
             if np.any(dead_now):
@@ -440,9 +443,7 @@ def _eval_band(params, w, quad, tol, max_terms):
     if not np.any(bad):
         return vals, errs
 
-    m, n = params.m, params.n
-    left_max = max(-b / B for b, B in params.lower[:m]) if m > 0 else -math.inf
-    right_min = min((1.0 - a) / A for a, A in params.upper[:n]) if n > 0 else math.inf
+    left_max, right_min = _strip(params)
     ladder = [left_max + step for step in (0.5, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)]
     ladder = [c for c in ladder if c <= right_min - 1e-3]
     for c in ladder:
@@ -458,53 +459,23 @@ def _eval_band(params, w, quad, tol, max_terms):
         errs[certified] = bound[certified]
         bad &= ~certified
 
-    for idx in np.argwhere(bad):
-        out = eval_contour(params, float(w[tuple(idx)]), quad)
-        vals[tuple(idx)] = out.value
-        errs[tuple(idx)] = out.err_est
+    for i in np.flatnonzero(bad):
+        out = eval_contour(params, float(w[i]), quad)
+        vals[i], errs[i] = out.value, out.err_est
     return vals, errs
 
 
-def _dispatch_regions(params, z, quad, tol, max_terms):
-    """Vectorised evaluation with per-element region choice.
+def _regions(params, w):
+    """Region masks (direct, inverted) over scaled arguments w.
 
-    Uses the direct series inside the convergence region, the inversion
-    identity outside it, and the contour in the borderline annulus.
-    Returns (values, err_ests).
+    The direct series serves w inside 0.8 of the series radius, the
+    inversion identity w beyond 1.25 of it; the borderline annulus
+    between the two (where both masks are False) is left to the contour.
+    The radius is inf for mu > 0 and 0 for mu < 0, so one family then
+    serves every w.
     """
-    _require_valid(params)
-    z = np.asarray(z, dtype=float)
-    if np.any(z <= 0):
-        raise ValueError("arguments must be positive")
-    w = params.arg_scale * z
-    prof = convergence_profile(params)
-    base = replace(params, arg_scale=1.0)
-
-    vals = np.empty_like(w)
-    errs = np.empty_like(w)
-    if prof.mu > COINCIDENCE_TOL:
-        vals[...], errs[...] = _eval_band(base, w, quad, tol, max_terms)
-        return vals, errs
-    if prof.mu < -COINCIDENCE_TOL:
-        sw = _swap(base)
-        vals[...], errs[...] = _eval_band(sw, 1.0 / w, quad, tol, max_terms)
-        return vals, errs
-
-    radius = prof.series_radius
-    direct = w <= 0.8 * radius
-    inverted = w >= 1.25 * radius
-    annulus = ~direct & ~inverted
-    if np.any(direct):
-        vals[direct], errs[direct] = _eval_band(base, w[direct], quad, tol, max_terms)
-    if np.any(inverted):
-        sw = _swap(base)
-        vals[inverted], errs[inverted] = _eval_band(sw, 1.0 / w[inverted], quad, tol, max_terms)
-    if np.any(annulus):
-        for idx in np.argwhere(annulus):
-            out = eval_contour(base, float(w[tuple(idx)]), quad)
-            vals[tuple(idx)] = out.value
-            errs[tuple(idx)] = out.err_est
-    return vals, errs
+    radius = convergence_profile(params).series_radius
+    return w <= 0.8 * radius, w >= 1.25 * radius
 
 
 def eval_series(params, z, tol=1e-12, max_terms=512):
@@ -522,21 +493,16 @@ def eval_series(params, z, tol=1e-12, max_terms=512):
     if not z > 0:
         raise ValueError(f"argument must be positive, got {z!r}")
     w = params.arg_scale * float(z)
-    prof = convergence_profile(params)
     base = replace(params, arg_scale=1.0)
-    if prof.mu > COINCIDENCE_TOL:
+    direct, inverted = _regions(base, w)
+    if direct:
         target, arg = base, w
-    elif prof.mu < -COINCIDENCE_TOL:
+    elif inverted:
         target, arg = _swap(base), 1.0 / w
     else:
-        if w <= 0.8 * prof.series_radius:
-            target, arg = base, w
-        elif w >= 1.25 * prof.series_radius:
-            target, arg = _swap(base), 1.0 / w
-        else:
-            raise OutOfRegion(
-                f"argument {w} lies in the borderline annulus around the "
-                f"series radius {prof.series_radius}; use eval_contour")
+        raise OutOfRegion(
+            f"argument {w} lies in the borderline annulus around the series "
+            f"radius {convergence_profile(base).series_radius}; use eval_contour")
     vals, errs, k = _series_core(target, np.asarray([arg]), tol, max_terms)
     if not np.isfinite(vals[0]):
         raise SeriesDiverged(
@@ -548,23 +514,15 @@ def eval_series(params, z, tol=1e-12, max_terms=512):
 
 # --- contour --------------------------------------------------------------
 
-def _log_habs_real(params, c):
-    """log |h(c)| on the real axis, or None when a gamma pole interferes."""
-    m, n = params.m, params.n
-    total = 0.0
-    for j, (b, B) in enumerate(params.lower):
-        arg = b + B * c if j < m else 1.0 - b - B * c
-        la, sg = gammaln_sign(arg)
-        if sg == 0.0:
-            return None
-        total += la if j < m else -la
-    for j, (a, A) in enumerate(params.upper):
-        arg = 1.0 - a - A * c if j < n else a + A * c
-        la, sg = gammaln_sign(arg)
-        if sg == 0.0:
-            return None
-        total += la if j < n else -la
-    return total
+def _log_h_real(params, s, on_pole="zero"):
+    """(log|h(s)|, sign of h(s)) at real s, one gammaln_sign call over the
+    factor table.  sign is 0.0 when any gamma argument sits on a pole
+    (on_pole="zero"), or GammaPole is raised (on_pole="raise")."""
+    c, d, e = _factors(params)
+    la, sg = gammaln_sign(c + d * s, on_pole=on_pole)
+    if not np.all(sg):
+        return math.inf, 0.0
+    return float(np.sum(np.where(e > 0, la, -la))), float(np.prod(sg))
 
 
 def _saddle_position(params, w, left_max):
@@ -580,8 +538,8 @@ def _saddle_position(params, w, left_max):
     best_c, best_f = left_max + 0.5, math.inf
     for step in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0):
         c = left_max + step
-        f = _log_habs_real(params, c)
-        if f is None:
+        f, sign = _log_h_real(params, c)
+        if sign == 0.0:
             continue
         f -= c * logw
         if f < best_f:
@@ -590,9 +548,7 @@ def _saddle_position(params, w, left_max):
 
 
 def _contour_position(params, c=None, w=None):
-    m, n = params.m, params.n
-    left_max = max(-b / B for b, B in params.lower[:m]) if m > 0 else -math.inf
-    right_min = min((1.0 - a) / A for a, A in params.upper[:n]) if n > 0 else math.inf
+    left_max, right_min = _strip(params)
     if c is not None:
         if not (left_max + 1e-3 <= c <= right_min - 1e-3):
             raise ValueError(
@@ -617,20 +573,11 @@ def _contour_position(params, c=None, w=None):
 def _log_h(params, s):
     """log h(s) on a complex array; branch choice is irrelevant because
     the value is only ever exponentiated."""
-    m, n = params.m, params.n
-    out = np.zeros_like(np.asarray(s, dtype=complex))
+    c, d, e = _factors(params)
+    s = np.asarray(s, dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for j, (b, B) in enumerate(params.lower):
-            if j < m:
-                out = out + loggamma(b + B * s)
-            else:
-                out = out - loggamma(1.0 - b - B * s)
-        for j, (a, A) in enumerate(params.upper):
-            if j < n:
-                out = out + loggamma(1.0 - a - A * s)
-            else:
-                out = out - loggamma(a + A * s)
-    return out
+        lg = loggamma(c[:, None] + d[:, None] * s.reshape(1, -1))
+        return np.sum(np.where(e[:, None] > 0, lg, -lg), axis=0).reshape(s.shape)
 
 
 def eval_contour(params, z, quad=QuadSpec(), c=None):
@@ -690,21 +637,31 @@ def eval_auto(params, z, quad=QuadSpec(), tol=1e-12, max_terms=512):
 
 
 def _values_on_grid(params, z, quad, tol=1e-12, max_terms=512):
-    """Vectorised H values used inside quadrature integrands."""
+    """Vectorised H values used inside quadrature integrands.
+
+    Each element takes its own region (see _regions): the direct series
+    or the inversion identity through _eval_band, or eval_contour in the
+    borderline annulus.
+    """
+    _require_valid(params)
     z = np.asarray(z, dtype=float)
-    flat = z.reshape(-1)
-    vals, _ = _dispatch_regions(params, flat, quad, tol, max_terms)
+    if np.any(z <= 0):
+        raise ValueError("arguments must be positive")
+    w = params.arg_scale * z.reshape(-1)
+    base = replace(params, arg_scale=1.0)
+    direct, inverted = _regions(base, w)
+    vals = np.empty_like(w)
+    if np.any(direct):
+        vals[direct], _ = _eval_band(base, w[direct], quad, tol, max_terms)
+    if np.any(inverted):
+        vals[inverted], _ = _eval_band(_swap(base), 1.0 / w[inverted], quad,
+                                       tol, max_terms)
+    for i in np.flatnonzero(~direct & ~inverted):
+        vals[i] = eval_contour(base, float(w[i]), quad).value
     return vals.reshape(z.shape)
 
 
 # --- Mellin transform -----------------------------------------------------
-
-def _strip_bounds(params):
-    m, n = params.m, params.n
-    lo = max((-b / B for b, B in params.lower[:m]), default=-math.inf)
-    hi = min(((1.0 - a) / A for a, A in params.upper[:n]), default=math.inf)
-    return lo, hi
-
 
 def mellin(params, s):
     """Closed-form Mellin transform: integral_0^inf z^{s-1} H[a z] dz.
@@ -714,24 +671,13 @@ def mellin(params, s):
     """
     _require_valid(params)
     s = float(s)
-    lo, hi = _strip_bounds(params)
+    lo, hi = _strip(params)
     if not (lo < s < hi):
         raise OutOfStrip(f"s = {s} outside the fundamental strip ({lo}, {hi})")
-    m, n = params.m, params.n
-    logabs = -s * math.log(params.arg_scale)
-    sign = 1.0
     # on_pole="raise": any gamma argument at a non-positive integer is a
     # GammaPole error here, denominator or not
-    for j, (b, B) in enumerate(params.lower):
-        arg = b + B * s if j < m else 1.0 - b - B * s
-        la, sg = gammaln_sign(arg, on_pole="raise")
-        logabs += la if j < m else -la
-        sign *= sg
-    for j, (a, A) in enumerate(params.upper):
-        arg = 1.0 - a - A * s if j < n else a + A * s
-        la, sg = gammaln_sign(arg, on_pole="raise")
-        logabs += la if j < n else -la
-        sign *= sg
+    logabs, sign = _log_h_real(params, s, on_pole="raise")
+    logabs -= s * math.log(params.arg_scale)
     return sign * math.exp(logabs)
 
 
@@ -748,11 +694,13 @@ def mellin_numeric_check(params, s, quad=QuadSpec(), tol=1e-12, max_terms=512):
     integrated directly; the mapped mesh resolves them unaided.
     """
     analytic = mellin(params, s)   # raises OutOfStrip outside the strip
+    _, r = _strip(params)
+
+    def direct(z):
+        return z ** (s - 1.0) * _values_on_grid(params, z, quad, tol, max_terms)
 
     if s >= 1.0:
-        def head(z):
-            return z ** (s - 1.0) * _values_on_grid(params, z, quad, tol, max_terms)
-        i1, e1 = integrate_adaptive(head, 0.0, 1.0, quad)
+        i1, e1 = integrate_adaptive(direct, 0.0, 1.0, quad)
     else:
         def head(u):
             with np.errstate(divide="ignore"):
@@ -760,12 +708,9 @@ def mellin_numeric_check(params, s, quad=QuadSpec(), tol=1e-12, max_terms=512):
             return _values_on_grid(params, zz, quad, tol, max_terms) / s
         i1, e1 = integrate_adaptive(head, 0.0, 1.0, quad)
 
-    if params.n == 0:
-        def tail(z):
-            return z ** (s - 1.0) * _values_on_grid(params, z, quad, tol, max_terms)
-        i2, e2 = integrate_adaptive(tail, 1.0, np.inf, quad)
+    if math.isinf(r):   # no right family (n = 0): exponential-type tail
+        i2, e2 = integrate_adaptive(direct, 1.0, np.inf, quad)
     else:
-        r = min((1.0 - a) / A for a, A in params.upper[:params.n])
         g = r - s   # > 0 inside the strip
 
         def tail(v):
@@ -881,17 +826,17 @@ def cosine_transform(params, k, s, mu):
         raise ValueError(f"transform frequency must be positive, got {k!r}")
     if not mu > 0:
         raise ValueError(f"argument power must be positive, got {mu!r}")
-    m, n = params.m, params.n
-    if m > 0:
-        zero_power = s + mu * min(b / B for b, B in params.lower[:m])
-        if not zero_power > 0:
-            raise StripViolation(
-                f"integrand not integrable at 0: s + mu*min(b/B) = {zero_power}")
-    if n > 0:
-        inf_power = s + mu * max((a - 1.0) / A for a, A in params.upper[:n])
-        if not inf_power < 1.0:
-            raise StripViolation(
-                f"integrand envelope does not decay: s + mu*max((a-1)/A) = {inf_power}")
+    # min(b/B) = -left_max and max((a-1)/A) = -right_min; an empty family
+    # leaves an infinite edge, which passes its test
+    left_max, right_min = _strip(params)
+    zero_power = s - mu * left_max
+    if not zero_power > 0:
+        raise StripViolation(
+            f"integrand not integrable at 0: s + mu*min(b/B) = {zero_power}")
+    inf_power = s - mu * right_min
+    if not inf_power < 1.0:
+        raise StripViolation(
+            f"integrand envelope does not decay: s + mu*max((a-1)/A) = {inf_power}")
     new_upper = tuple((1.0 - b, B) for b, B in params.lower) + (((1.0 + s) / 2.0, mu / 2.0),)
     new_lower = ((float(s), float(mu)),) \
         + tuple((1.0 - a, A) for a, A in params.upper) \
@@ -914,7 +859,7 @@ def cosine_transform_check(params, k, s, mu, quad=QuadSpec(), tol=1e-6):
 
     lead = s - 1.0
     if params.m > 0:
-        lead += mu * min(b / B for b, B in params.lower[:params.m])
+        lead -= mu * _strip(params)[0]
 
     def envelope(p):
         return p ** (s - 1.0) * _values_on_grid(params, p ** mu, quad)

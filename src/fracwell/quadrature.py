@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 __all__ = [
+    "NumericalFailure",
     "QuadSpec",
     "QuadFailure",
     "NonIntegrable",
@@ -34,19 +35,25 @@ __all__ = [
 ]
 
 
-class QuadFailure(Exception):
+class NumericalFailure(Exception):
+    """Base of every typed convergence failure in the package: a
+    computation on valid input that could not reach an answer it can
+    vouch for (the CLI's exit code 3)."""
+
+
+class QuadFailure(NumericalFailure):
     """Tolerance not reached within the subdivision budget."""
 
 
-class NonIntegrable(Exception):
+class NonIntegrable(NumericalFailure):
     """The integrand produced a non-finite value at a quadrature node."""
 
 
-class NonDecaying(Exception):
+class NonDecaying(NumericalFailure):
     """Oscillatory segment magnitudes stopped decreasing."""
 
 
-class NoBracket(Exception):
+class NoBracket(NumericalFailure):
     """Root bracket endpoints do not straddle a sign change."""
 
 

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from fracwell import cli
+from fracwell import NumericalFailure, cli, deltawell, hfox, quadrature
 from fracwell import gammafn as gf
 
 SCI = re.compile(r"-?\d\.\d{11}e[+-]\d{2}$")
@@ -65,14 +65,24 @@ def test_energy_rejects_bad_alpha(tmp_path, capsys):
 
 
 def test_energy_out_of_double_range_exits_3(capsys):
-    # |E| ~ 10^2505: the closed form overflows and must not be printed
-    with np.errstate(over="ignore"):
-        code = cli.main(["--mode", "energy", "--alpha", "1.001",
-                         "--lambda", "1"])
-    assert code == 3
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert "OverflowError" in err
+    # |E| ~ 10^2505 and |E| ~ e^-1479: valid inputs whose energy cannot be
+    # represented are numerical failures, never printed and never bad input
+    for extra in (["--alpha", "1.001"], ["--alpha", "1.005", "--gamma", "1e-5"]):
+        code = cli.main(["--mode", "energy", "--lambda", "1"] + extra)
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "OverflowError" in err
+
+
+@pytest.mark.parametrize("cls", [
+    quadrature.QuadFailure, quadrature.NonIntegrable, quadrature.NonDecaying,
+    quadrature.NoBracket, deltawell.BracketFailure, hfox.NonSimplePoles,
+    hfox.SeriesDiverged, hfox.OutOfRegion, hfox.NoSeparatingContour,
+], ids=lambda cls: cls.__name__)
+def test_convergence_failures_share_one_base(cls):
+    # the CLI maps NumericalFailure to exit code 3
+    assert issubclass(cls, NumericalFailure)
 
 
 # ------------------------------------------------------------ wavefunction

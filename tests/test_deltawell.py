@@ -141,9 +141,15 @@ def test_bound_state_rejects_non_finite():
         BoundState(energy=-math.inf, kappa=math.inf)
     with pytest.raises(OverflowError):
         BoundState(energy=-1.0, kappa=math.inf)
-    # the closed form overflows here: |E| ~ 10^2505
-    with np.errstate(over="ignore"), pytest.raises(OverflowError):
-        dw.energy_closed_form(PotentialConfig(alpha=1.001, lam=1.0))
+
+
+def test_energy_closed_form_outside_double_range():
+    # |E| ~ e^-1479 and |E| ~ 10^2505: log|E| is formed term by term, so
+    # both ends are reported as OverflowError, never as E = -0.0 or -inf
+    for cfg in (PotentialConfig(alpha=1.005, lam=1.0, gamma_strength=1e-5),
+                PotentialConfig(alpha=1.001, lam=1.0)):
+        with pytest.raises(OverflowError, match="log"):
+            dw.energy_closed_form(cfg)
 
 
 # --------------------------------------------------------------- momentum

@@ -1,4 +1,4 @@
-"""Smoke runs of the demos that reach the energy oracle."""
+"""Smoke runs of every demo script."""
 
 import os
 import pathlib
@@ -10,7 +10,10 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["energy_scan.py", "cli_tour.py"])
+@pytest.mark.parametrize("demo", [
+    "energy_scan.py", "cli_tour.py", "hfox_playground.py", "reduction_chain.py",
+    "classical_limit.py", "delta_family.py", "wavefunction_profiles.py",
+])
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -12,6 +12,11 @@ from fracwell.hfox import HFoxParams
 # the two workhorse instances: H[z] = e^{-z} and H[z] = 1/(1+z)
 EXP = HFoxParams(m=1, n=0, upper=(), lower=((0.0, 1.0),))
 RAT = HFoxParams(m=1, n=1, upper=((0.0, 1.0),), lower=((0.0, 1.0),))
+# one factor in each of the four gamma groups: lower numerators (0.1, 1)
+# and (0.4, 0.6), upper numerator (0.3, 0.7), lower denominator
+# (0.2, 0.9), upper denominator (0.2, 1.1)
+MIXED = HFoxParams(m=2, n=1, upper=((0.3, 0.7), (0.2, 1.1)),
+                   lower=((0.1, 1.0), (0.4, 0.6), (0.2, 0.9)))
 
 
 # --------------------------------------------------------------- validate
@@ -137,6 +142,10 @@ def test_mellin_gamma_products():
     RAT2 = HFoxParams(m=1, n=1, upper=((0.0, 1.0),), lower=((0.0, 1.0),),
                       arg_scale=2.0)
     assert_allclose(hf.mellin(RAT2, 0.5), math.pi / math.sqrt(2.0), rtol=1e-13)
+    s, G = 0.2, math.gamma
+    want = (G(0.1 + s) * G(0.4 + 0.6 * s) * G(1.0 - 0.3 - 0.7 * s)
+            / (G(1.0 - 0.2 - 0.9 * s) * G(0.2 + 1.1 * s)))
+    assert_allclose(hf.mellin(MIXED, s), want, rtol=1e-13)
 
 
 def test_mellin_outside_strip():
@@ -275,3 +284,25 @@ def test_cosine_transform_strip_violation():
     bad = HFoxParams(m=1, n=1, upper=((0.3, 1.0),), lower=((-0.5, 1.0),))
     with pytest.raises(hf.StripViolation):
         hf.cosine_transform(bad, k=1.0, s=0.3, mu=1.0)
+    # integrable at 0 (s + mu*min(b/B) = 1.5) but s + mu*max((a-1)/A) = 1.4
+    bad = HFoxParams(m=1, n=1, upper=((0.9, 1.0),), lower=((0.0, 1.0),))
+    with pytest.raises(hf.StripViolation, match="does not decay"):
+        hf.cosine_transform(bad, k=1.0, s=1.5, mu=1.0)
+
+
+# ------------------------------------------------------ shared factor table
+
+@pytest.mark.parametrize("z", [0.3, 1.0, 2.0])
+def test_series_agrees_with_contour_mixed_block(z):
+    a = hf.eval_series(MIXED, z)
+    b = hf.eval_contour(MIXED, z)
+    assert abs(a.value - b.value) <= a.err_est + b.err_est
+
+
+def test_series_rejects_shared_left_poles():
+    # the classical chain's transform block has Gamma(1 + 2s) and
+    # Gamma(1 + s) among its numerators: both have poles at s = -1, -2, ...
+    from fracwell.checks import _classical_chain
+    _, ct = _classical_chain()
+    with pytest.raises(hf.NonSimplePoles):
+        hf.eval_series(ct.params, 0.5)
