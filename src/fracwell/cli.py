@@ -27,6 +27,7 @@ beyond the double range).
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -119,12 +120,15 @@ def _config(rc):
 
 # --- modes ------------------------------------------------------------------
 
-def run_energy(rc):
-    cfg = _config(rc)
-    quad = _quad(rc)
+def _energies(cfg, quad):
+    """Closed-form and oracle bound states and their relative deviation."""
     ec = energy_closed_form(cfg)
     eo = energy_oracle(cfg, quad)
-    rel = abs(ec.energy - eo.energy) / abs(eo.energy)
+    return ec, eo, abs(ec.energy - eo.energy) / abs(eo.energy)
+
+
+def run_energy(rc):
+    ec, eo, rel = _energies(_config(rc), _quad(rc))
     header = ["E_closed_form", "E_oracle", "rel_deviation", "kappa"]
     rows = [[ec.energy, eo.energy, rel, ec.kappa]]
     _emit(rc, _base_meta(rc), header, rows)
@@ -150,16 +154,12 @@ def run_wavefunction(rc):
     hnorm = _hfox_measure_norm(cfg, st.kappa)
 
     xs = np.linspace(rc["x_min"], rc["x_max"], rc["x_steps"])
-    cache = {}
+    phi = position_wavefunction_quadrature(st, cfg, xs, quad)
     rows = []
-    for x in xs:
-        ax = abs(float(x))
-        if ax not in cache:
-            cache[ax] = position_wavefunction_quadrature(st, cfg, ax, quad)
-        pq = cache[ax]
+    for x, pq in zip(xs, phi):
         # both columns carry unit norm under the lam measure, so the
         # deviation column measures shape, not the dropped constant
-        ph = math.exp(-st.kappa * ax) / hnorm
+        ph = math.exp(-st.kappa * abs(float(x))) / hnorm
         rel = abs(pq - ph) / max(abs(pq), 1e-300)
         rows.append([float(x), pq, ph, rel])
 
@@ -186,53 +186,35 @@ def _parse_grid(spec, flag):
         raise ValueError(f"bad {flag} grid {spec!r}: {e}") from None
 
 
+# the sweep axes in table order: (--sweep-* grid key, the field it varies)
+_SWEEP_AXES = (("sweep_alpha", "alpha"), ("sweep_lambda", "lam"),
+               ("sweep_gamma", "gamma"), ("sweep_d_alpha", "d_alpha"))
+
+
 def run_sweep(rc):
     quad = _quad(rc)
-    axes = []
-    for key, flag in (("sweep_alpha", "--sweep-alpha"),
-                      ("sweep_lambda", "--sweep-lambda"),
-                      ("sweep_gamma", "--sweep-gamma"),
-                      ("sweep_d_alpha", "--sweep-d-alpha")):
-        if rc[key] is not None:
-            axes.append(_parse_grid(rc[key], flag))
-        else:
-            fixed = {"sweep_alpha": "alpha", "sweep_lambda": "lam",
-                     "sweep_gamma": "gamma", "sweep_d_alpha": "d_alpha"}[key]
-            axes.append([rc[fixed]])
-    if all(rc[k] is None for k in ("sweep_alpha", "sweep_lambda",
-                                   "sweep_gamma", "sweep_d_alpha")):
+    swept = [key for key, _ in _SWEEP_AXES if rc[key] is not None]
+    if not swept:
         raise ValueError("sweep mode needs at least one --sweep-* grid")
+    axes = [_parse_grid(rc[key], "--" + key.replace("_", "-"))
+            if rc[key] is not None else [rc[field]]
+            for key, field in _SWEEP_AXES]
 
     header = ["alpha", "lambda", "gamma", "d_alpha",
               "E_closed", "E_oracle", "rel_dev", "status"]
     rows = []
-    failed = 0
-    for a in axes[0]:
-        for lam in axes[1]:
-            for g in axes[2]:
-                for d in axes[3]:
-                    try:
-                        cfg = PotentialConfig(alpha=a, d_alpha=d,
-                                              gamma_strength=g, hbar=rc["hbar"],
-                                              lam=lam)
-                        ec = energy_closed_form(cfg)
-                        eo = energy_oracle(cfg, quad)
-                        rel = abs(ec.energy - eo.energy) / abs(eo.energy)
-                        rows.append([a, lam, g, d, ec.energy, eo.energy,
-                                     rel, "ok"])
-                    except DomainError:
-                        rows.append([a, lam, g, d, None, None, None,
-                                     "domain_error"])
-                        failed += 1
-                    except _CONVERGENCE_ERRORS:
-                        rows.append([a, lam, g, d, None, None, None,
-                                     "convergence_error"])
-                        failed += 1
-    meta = _base_meta(rc, {"swept": [k for k in ("sweep_alpha", "sweep_lambda",
-                                                 "sweep_gamma", "sweep_d_alpha")
-                                     if rc[k] is not None]})
-    _emit(rc, meta, header, rows)
-    return 3 if rows and failed == len(rows) else 0
+    for a, lam, g, d in itertools.product(*axes):
+        try:
+            cfg = PotentialConfig(alpha=a, d_alpha=d, gamma_strength=g,
+                                  hbar=rc["hbar"], lam=lam)
+            ec, eo, rel = _energies(cfg, quad)
+            rows.append([a, lam, g, d, ec.energy, eo.energy, rel, "ok"])
+        except DomainError:
+            rows.append([a, lam, g, d, None, None, None, "domain_error"])
+        except _CONVERGENCE_ERRORS:
+            rows.append([a, lam, g, d, None, None, None, "convergence_error"])
+    _emit(rc, _base_meta(rc, {"swept": swept}), header, rows)
+    return 3 if rows and all(row[-1] != "ok" for row in rows) else 0
 
 
 def run_validate(rc):

@@ -128,13 +128,20 @@ class BoundState:
             raise DomainError(f"unknown provenance {self.provenance!r}")
 
 
-def _kappa(cfg, abs_e):
-    return (abs_e / (cfg.d_alpha * cfg.hbar ** cfg.alpha)) ** (1.0 / cfg.alpha)
-
-
-# log|E| range in which |E| is a normal double
+# log range in which |E| (and kappa) is a normal double
 _LOG_E_MIN = -708.0
 _LOG_E_MAX = 709.0
+
+
+def _kappa(cfg, abs_e):
+    """kappa = (|E| / D)^(1/alpha) / hbar, formed in logs so that no power
+    of D or hbar over- or underflows on the way."""
+    log_kappa = ((math.log(abs_e) - math.log(cfg.d_alpha)) / cfg.alpha
+                 - math.log(cfg.hbar))
+    if not _LOG_E_MIN <= log_kappa <= _LOG_E_MAX:
+        raise OverflowError(
+            f"decay scale out of double range: log kappa = {log_kappa:.6g}")
+    return math.exp(log_kappa)
 
 
 def _log_gamma(x):
@@ -284,10 +291,15 @@ def position_wavefunction_quadrature(state, cfg, x, spec=QuadSpec()):
     """Position profile by direct cosine transform of the momentum one.
 
     Real, even, positive at 0.  This is the reference route: it makes
-    no use of the H-function reduction chain.
+    no use of the H-function reduction chain.  Accepts scalars or
+    arrays; each distinct |x| is integrated once.
     """
-    val, _ = cosine_profile_integral(state, cfg, x, spec)
-    return _position_prefactor(state, cfg) * val
+    x = np.asarray(x, dtype=float)
+    ax, inverse = np.unique(np.abs(x).ravel(), return_inverse=True)
+    vals = np.array([cosine_profile_integral(state, cfg, float(t), spec)[0]
+                     for t in ax])
+    out = _position_prefactor(state, cfg) * vals[inverse].reshape(x.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 _REDUCED_EXP = HFoxParams(m=1, n=0, upper=(), lower=((0.0, 1.0),))
@@ -330,8 +342,7 @@ def hfox_shape_check(state, cfg, spec=QuadSpec(), tol=1e-4):
     """Compare the H-function position route against the quadrature
     route on 16 points spanning [0.25, 4] decay lengths."""
     xs = np.linspace(0.25, 4.0, 16) / state.kappa
-    hq = np.array([position_wavefunction_quadrature(state, cfg, t, spec)
-                   for t in xs])
+    hq = position_wavefunction_quadrature(state, cfg, xs, spec)
     hh = np.array([_hfox_profile(state, cfg, t) for t in xs])
     rq = hq / hq[0]
     rh = hh / hh[0]
@@ -395,8 +406,7 @@ def hfox_comparison_report(cfg, spec=QuadSpec()):
     shape = hfox_shape_check(state, cfg, spec)
 
     xs = np.linspace(4.0, 12.0, 8) / state.kappa
-    phi = np.array([position_wavefunction_quadrature(state, cfg, t, spec)
-                    for t in xs])
+    phi = position_wavefunction_quadrature(state, cfg, xs, spec)
     diag = {}
     if np.all(phi > 0):
         ly = np.log(phi)
@@ -430,11 +440,7 @@ def normalize(state, cfg, spec=QuadSpec()):
     base = replace(state, amplitude=1.0)
 
     def f(xs):
-        xs = np.asarray(xs, dtype=float)
-        flat = xs.reshape(-1)
-        out = np.array([position_wavefunction_quadrature(base, cfg, t, spec) ** 2
-                        for t in flat])
-        return out.reshape(xs.shape)
+        return position_wavefunction_quadrature(base, cfg, xs, spec) ** 2
 
     half, err = measure_integrate(cfg.dim, f, (0.0, np.inf), spec)
     nrm2 = 2.0 * half

@@ -1,6 +1,6 @@
-"""Fox H-function engine: residue series, Mellin-Barnes contour, Mellin
-transform, and the parameter algebra (argument rescaling, pair
-cancellation, cosine transform).
+"""Fox H-function engine: residue series and Mellin-Barnes contour behind
+one dispatcher (_evaluate), Mellin transform, and the parameter algebra
+(argument rescaling, pair cancellation, cosine transform).
 
 Conventions
 -----------
@@ -421,50 +421,6 @@ def _magnitude_bound(params, c):
     return val / math.pi
 
 
-def _eval_band(params, w, quad, tol, max_terms):
-    """Series over a band of scaled arguments with per-element rescue.
-
-    Elements the series handles cleanly keep their series values.  The
-    rest (overflow, catastrophic cancellation) are first tested against
-    the Mellin-magnitude bound |H(w)| <= M(c) w^{-c} on a ladder of
-    contour positions; certified-negligible values are returned as 0
-    with the bound as the error.  Whatever survives both goes through
-    eval_contour one element at a time.
-    """
-    try:
-        vals, errs, _ = _series_core(params, w, tol, max_terms,
-                                     raise_on_exhaust=False)
-        bad = ~np.isfinite(vals) | (errs > np.maximum(5e-14, 1e-8 * np.abs(vals)))
-    except NonSimplePoles:
-        vals = np.full_like(w, np.nan)
-        errs = np.full_like(w, np.inf)
-        bad = np.ones_like(w, dtype=bool)
-
-    if not np.any(bad):
-        return vals, errs
-
-    left_max, right_min = _strip(params)
-    ladder = [left_max + step for step in (0.5, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)]
-    ladder = [c for c in ladder if c <= right_min - 1e-3]
-    for c in ladder:
-        if not np.any(bad):
-            break
-        M = _magnitude_bound(params, c)
-        if not math.isfinite(M):
-            break
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            bound = M * np.power(w, -c)
-        certified = bad & (bound < _ZERO_CUT)
-        vals[certified] = 0.0
-        errs[certified] = bound[certified]
-        bad &= ~certified
-
-    for i in np.flatnonzero(bad):
-        out = eval_contour(params, float(w[i]), quad)
-        vals[i], errs[i] = out.value, out.err_est
-    return vals, errs
-
-
 def _regions(params, w):
     """Region masks (direct, inverted) over scaled arguments w.
 
@@ -478,6 +434,40 @@ def _regions(params, w):
     return w <= 0.8 * radius, w >= 1.25 * radius
 
 
+def _series(params, z, tol, max_terms, strict):
+    """Residue series at positive z (1-d ndarray), each scaled argument
+    w = arg_scale * z in its own region (see _regions).
+
+    Returns (values, err_ests, terms, bands), bands holding the (block,
+    argument, mask) of the direct series, of the inverted one (the
+    swapped block at 1/w) and of the annulus (no series; nan, err inf).
+    strict raises the series' failures; otherwise a band whose series
+    cannot be formed is left nan with err inf for the caller's fallback.
+    """
+    _require_valid(params)
+    if not np.all(z > 0):
+        raise ValueError(f"arguments must be positive, got {float(z[~(z > 0)][0])}")
+    w = params.arg_scale * z
+    base = replace(params, arg_scale=1.0)
+    direct, inverted = _regions(base, w)
+    bands = ((base, w, direct), (_swap(base), 1.0 / w, inverted),
+             (base, w, ~direct & ~inverted))
+    vals, errs = np.full_like(w, np.nan), np.full_like(w, np.inf)
+    terms = 0
+    for block, arg, mask in bands[:2]:
+        if not np.any(mask):
+            continue
+        try:
+            vals[mask], errs[mask], k = _series_core(
+                block, arg[mask], tol, max_terms, raise_on_exhaust=strict)
+        except (NonSimplePoles, OutOfRegion):
+            if strict:
+                raise
+            continue
+        terms = max(terms, k)
+    return vals, errs, terms, bands
+
+
 def eval_series(params, z, tol=1e-12, max_terms=512):
     """Residue-series value of H[arg_scale * z] at scalar z > 0.
 
@@ -489,24 +479,16 @@ def eval_series(params, z, tol=1e-12, max_terms=512):
     (alternating series with large arguments lose digits to
     cancellation; the estimate reports that honestly).
     """
-    _require_valid(params)
-    if not z > 0:
-        raise ValueError(f"argument must be positive, got {z!r}")
-    w = params.arg_scale * float(z)
-    base = replace(params, arg_scale=1.0)
-    direct, inverted = _regions(base, w)
-    if direct:
-        target, arg = base, w
-    elif inverted:
-        target, arg = _swap(base), 1.0 / w
-    else:
+    vals, errs, k, bands = _series(params, np.array([float(z)]), tol,
+                                   max_terms, strict=True)
+    w = bands[0][1]
+    if bands[2][2][0]:
         raise OutOfRegion(
-            f"argument {w} lies in the borderline annulus around the series "
-            f"radius {convergence_profile(base).series_radius}; use eval_contour")
-    vals, errs, k = _series_core(target, np.asarray([arg]), tol, max_terms)
+            f"argument {w[0]} lies in the borderline annulus around the series "
+            f"radius {convergence_profile(params).series_radius}; use eval_contour")
     if not np.isfinite(vals[0]):
         raise SeriesDiverged(
-            f"series overflowed in floating point at scaled argument {arg}; "
+            f"series overflowed in floating point at scaled argument {w[0]}; "
             "use eval_contour")
     return EvalOutcome(value=float(vals[0]), err_est=float(errs[0]),
                        method="series", terms=k)
@@ -619,46 +601,54 @@ def eval_contour(params, z, quad=QuadSpec(), c=None):
     return EvalOutcome(value=total, err_est=err + abs(block), method="contour")
 
 
-def eval_auto(params, z, quad=QuadSpec(), tol=1e-12, max_terms=512):
-    """Series evaluation with automatic contour fallback."""
-    try:
-        out = eval_series(params, z, tol=tol, max_terms=max_terms)
-        if out.err_est <= max(1e-8, 1e-8 * abs(out.value)):
-            return out
-        series_out = out
-    except (OutOfRegion, NonSimplePoles, SeriesDiverged):
-        series_out = None
-    try:
-        return eval_contour(params, z, quad)
-    except (QuadFailure, NoSeparatingContour):
-        if series_out is not None:
-            return series_out
-        raise
+def _evaluate(params, z, quad, tol, max_terms, zero_cut):
+    """The one H-value dispatcher: (values, err_ests, from_series) at
+    positive z of any shape, each element in its region (see _series).
 
-
-def _values_on_grid(params, z, quad, tol=1e-12, max_terms=512):
-    """Vectorised H values used inside quadrature integrands.
-
-    Each element takes its own region (see _regions): the direct series
-    or the inversion identity through _eval_band, or eval_contour in the
-    borderline annulus.
+    A series value stands when finite with err_est <= max(5e-14, 1e-8
+    |value|).  The rest of a series band meets the Mellin-magnitude bound
+    |H(w)| <= M(c) w^{-c} on a ladder of contour positions; a bound under
+    zero_cut makes the value 0 with the bound as its error (zero_cut = 0
+    certifies nothing).  Whatever is left goes through eval_contour one
+    element at a time on the band's own block; where no contour can be
+    taken, a converged series value is kept.
     """
-    _require_valid(params)
     z = np.asarray(z, dtype=float)
-    if np.any(z <= 0):
-        raise ValueError("arguments must be positive")
-    w = params.arg_scale * z.reshape(-1)
-    base = replace(params, arg_scale=1.0)
-    direct, inverted = _regions(base, w)
-    vals = np.empty_like(w)
-    if np.any(direct):
-        vals[direct], _ = _eval_band(base, w[direct], quad, tol, max_terms)
-    if np.any(inverted):
-        vals[inverted], _ = _eval_band(_swap(base), 1.0 / w[inverted], quad,
-                                       tol, max_terms)
-    for i in np.flatnonzero(~direct & ~inverted):
-        vals[i] = eval_contour(base, float(w[i]), quad).value
-    return vals.reshape(z.shape)
+    vals, errs, _, bands = _series(params, z.reshape(-1), tol, max_terms,
+                                   strict=False)
+    series = np.isfinite(vals) & (errs <= np.maximum(5e-14, 1e-8 * np.abs(vals)))
+    for block, arg, band in bands:
+        bad = band & ~series
+        if zero_cut > 0 and band is not bands[2][2] and np.any(bad):
+            left_max, right_min = _strip(block)
+            for c in (left_max + t for t in (0.5, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)):
+                if c > right_min - 1e-3 or not np.any(bad):
+                    break
+                M = _magnitude_bound(block, c)
+                if not math.isfinite(M):
+                    break
+                with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                    bound = M * np.power(arg, -c)
+                certified = bad & (bound < zero_cut)
+                vals[certified], errs[certified] = 0.0, bound[certified]
+                bad &= ~certified
+        for i in np.flatnonzero(bad):
+            try:
+                out = eval_contour(block, float(arg[i]), quad)
+            except (QuadFailure, NoSeparatingContour):
+                if not (np.isfinite(vals[i]) and np.isfinite(errs[i])):
+                    raise
+                series[i] = True
+                continue
+            vals[i], errs[i] = out.value, out.err_est
+    return vals.reshape(z.shape), errs.reshape(z.shape), series.reshape(z.shape)
+
+
+def eval_auto(params, z, quad=QuadSpec(), tol=1e-12, max_terms=512):
+    """Series evaluation with automatic contour fallback (see _evaluate)."""
+    v, e, series = _evaluate(params, [z], quad, tol, max_terms, zero_cut=0.0)
+    return EvalOutcome(value=float(v[0]), err_est=float(e[0]),
+                       method="series" if series[0] else "contour")
 
 
 # --- Mellin transform -----------------------------------------------------
@@ -697,7 +687,7 @@ def mellin_numeric_check(params, s, quad=QuadSpec(), tol=1e-12, max_terms=512):
     _, r = _strip(params)
 
     def direct(z):
-        return z ** (s - 1.0) * _values_on_grid(params, z, quad, tol, max_terms)
+        return z ** (s - 1.0) * _evaluate(params, z, quad, tol, max_terms, _ZERO_CUT)[0]
 
     if s >= 1.0:
         i1, e1 = integrate_adaptive(direct, 0.0, 1.0, quad)
@@ -705,7 +695,7 @@ def mellin_numeric_check(params, s, quad=QuadSpec(), tol=1e-12, max_terms=512):
         def head(u):
             with np.errstate(divide="ignore"):
                 zz = np.power(u, 1.0 / s)
-            return _values_on_grid(params, zz, quad, tol, max_terms) / s
+            return _evaluate(params, zz, quad, tol, max_terms, _ZERO_CUT)[0] / s
         i1, e1 = integrate_adaptive(head, 0.0, 1.0, quad)
 
     if math.isinf(r):   # no right family (n = 0): exponential-type tail
@@ -717,7 +707,7 @@ def mellin_numeric_check(params, s, quad=QuadSpec(), tol=1e-12, max_terms=512):
             with np.errstate(over="ignore"):
                 zz = np.power(v, -1.0 / g)
                 pref = np.power(v, -r / g) / g
-            return pref * _values_on_grid(params, zz, quad, tol, max_terms)
+            return pref * _evaluate(params, zz, quad, tol, max_terms, _ZERO_CUT)[0]
         i2, e2 = integrate_adaptive(tail, 0.0, 1.0, quad)
 
     numeric = i1 + i2
@@ -862,7 +852,7 @@ def cosine_transform_check(params, k, s, mu, quad=QuadSpec(), tol=1e-6):
         lead -= mu * _strip(params)[0]
 
     def envelope(p):
-        return p ** (s - 1.0) * _values_on_grid(params, p ** mu, quad)
+        return p ** (s - 1.0) * _evaluate(params, p ** mu, quad, 1e-12, 512, _ZERO_CUT)[0]
 
     lhs, _ = integrate_oscillatory(envelope, k, quad, singularity_power=lead)
 

@@ -75,6 +75,40 @@ def test_energy_out_of_double_range_exits_3(capsys):
         assert "OverflowError" in err
 
 
+@pytest.mark.parametrize("extra", [
+    ["--alpha", "2", "--gamma", "2e-200", "--hbar", "1e-200"],
+    ["--alpha", "1.5", "--lambda", "0.8", "--gamma", "3", "--d-alpha", "0.2",
+     "--hbar", "1e-100"],
+], ids=["hbar_squared_underflows", "hbar_power_overflows"])
+def test_energy_kappa_beyond_powers_of_hbar(tmp_path, extra):
+    # |E| and kappa are representable although hbar^alpha is not
+    code, path = run(tmp_path, "--mode", "energy", *extra, "--format", "json",
+                     out="e.json")
+    assert code == 0
+    doc = json.loads(path.read_text())
+    meta, row = doc["meta"], doc["rows"][0]
+    # kappa^alpha * D * hbar^alpha = |E|, checked in logs
+    a = meta["alpha"]
+    lhs = (a * math.log(row["kappa"]) + math.log(meta["d_alpha"])
+           + a * math.log(meta["hbar"]))
+    assert lhs == pytest.approx(math.log(-row["E_closed_form"]), abs=1e-9)
+    if a == 2.0:   # classical point: |E| = gamma^2 / (4 D hbar^2) = 1
+        assert row["E_closed_form"] == pytest.approx(-1.0, rel=1e-12)
+        assert row["kappa"] == pytest.approx(1e200, rel=1e-12)
+
+
+def test_energy_kappa_out_of_double_range_exits_3(capsys):
+    # kappa ~ e^920 and ~ e^-1152: numerical failures, never a traceback
+    for extra in (["--gamma", "1e-300", "--d-alpha", "1e-300", "--hbar", "1e-200"],
+                  ["--gamma", "1e200", "--d-alpha", "1e300", "--hbar", "1e200"]):
+        code = cli.main(["--mode", "energy", "--alpha", "2", "--lambda", "1"]
+                        + extra)
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "OverflowError" in err and "kappa" in err
+
+
 @pytest.mark.parametrize("cls", [
     quadrature.QuadFailure, quadrature.NonIntegrable, quadrature.NonDecaying,
     quadrature.NoBracket, deltawell.BracketFailure, hfox.NonSimplePoles,
@@ -215,6 +249,17 @@ def test_hfox_eval_exponential(tmp_path):
     assert got == pytest.approx([math.exp(-0.5), math.exp(-1.0), math.exp(-2.0)],
                                 rel=1e-10)
     assert all(r["method"] in ("series", "contour") for r in rows)
+
+
+@pytest.mark.parametrize("z", [15.0, 20.0])
+def test_hfox_eval_exponential_far_tail(tmp_path, z):
+    # the alternating series of exp(-z) cancels to a few digits here
+    code, path = run(tmp_path, "--mode", "hfox-eval", "--hfox", "1,0,0,1;;0:1",
+                     "--z", str(z), "--format", "csv", out="h.csv")
+    assert code == 0
+    _, rows = read_csv(path)
+    assert float(rows[0]["value"]) == pytest.approx(math.exp(-z), rel=1e-7)
+    assert float(rows[0]["err_est"]) <= 1e-7 * math.exp(-z)
 
 
 def test_hfox_eval_rational(tmp_path):

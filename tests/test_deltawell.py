@@ -212,6 +212,22 @@ def test_position_wavefunction_even():
     assert a == b
 
 
+def test_position_wavefunction_quadrature_on_arrays(monkeypatch):
+    cfg = PotentialConfig(alpha=1.5, lam=0.8)
+    st = dw.energy_closed_form(cfg)
+    xs = np.array([[-1.0, 0.0], [0.5, 1.0]])
+    want = [[dw.position_wavefunction_quadrature(st, cfg, x) for x in row]
+            for row in xs]
+    assert all(isinstance(v, float) for row in want for v in row)
+    calls = []
+    integral = dw.cosine_profile_integral
+    monkeypatch.setattr(dw, "cosine_profile_integral",
+                        lambda *a: calls.append(a[2]) or integral(*a))
+    got = dw.position_wavefunction_quadrature(st, cfg, xs)
+    assert got.shape == xs.shape and np.array_equal(got, want)
+    assert sorted(calls) == [0.0, 0.5, 1.0]   # each |x| integrated once
+
+
 def test_normalize_classical_matches_textbook():
     cfg = PotentialConfig(alpha=2.0, lam=1.0)
     st = dw.normalize(dw.energy_closed_form(cfg), cfg)

@@ -5,9 +5,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 import scipy.integrate as si
+from hypothesis import given, settings, strategies as st
 
 from fracwell import hfox as hf
 from fracwell.hfox import HFoxParams
+from fracwell.quadrature import QuadFailure, QuadSpec
 
 # the two workhorse instances: H[z] = e^{-z} and H[z] = 1/(1+z)
 EXP = HFoxParams(m=1, n=0, upper=(), lower=((0.0, 1.0),))
@@ -122,6 +124,62 @@ def test_auto_dispatch():
     assert_allclose(out.value, 0.5, rtol=1e-9)
     out = hf.eval_auto(EXP, 0.5)
     assert out.method == "series"
+
+
+# block, exact value and largest z of the eval_auto accuracy property
+EXACT = {
+    "exp": (EXP, lambda z: math.exp(-z), 40.0),
+    "2exp(-z^2)": (HFoxParams(m=1, n=0, upper=(), lower=((0.0, 0.5),)),
+                   lambda z: 2.0 * math.exp(-z * z), 6.0),
+    "1/(1+z)": (RAT, lambda z: 1.0 / (1.0 + z), 1e3),
+    "z^0.25/(1+z)": (HFoxParams(m=1, n=1, upper=((0.25, 1.0),),
+                                lower=((0.25, 1.0),)),
+                     lambda z: z ** 0.25 / (1.0 + z), 1e3),
+}
+
+
+@pytest.mark.parametrize("name", list(EXACT))
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_auto_relative_accuracy(name, data):
+    # z in [1e-3, z_max]: a series value that lost its leading digits to
+    # cancellation must go to the contour instead.  The bound is 20x the
+    # acceptance rule's 1e-8: the series err_est leaves out the rounding
+    # of each term's exponent, and an accepted series value of 2exp(-z^2)
+    # is off by 1.27e-7 at z = 3.1341
+    params, exact, z_max = EXACT[name]
+    z = data.draw(st.floats(1e-3, z_max), label="z")
+    want = exact(z)
+    assert abs(hf.eval_auto(params, z).value - want) <= 2e-7 * abs(want)
+
+
+def test_auto_does_not_certify_far_tail_as_zero():
+    # exp(-45) lies under the integrands' zero cut, which eval_auto does
+    # not apply; the integrand grid does
+    out = hf.eval_auto(EXP, 45.0)
+    assert_allclose(out.value, math.exp(-45.0), rtol=1e-7)
+    grid = hf._evaluate(EXP, np.array([0.5, 45.0]), QuadSpec(), 1e-12, 512,
+                        hf._ZERO_CUT)[0]
+    assert_allclose(grid[0], math.exp(-0.5), rtol=1e-12)
+    assert grid[1] == 0.0
+
+
+def test_dispatcher_keeps_series_value_without_contour(monkeypatch):
+    def no_contour(*args, **kwargs):
+        raise QuadFailure("no contour")
+
+    monkeypatch.setattr(hf, "eval_contour", no_contour)
+    # the series value of exp(-12) fails the acceptance rule; with no
+    # contour to take, it is still returned, as a series value
+    out = hf.eval_auto(EXP, 12.0)
+    assert out.method == "series"
+    assert_allclose(out.value, math.exp(-12.0), rtol=1e-2)
+    vals = hf._evaluate(EXP, np.array([[0.5], [12.0]]), QuadSpec(), 1e-12, 512,
+                        hf._ZERO_CUT)[0]
+    assert vals.shape == (2, 1) and vals[1, 0] == out.value
+    # in the annulus of 1/(1+z) there is no series value to keep
+    with pytest.raises(QuadFailure):
+        hf.eval_auto(RAT, 1.0)
 
 
 # ------------------------------------------------------- convergence data
