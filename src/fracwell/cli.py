@@ -290,33 +290,37 @@ def run_hfox_eval(rc):
 
 # --- argument handling --------------------------------------------------------
 
-# key in config file -> (argparse dest, converter, hard default)
-_OPTIONS = {
-    "mode": ("mode", str, None),
-    "alpha": ("alpha", float, 2.0),
-    "lambda": ("lam", float, 1.0),
-    "d-alpha": ("d_alpha", float, 1.0),
-    "gamma": ("gamma", float, 1.0),
-    "hbar": ("hbar", float, 1.0),
-    "x-min": ("x_min", float, -5.0),
-    "x-max": ("x_max", float, 5.0),
-    "x-steps": ("x_steps", int, 101),
-    "sweep-alpha": ("sweep_alpha", str, None),
-    "sweep-lambda": ("sweep_lambda", str, None),
-    "sweep-gamma": ("sweep_gamma", str, None),
-    "sweep-d-alpha": ("sweep_d_alpha", str, None),
-    "output": ("output", str, None),
-    "format": ("format", str, "csv"),
-    "quad-rel-tol": ("quad_rel_tol", float, 1e-8),
-    "quad-abs-tol": ("quad_abs_tol", float, 1e-10),
-    "max-subdivisions": ("max_subdivisions", int, 2000),
-    "hfox": ("hfox", str, None),
-    "z": ("z", str, None),
-}
-
 _MODES = {"energy": run_energy, "wavefunction": run_wavefunction,
           "sweep": run_sweep, "validate": run_validate,
           "hfox-eval": run_hfox_eval}
+
+# flag name, also the config file key -> (argparse dest, converter, hard
+# default, --help metavar); the parser and the config reader share it
+_OPTIONS = {
+    "mode": ("mode", str, None, None),
+    "alpha": ("alpha", float, 2.0, None),
+    "lambda": ("lam", float, 1.0, None),
+    "d-alpha": ("d_alpha", float, 1.0, None),
+    "gamma": ("gamma", float, 1.0, None),
+    "hbar": ("hbar", float, 1.0, None),
+    "x-min": ("x_min", float, -5.0, None),
+    "x-max": ("x_max", float, 5.0, None),
+    "x-steps": ("x_steps", int, 101, None),
+    "sweep-alpha": ("sweep_alpha", str, None, "GRID"),
+    "sweep-lambda": ("sweep_lambda", str, None, "GRID"),
+    "sweep-gamma": ("sweep_gamma", str, None, "GRID"),
+    "sweep-d-alpha": ("sweep_d_alpha", str, None, "GRID"),
+    "output": ("output", str, None, "PATH"),
+    "format": ("format", str, "csv", None),
+    "quad-rel-tol": ("quad_rel_tol", float, 1e-8, None),
+    "quad-abs-tol": ("quad_abs_tol", float, 1e-10, None),
+    "max-subdivisions": ("max_subdivisions", int, 2000, None),
+    "hfox": ("hfox", str, None, "SPEC"),
+    "z": ("z", str, None, "Z1,Z2,..."),
+}
+
+# the options with a fixed set of values, from a flag or a config file
+_CHOICES = {"mode": sorted(_MODES), "format": ["csv", "json"]}
 
 
 def _build_parser():
@@ -330,27 +334,11 @@ def _build_parser():
                "--z 1.0 evaluates exp(-z) at z=1. Config files hold "
                "'key = value' lines ('#' comments) keyed by these flag "
                "names without dashes; explicit flags win.")
-    p.add_argument("--mode", choices=sorted(_MODES), default=None)
-    p.add_argument("--config", default=None, metavar="FILE")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--lambda", type=float, default=None, dest="lam")
-    p.add_argument("--d-alpha", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--hbar", type=float, default=None)
-    p.add_argument("--x-min", type=float, default=None)
-    p.add_argument("--x-max", type=float, default=None)
-    p.add_argument("--x-steps", type=int, default=None)
-    p.add_argument("--sweep-alpha", default=None, metavar="GRID")
-    p.add_argument("--sweep-lambda", default=None, metavar="GRID")
-    p.add_argument("--sweep-gamma", default=None, metavar="GRID")
-    p.add_argument("--sweep-d-alpha", default=None, metavar="GRID")
-    p.add_argument("--output", default=None, metavar="PATH")
-    p.add_argument("--format", choices=["csv", "json"], default=None)
-    p.add_argument("--quad-rel-tol", type=float, default=None)
-    p.add_argument("--quad-abs-tol", type=float, default=None)
-    p.add_argument("--max-subdivisions", type=int, default=None)
-    p.add_argument("--hfox", default=None, metavar="SPEC")
-    p.add_argument("--z", default=None, metavar="Z1,Z2,...")
+    for key, (dest, conv, _, metavar) in _OPTIONS.items():
+        p.add_argument("--" + key, dest=dest, type=conv, metavar=metavar,
+                       choices=_CHOICES.get(key))
+        if key == "mode":   # --help lists --config second
+            p.add_argument("--config", metavar="FILE")
     return p
 
 
@@ -376,7 +364,7 @@ def _resolve(args):
     if args.config is not None:
         file_vals = _read_config(args.config)
     rc = {}
-    for key, (dest, conv, default) in _OPTIONS.items():
+    for key, (dest, conv, default, _) in _OPTIONS.items():
         cli_val = getattr(args, dest)
         if cli_val is not None:
             rc[dest] = cli_val
@@ -391,10 +379,9 @@ def _resolve(args):
             rc[dest] = default
     if rc["mode"] is None:
         raise ValueError("no --mode given (and none in the config file)")
-    if rc["mode"] not in _MODES:
-        raise ValueError(f"unknown mode {rc['mode']!r}")
-    if rc["format"] not in ("csv", "json"):
-        raise ValueError(f"unknown format {rc['format']!r}")
+    for key, allowed in _CHOICES.items():
+        if rc[key] not in allowed:
+            raise ValueError(f"unknown {key} {rc[key]!r}")
     return rc
 
 

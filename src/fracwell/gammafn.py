@@ -145,7 +145,7 @@ def gammaln_sign(x, on_pole="zero"):
     return logabs, sign
 
 
-def gamma_real(x, on_pole="raise"):
-    """Gamma(x) for real x, with sign, via the log form."""
-    logabs, sign = gammaln_sign(x, on_pole=on_pole)
+def gamma_real(x):
+    """Gamma(x) for real x, with sign, via the log form; raises GammaPole."""
+    logabs, sign = gammaln_sign(x, on_pole="raise")
     return sign * np.exp(logabs)

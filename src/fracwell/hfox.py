@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .gammafn import gammaln_sign, loggamma
-from .quadrature import (NumericalFailure, QuadFailure, QuadSpec,
+from .quadrature import (TAIL_CUTOFF, NumericalFailure, QuadFailure, QuadSpec,
                          integrate_adaptive, integrate_oscillatory)
 
 __all__ = [
@@ -72,6 +72,8 @@ __all__ = [
 ]
 
 COINCIDENCE_TOL = 1e-12
+_SERIES_TOL = 1e-12   # a residue term under this times the sum is small
+_MAX_TERMS = 512      # residue series term budget
 
 
 class NonSimplePoles(NumericalFailure):
@@ -291,7 +293,7 @@ def _swap(params):
 
 # --- residue series -------------------------------------------------------
 
-def _series_core(params, w, tol, max_terms, raise_on_exhaust=True):
+def _series_core(params, w, raise_on_exhaust=True):
     """Left-pole residue series at scaled arguments w (positive ndarray).
 
     Caller guarantees the series converges for every element in exact
@@ -306,7 +308,7 @@ def _series_core(params, w, tol, max_terms, raise_on_exhaust=True):
     if m == 0:
         raise OutOfRegion("no left pole family; the residue series is empty")
     c, d, e = _factors(params)   # rows j < m are the left families (b_j, B_j)
-    ks = np.arange(max_terms)
+    ks = np.arange(_MAX_TERMS)
     power = (c[:m, None] + ks) / d[:m, None]   # left pole k of family j: -power[j, k]
 
     # coincidence scan over the truncation horizon
@@ -322,10 +324,10 @@ def _series_core(params, w, tol, max_terms, raise_on_exhaust=True):
     # the other factors' gammas taken in one call over the horizon.  A
     # vanishing reciprocal gamma leaves sign = 0 (the term is zero); a
     # numerator pole makes the poles non-simple once the sum reaches it
-    log_fact = np.array([math.lgamma(k + 1) for k in range(max_terms)])
+    log_fact = np.array([math.lgamma(k + 1) for k in range(_MAX_TERMS)])
     logabs = np.array([-log_fact - math.log(B) for B in d[:m]])
     sign = np.tile((-1.0) ** ks, (m, 1))
-    clash = max_terms
+    clash = _MAX_TERMS
     with np.errstate(invalid="ignore"):
         for j in range(m):
             rest = np.arange(len(c)) != j
@@ -343,10 +345,10 @@ def _series_core(params, w, tol, max_terms, raise_on_exhaust=True):
     live = np.ones_like(w, dtype=bool)
     tail_small = 0
     prev_norms = []
-    kused = max_terms
+    kused = _MAX_TERMS
     exhausted = True
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for k in range(max_terms):
+        for k in range(_MAX_TERMS):
             if k == clash:
                 raise NonSimplePoles(
                     f"a numerator gamma has a pole at left pole k={k}")
@@ -365,7 +367,7 @@ def _series_core(params, w, tol, max_terms, raise_on_exhaust=True):
             norm = float(np.max(mag))
             prev_norms.append(norm)
             scale = max(1.0, float(np.max(np.abs(acc[live]))))
-            if norm < tol * scale:
+            if norm < _SERIES_TOL * scale:
                 tail_small += 1
             else:
                 tail_small = 0
@@ -382,9 +384,9 @@ def _series_core(params, w, tol, max_terms, raise_on_exhaust=True):
         recent = prev_norms[-8:]
         if len(recent) >= 2 and recent[-1] > recent[0]:
             raise SeriesDiverged(
-                f"series terms growing after {max_terms} terms "
+                f"series terms growing after {_MAX_TERMS} terms "
                 f"(last {recent[-1]:.3e})")
-        raise SeriesDiverged(f"series not converged within {max_terms} terms")
+        raise SeriesDiverged(f"series not converged within {_MAX_TERMS} terms")
 
     tail = prev_norms[-1] * (0.9 / 0.1) if prev_norms else 0.0
     errs = np.full_like(w, tail) + 2e-16 * max_mag
@@ -434,7 +436,7 @@ def _regions(params, w):
     return w <= 0.8 * radius, w >= 1.25 * radius
 
 
-def _series(params, z, tol, max_terms, strict):
+def _series(params, z, strict):
     """Residue series at positive z (1-d ndarray), each scaled argument
     w = arg_scale * z in its own region (see _regions).
 
@@ -459,7 +461,7 @@ def _series(params, z, tol, max_terms, strict):
             continue
         try:
             vals[mask], errs[mask], k = _series_core(
-                block, arg[mask], tol, max_terms, raise_on_exhaust=strict)
+                block, arg[mask], raise_on_exhaust=strict)
         except (NonSimplePoles, OutOfRegion):
             if strict:
                 raise
@@ -468,7 +470,7 @@ def _series(params, z, tol, max_terms, strict):
     return vals, errs, terms, bands
 
 
-def eval_series(params, z, tol=1e-12, max_terms=512):
+def eval_series(params, z):
     """Residue-series value of H[arg_scale * z] at scalar z > 0.
 
     Converges inside the profile's region; arguments beyond the series
@@ -479,8 +481,7 @@ def eval_series(params, z, tol=1e-12, max_terms=512):
     (alternating series with large arguments lose digits to
     cancellation; the estimate reports that honestly).
     """
-    vals, errs, k, bands = _series(params, np.array([float(z)]), tol,
-                                   max_terms, strict=True)
+    vals, errs, k, bands = _series(params, np.array([float(z)]), strict=True)
     w = bands[0][1]
     if bands[2][2][0]:
         raise OutOfRegion(
@@ -497,14 +498,17 @@ def eval_series(params, z, tol=1e-12, max_terms=512):
 # --- contour --------------------------------------------------------------
 
 def _log_h_real(params, s, on_pole="zero"):
-    """(log|h(s)|, sign of h(s)) at real s, one gammaln_sign call over the
-    factor table.  sign is 0.0 when any gamma argument sits on a pole
-    (on_pole="zero"), or GammaPole is raised (on_pole="raise")."""
+    """(log|h(s)|, sign of h(s)) at real s (scalar or 1-d), one
+    gammaln_sign call over the factor table.  Where any gamma argument
+    sits on a pole the pair is (inf, 0.0) (on_pole="zero"), or GammaPole
+    is raised (on_pole="raise")."""
     c, d, e = _factors(params)
-    la, sg = gammaln_sign(c + d * s, on_pole=on_pole)
-    if not np.all(sg):
-        return math.inf, 0.0
-    return float(np.sum(np.where(e > 0, la, -la))), float(np.prod(sg))
+    la, sg = gammaln_sign(c + d * np.asarray(s, dtype=float)[..., None],
+                          on_pole=on_pole)
+    sign = np.prod(sg, axis=-1)
+    with np.errstate(invalid="ignore"):
+        logabs = np.sum(np.where(e > 0, la, -la), axis=-1)
+    return np.where(sign != 0.0, logabs, np.inf), sign
 
 
 def _saddle_position(params, w, left_max):
@@ -514,35 +518,22 @@ def _saddle_position(params, w, left_max):
     Only used when there is no right pole family (n = 0), where c is
     unconstrained from above.  Keeps the integrand amplitude comparable
     to the function value, so exponentially small H values come out of
-    the quadrature with relative (not just absolute) accuracy.
+    the quadrature with relative (not just absolute) accuracy.  A rung
+    where h vanishes or the amplitude is nan is never taken, ties go to
+    the first rung; with no usable rung c = left_max + 0.5.
     """
-    logw = math.log(w)
-    best_c, best_f = left_max + 0.5, math.inf
-    for step in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0):
-        c = left_max + step
-        f, sign = _log_h_real(params, c)
-        if sign == 0.0:
-            continue
-        f -= c * logw
-        if f < best_f:
-            best_c, best_f = c, f
-    return best_c
-
-
-def _contour_position(params, c=None, w=None):
-    left_max, right_min = _strip(params)
-    if c is not None:
-        if not (left_max + 1e-3 <= c <= right_min - 1e-3):
-            raise ValueError(
-                f"contour position {c} not at least 1e-3 inside the strip "
-                f"({left_max}, {right_min})")
-        return float(c)
-    if math.isinf(left_max) and math.isinf(right_min):
-        raise NoSeparatingContour("no poles at all to separate")
-    if math.isinf(right_min):
-        if w is not None:
-            return _saddle_position(params, w, left_max)
+    c = left_max + 2.0 ** np.arange(-1, 10)   # rungs 0.5, 1, 2, ..., 512
+    f = _log_h_real(params, c)[0] - c * math.log(w)   # inf where h = 0
+    usable = f < math.inf   # False at inf and at nan
+    if not np.any(usable):
         return left_max + 0.5
+    return float(c[np.argmin(np.where(usable, f, math.inf))])
+
+
+def _contour_position(params, w):
+    left_max, right_min = _strip(params)
+    if math.isinf(right_min):
+        return _saddle_position(params, w, left_max)
     if math.isinf(left_max):
         return right_min - 0.5
     if right_min - left_max < 2e-3:
@@ -562,12 +553,14 @@ def _log_h(params, s):
         return np.sum(np.where(e[:, None] > 0, lg, -lg), axis=0).reshape(s.shape)
 
 
-def eval_contour(params, z, quad=QuadSpec(), c=None):
+def eval_contour(params, z, quad=QuadSpec()):
     """Mellin-Barnes line integral of H[arg_scale * z] at scalar z > 0.
 
-    The line Re(s) = c must separate the pole families (auto-placed at
-    the strip midpoint, at least 1e-3 from each family).  Requires the
-    profile's delta > 0 so the integrand decays like exp(-delta pi|t|/2).
+    The line Re(s) = c separates the pole families: the strip midpoint
+    (at least 1e-3 from each family), or with one family 0.5 left of the
+    right poles or _saddle_position's rung.  Requires the profile's
+    delta > 0 so the integrand decays like exp(-delta pi|t|/2); the line
+    is first cut where that envelope falls under quadrature.TAIL_CUTOFF.
     """
     _require_valid(params)
     if not z > 0:
@@ -577,7 +570,7 @@ def eval_contour(params, z, quad=QuadSpec(), c=None):
     if prof.delta <= 0:
         raise QuadFailure(
             f"contour integrand does not decay (delta = {prof.delta})")
-    cpos = _contour_position(params, c, w=w)
+    cpos = _contour_position(params, w)
     logw = math.log(w)
 
     def integrand(t):
@@ -585,7 +578,7 @@ def eval_contour(params, z, quad=QuadSpec(), c=None):
         vals = np.exp(_log_h(params, s) - s * logw)
         return vals.real / np.pi
 
-    t_max = max(8.0, 2.0 * (-math.log(quad.tail_cutoff) + abs(logw) + 5.0)
+    t_max = max(8.0, 2.0 * (-math.log(TAIL_CUTOFF) + abs(logw) + 5.0)
                 / (math.pi * prof.delta))
     total, err = integrate_adaptive(integrand, 0.0, t_max, quad)
     block_lo = t_max
@@ -601,7 +594,7 @@ def eval_contour(params, z, quad=QuadSpec(), c=None):
     return EvalOutcome(value=total, err_est=err + abs(block), method="contour")
 
 
-def _evaluate(params, z, quad, tol, max_terms, zero_cut):
+def _evaluate(params, z, quad, zero_cut):
     """The one H-value dispatcher: (values, err_ests, from_series) at
     positive z of any shape, each element in its region (see _series).
 
@@ -614,8 +607,7 @@ def _evaluate(params, z, quad, tol, max_terms, zero_cut):
     taken, a converged series value is kept.
     """
     z = np.asarray(z, dtype=float)
-    vals, errs, _, bands = _series(params, z.reshape(-1), tol, max_terms,
-                                   strict=False)
+    vals, errs, _, bands = _series(params, z.reshape(-1), strict=False)
     series = np.isfinite(vals) & (errs <= np.maximum(5e-14, 1e-8 * np.abs(vals)))
     for block, arg, band in bands:
         bad = band & ~series
@@ -644,9 +636,9 @@ def _evaluate(params, z, quad, tol, max_terms, zero_cut):
     return vals.reshape(z.shape), errs.reshape(z.shape), series.reshape(z.shape)
 
 
-def eval_auto(params, z, quad=QuadSpec(), tol=1e-12, max_terms=512):
+def eval_auto(params, z, quad=QuadSpec()):
     """Series evaluation with automatic contour fallback (see _evaluate)."""
-    v, e, series = _evaluate(params, [z], quad, tol, max_terms, zero_cut=0.0)
+    v, e, series = _evaluate(params, [z], quad, zero_cut=0.0)
     return EvalOutcome(value=float(v[0]), err_est=float(e[0]),
                        method="series" if series[0] else "contour")
 
@@ -667,11 +659,10 @@ def mellin(params, s):
     # on_pole="raise": any gamma argument at a non-positive integer is a
     # GammaPole error here, denominator or not
     logabs, sign = _log_h_real(params, s, on_pole="raise")
-    logabs -= s * math.log(params.arg_scale)
-    return sign * math.exp(logabs)
+    return float(sign) * math.exp(float(logabs) - s * math.log(params.arg_scale))
 
 
-def mellin_numeric_check(params, s, quad=QuadSpec(), tol=1e-12, max_terms=512):
+def mellin_numeric_check(params, s, quad=QuadSpec()):
     """Quadrature cross-check of the closed-form Mellin transform.
 
     Integrates z^{s-1} H[a z] with H supplied by the evaluation engine,
@@ -687,7 +678,7 @@ def mellin_numeric_check(params, s, quad=QuadSpec(), tol=1e-12, max_terms=512):
     _, r = _strip(params)
 
     def direct(z):
-        return z ** (s - 1.0) * _evaluate(params, z, quad, tol, max_terms, _ZERO_CUT)[0]
+        return z ** (s - 1.0) * _evaluate(params, z, quad, _ZERO_CUT)[0]
 
     if s >= 1.0:
         i1, e1 = integrate_adaptive(direct, 0.0, 1.0, quad)
@@ -695,7 +686,7 @@ def mellin_numeric_check(params, s, quad=QuadSpec(), tol=1e-12, max_terms=512):
         def head(u):
             with np.errstate(divide="ignore"):
                 zz = np.power(u, 1.0 / s)
-            return _evaluate(params, zz, quad, tol, max_terms, _ZERO_CUT)[0] / s
+            return _evaluate(params, zz, quad, _ZERO_CUT)[0] / s
         i1, e1 = integrate_adaptive(head, 0.0, 1.0, quad)
 
     if math.isinf(r):   # no right family (n = 0): exponential-type tail
@@ -707,7 +698,7 @@ def mellin_numeric_check(params, s, quad=QuadSpec(), tol=1e-12, max_terms=512):
             with np.errstate(over="ignore"):
                 zz = np.power(v, -1.0 / g)
                 pref = np.power(v, -r / g) / g
-            return pref * _evaluate(params, zz, quad, tol, max_terms, _ZERO_CUT)[0]
+            return pref * _evaluate(params, zz, quad, _ZERO_CUT)[0]
         i2, e2 = integrate_adaptive(tail, 0.0, 1.0, quad)
 
     numeric = i1 + i2
@@ -836,14 +827,14 @@ def cosine_transform(params, k, s, mu):
                            argument=k ** mu / params.arg_scale, verified=False)
 
 
-def cosine_transform_check(params, k, s, mu, quad=QuadSpec(), tol=1e-6):
+def cosine_transform_check(params, k, s, mu, quad=QuadSpec()):
     """Numeric verification of the cosine-transform identity.
 
     Left side by oscillatory quadrature of the defining integral (the
     H values come from the evaluation engine), right side by series or
     contour evaluation of the emitted parameter block after full pair
     cancellation.  Returns the measured relative error and a transform
-    object whose verified flag reflects it.
+    object whose verified flag is set when that error is at most 1e-6.
     """
     ct = cosine_transform(params, k, s, mu)
 
@@ -852,13 +843,13 @@ def cosine_transform_check(params, k, s, mu, quad=QuadSpec(), tol=1e-6):
         lead -= mu * _strip(params)[0]
 
     def envelope(p):
-        return p ** (s - 1.0) * _evaluate(params, p ** mu, quad, 1e-12, 512, _ZERO_CUT)[0]
+        return p ** (s - 1.0) * _evaluate(params, p ** mu, quad, _ZERO_CUT)[0]
 
     lhs, _ = integrate_oscillatory(envelope, k, quad, singularity_power=lead)
 
     reduced = reduce_fully(ct.params)
     rhs = ct.multiplier * eval_auto(reduced, ct.argument, quad).value
     rel = abs(lhs - rhs) / max(abs(lhs), 1e-300)
-    passed = rel <= tol
+    passed = rel <= 1e-6
     return CosineTransformCheck(lhs=lhs, rhs=rhs, rel_err=rel, passed=passed,
                                 transform=replace(ct, verified=passed))

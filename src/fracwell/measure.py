@@ -17,7 +17,7 @@ so the panels only ever see bounded integrands.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,7 +52,7 @@ class MeasureDim:
     pi^{lam/2}/Gamma(lam/2)."""
 
     lam: float
-    weight_norm: float = None
+    weight_norm: float = field(init=False)
 
     def __post_init__(self):
         if not (0.0 < self.lam <= 1.0):
@@ -103,22 +103,15 @@ def integrate(dim, f, domain=(-np.inf, np.inf), quad=QuadSpec()):
     inv = 1.0 / lam
     total = 0.0
     err = 0.0
-    if b > 0.0:
-        lo = max(a, 0.0)
+    # each side of 0 as a range of |x|: [a, b] on the right, [-b, -a] on
+    # the left, both clipped at 0
+    for sign, lo, hi in ((1.0, a, b), (-1.0, -b, -a)):
+        if hi <= 0.0:
+            continue
 
-        def right(u):
-            return f(np.power(u, inv))
-        v, e = integrate_adaptive(right, lo ** lam,
-                                  b ** lam if math.isfinite(b) else np.inf, quad)
-        total += pref * v
-        err += pref * e
-    if a < 0.0:
-        hi = min(b, 0.0)
-
-        def left(u):
-            return f(-np.power(u, inv))
-        v, e = integrate_adaptive(left, (-hi) ** lam,
-                                  (-a) ** lam if math.isfinite(a) else np.inf, quad)
+        def side(u):
+            return f(sign * np.power(u, inv))
+        v, e = integrate_adaptive(side, max(lo, 0.0) ** lam, hi ** lam, quad)
         total += pref * v
         err += pref * e
     return total, err

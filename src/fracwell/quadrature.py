@@ -63,17 +63,16 @@ class QuadSpec:
 
     abs_tol / rel_tol bound the reported error estimate; the effective
     target is max(abs_tol, rel_tol * |value|).  max_subdivisions caps
-    panel splits in one adaptive call.  tail_cutoff is the envelope
-    threshold below which semi-infinite tails are considered dead.
+    panel splits in one adaptive call.  The threshold below which
+    semi-infinite tails are considered dead is the constant TAIL_CUTOFF.
     """
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
     max_subdivisions: int = 2000
-    tail_cutoff: float = 1e-14
 
     def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0 and self.tail_cutoff > 0):
+        if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 16:
             raise ValueError("max_subdivisions must be at least 16")
@@ -198,28 +197,34 @@ def integrate_adaptive(f, a, b, spec=QuadSpec()):
     return _adaptive_core(f, a, b, spec, initial=4)
 
 
-def _euler_accelerate(partial):
-    """Repeated-averaging (Euler) limit estimate of a partial-sum sequence.
-
-    Returns (estimate, spread) where spread is the final averaging step,
-    an honest convergence indicator for alternating tails.
-    """
-    row = list(partial)
-    spread = abs(row[-1] - row[-2]) if len(row) > 1 else abs(row[-1])
-    while len(row) > 1:
-        row = [0.5 * (row[i] + row[i + 1]) for i in range(len(row) - 1)]
-        if len(row) > 1:
-            spread = abs(row[-1] - row[-2])
-    return row[0], spread
-
-
+# envelope size, relative to the sum, below which a semi-infinite tail is
+# dead: the oscillatory tail's plain-sum exit and the contour's cut in hfox
+TAIL_CUTOFF = 1e-14
 _SEG_CHUNK = 64
+_MAX_SEGMENTS = 4096
 _EULER_WINDOW = 24
+# _EULER_WEIGHTS[n][k] = C(n-1, k) / 2^(n-1): n - 1 rounds of pairwise
+# averaging of n partial sums, in closed form
+_EULER_WEIGHTS = [np.array([math.comb(n - 1, k) for k in range(n)]) / 2.0 ** (n - 1)
+                  for n in range(_EULER_WINDOW + 1)]
+
+
+def _euler_accelerate(partial):
+    """Repeated-averaging (Euler) limit sum_k C(n-1,k) p_k / 2^(n-1) of
+    n >= 2 partial sums p.
+
+    Returns (estimate, spread) where spread is the final averaging step
+    (the same sum one order lower, over diff(p)), an honest convergence
+    indicator for alternating tails.
+    """
+    p = np.asarray(partial)
+    n = len(p)
+    return (float(_EULER_WEIGHTS[n] @ p),
+            abs(float(_EULER_WEIGHTS[n - 1] @ np.diff(p))))
 
 
 def integrate_oscillatory(envelope, omega, spec=QuadSpec(), *,
-                          singularity_power=0.0, max_segments=4096,
-                          kernel="cos"):
+                          singularity_power=0.0, kernel="cos"):
     """Integrate kernel(omega*p) * envelope(p) over p in [0, inf),
     kernel being cos (default) or sin.
 
@@ -265,11 +270,8 @@ def integrate_oscillatory(envelope, omega, spec=QuadSpec(), *,
     offsets = 0.5 * seg_len * (_NODES_HI + 1.0)   # within-segment node offsets
     partial = [head]
     seg_values = []
-    best = head
-    best_spread = abs(head) + 1.0
     quad_err = head_err
-    done = False
-    for chunk_start in range(0, max_segments, _SEG_CHUNK):
+    for chunk_start in range(0, _MAX_SEGMENTS, _SEG_CHUNK):
         starts = z0 + seg_len * (chunk_start + np.arange(_SEG_CHUNK))[:, None]
         p = starts + offsets[None, :]
         y = np.asarray(envelope(p), dtype=float) * kfun(omega * p)
@@ -283,40 +285,31 @@ def integrate_oscillatory(envelope, omega, spec=QuadSpec(), *,
             quad_err += errs[i]
             partial.append(partial[-1] + hi[i])
             scale = max(1.0, abs(partial[-1]))
-            if abs(hi[i]) < spec.tail_cutoff * scale:
+            if abs(hi[i]) < TAIL_CUTOFF * scale:
                 # envelope died: the plain sum is the answer; Euler
                 # averaging here would blend in pre-asymptotic partials
-                best = partial[-1]
-                best_spread = abs(hi[i])
-                done = True
-                break
+                return partial[-1], abs(hi[i]) + quad_err
             if len(seg_values) < 4:
                 continue
-            window = partial[-min(len(partial), _EULER_WINDOW):]
-            best, best_spread = _euler_accelerate(window)
+            best, best_spread = _euler_accelerate(partial[-_EULER_WINDOW:])
             tol = max(spec.abs_tol, spec.rel_tol * abs(best))
             # second exit: once the acceleration spread sits far below
             # the accumulated panel error, more segments cannot reduce
             # the total; stop and report the floor honestly
             if best_spread + quad_err < tol or best_spread < 0.01 * quad_err:
-                done = True
-                break
-        if done:
-            break
+                return best, best_spread + quad_err
         # divergence guard: magnitudes must trend downward eventually
         if len(seg_values) >= 128:
             recent = np.abs(seg_values[-64:])
             older = np.abs(seg_values[-128:-64])
             if np.median(recent) > np.median(older):
                 raise NonDecaying("oscillatory segment magnitudes are not decaying")
-    else:
-        raise QuadFailure(
-            f"oscillatory tail not converged after {max_segments} segments "
-            f"(spread {best_spread:.3e})")
-    return best, best_spread + quad_err
+    raise QuadFailure(
+        f"oscillatory tail not converged after {_MAX_SEGMENTS} segments "
+        f"(spread {best_spread:.3e})")
 
 
-def root_itp(g, lo, hi, glo, ghi, tol=1e-12, max_iter=200):
+def root_itp(g, lo, hi, glo, ghi, tol=1e-12):
     """ITP root of g on [lo, hi] given glo = g(lo) and ghi = g(hi).
 
     Interpolate-truncate-project (Oliveira & Takahashi, ACM TOMS 47(1),
@@ -343,7 +336,7 @@ def root_itp(g, lo, hi, glo, ghi, tol=1e-12, max_iter=200):
     n_max = max(0, math.ceil(math.log2((hi - lo) / tol))) + 1
     # after n_max steps the bracket is within tol up to rounding, which
     # can leave it a few ulps wider; stopping there keeps the bound
-    for j in range(min(n_max, max_iter)):
+    for j in range(n_max):
         width = hi - lo
         if width <= tol:
             break

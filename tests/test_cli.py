@@ -283,6 +283,26 @@ def test_hfox_eval_rejects_nonpositive_z(capsys):
     assert code == 2
 
 
+def test_hfox_eval_coinciding_poles_exits_2(capsys):
+    # left poles of Gamma(1 + s) meet right poles of Gamma(1 - 3 - s)
+    code = cli.main(["--mode", "hfox-eval", "--hfox", "1,1,1,1;3:1;1:1",
+                     "--z", "1"])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "left pole -1.0 coincides with right pole -1.0" in err
+
+
+def test_hfox_eval_without_contour_gap_exits_3(capsys):
+    # the pole families sit 5e-4 apart, inside the contour's 2e-3 margin
+    code = cli.main(["--mode", "hfox-eval", "--hfox", "1,1,1,1;0.9995:1;0:1",
+                     "--z", "1"])
+    assert code == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "NoSeparatingContour" in err
+
+
 # ----------------------------------------------------------- config files
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -313,3 +333,40 @@ def test_config_unknown_key(tmp_path, capsys):
 def test_mode_required(capsys):
     assert cli.main([]) == 2
     assert "mode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("mode = energy\nalpha 1.5\n", ":2: expected 'key = value'"),
+    ("mode = energy\nalpha = abc\n",
+     "config value for 'alpha' is not a valid float: 'abc'"),
+    ("mode = bogus\n", "unknown mode 'bogus'"),
+    ("mode = energy\nformat = xml\n", "unknown format 'xml'"),
+], ids=["no-equals", "bad-float", "bad-mode", "bad-format"])
+def test_config_file_errors_exit_2(tmp_path, capsys, text, message):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(text)
+    assert cli.main(["--config", str(cfgfile)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err
+
+
+# a config value and a different flag value for every option
+_SAMPLES = {"mode": ("sweep", "validate"), "format": ("json", "csv")}
+
+
+@pytest.mark.parametrize("key", list(cli._OPTIONS))
+def test_every_option_from_config_and_flag(tmp_path, key):
+    dest, conv = cli._OPTIONS[key][:2]
+    in_file, on_flag = _SAMPLES.get(key, {float: ("0.75", "0.25"),
+                                          int: ("17", "23"),
+                                          str: ("a", "b")}[conv])
+    cfgfile = tmp_path / "all.cfg"
+    cfgfile.write_text(("" if key == "mode" else "mode = energy\n")
+                       + f"{key} = {in_file}\n")
+    parser = cli._build_parser()
+    rc = cli._resolve(parser.parse_args(["--config", str(cfgfile)]))
+    assert rc[dest] == conv(in_file)
+    rc = cli._resolve(parser.parse_args(["--config", str(cfgfile),
+                                         "--" + key, on_flag]))
+    assert rc[dest] == conv(on_flag)

@@ -72,6 +72,12 @@ def test_series_rational_outside_radius_inverted(z):
     assert_allclose(out.value, 1.0 / (1.0 + z), rtol=1e-12)
 
 
+def test_series_exponential_far_argument_diverges():
+    # exp(-800): the alternating terms overflow before they decay
+    with pytest.raises(hf.SeriesDiverged):
+        hf.eval_series(EXP, 800.0)
+
+
 def test_series_rational_on_radius_rejected():
     with pytest.raises(hf.OutOfRegion):
         hf.eval_series(RAT, 1.0)
@@ -95,8 +101,8 @@ def test_series_sqrt_exponential_form():
 
 # ---------------------------------------------------------------- contour
 
-def test_contour_exponential_fixed_abscissa():
-    out = hf.eval_contour(EXP, 1.0, c=0.5)
+def test_contour_exponential():
+    out = hf.eval_contour(EXP, 1.0)
     assert_allclose(out.value, math.exp(-1.0), rtol=1e-9)
 
 
@@ -116,6 +122,36 @@ def test_contour_agrees_with_series():
         a = hf.eval_series(EXP, z)
         b = hf.eval_contour(EXP, z)
         assert abs(a.value - b.value) <= max(a.err_est + b.err_est, 1e-10)
+
+
+def _saddle_reference(params, w, left_max):
+    # the ladder one rung at a time: skip a rung where h vanishes, keep
+    # the first of equal amplitudes
+    best_c, best_f = left_max + 0.5, math.inf
+    for step in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0):
+        c = left_max + step
+        logabs, sign = hf._log_h_real(params, c)
+        f = float(logabs) - c * math.log(w)
+        if sign != 0.0 and f < best_f:
+            best_c, best_f = c, f
+    return best_c
+
+
+@pytest.mark.parametrize("params", [
+    EXP,
+    HFoxParams(m=1, n=0, upper=(), lower=((0.0, 0.5),)),
+    HFoxParams(m=1, n=0, upper=(), lower=((1.0, 2.0),)),
+    # Gamma(s)/Gamma(1-s): every rung but c = 0.5 is a denominator pole
+    HFoxParams(m=1, n=0, upper=(), lower=((0.0, 1.0), (0.0, 1.0))),
+    # Gamma(s)/Gamma(1-2s): every rung is a denominator pole
+    HFoxParams(m=1, n=0, upper=(), lower=((0.0, 1.0), (0.0, 2.0))),
+    HFoxParams(m=1, n=0, upper=((0.5, 1.0),), lower=((0.3, 0.7),)),
+])
+def test_saddle_ladder_matches_scalar_reference(params):
+    left_max = hf._strip(params)[0]
+    for w in (1e-3, 0.3, 1.0, 7.0, 45.0, 1e3):
+        assert (hf._saddle_position(params, w, left_max)
+                == _saddle_reference(params, w, left_max))
 
 
 def test_auto_dispatch():
@@ -158,8 +194,7 @@ def test_auto_does_not_certify_far_tail_as_zero():
     # not apply; the integrand grid does
     out = hf.eval_auto(EXP, 45.0)
     assert_allclose(out.value, math.exp(-45.0), rtol=1e-7)
-    grid = hf._evaluate(EXP, np.array([0.5, 45.0]), QuadSpec(), 1e-12, 512,
-                        hf._ZERO_CUT)[0]
+    grid = hf._evaluate(EXP, np.array([0.5, 45.0]), QuadSpec(), hf._ZERO_CUT)[0]
     assert_allclose(grid[0], math.exp(-0.5), rtol=1e-12)
     assert grid[1] == 0.0
 
@@ -174,8 +209,7 @@ def test_dispatcher_keeps_series_value_without_contour(monkeypatch):
     out = hf.eval_auto(EXP, 12.0)
     assert out.method == "series"
     assert_allclose(out.value, math.exp(-12.0), rtol=1e-2)
-    vals = hf._evaluate(EXP, np.array([[0.5], [12.0]]), QuadSpec(), 1e-12, 512,
-                        hf._ZERO_CUT)[0]
+    vals = hf._evaluate(EXP, np.array([[0.5], [12.0]]), QuadSpec(), hf._ZERO_CUT)[0]
     assert vals.shape == (2, 1) and vals[1, 0] == out.value
     # in the annulus of 1/(1+z) there is no series value to keep
     with pytest.raises(QuadFailure):

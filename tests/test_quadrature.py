@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 import scipy.integrate as si
 
+import fracwell.quadrature as quad
 from fracwell.quadrature import (
     NoBracket,
     NonDecaying,
@@ -136,6 +137,37 @@ def test_oscillatory_rejects_growing_envelope():
 def test_oscillatory_rejects_bad_kernel():
     with pytest.raises(ValueError):
         integrate_oscillatory(lambda p: np.exp(-p), 1.0, kernel="tan")
+
+
+def _repeated_averaging(partial):
+    # the triangle of pairwise averages that _euler_accelerate sums in
+    # closed form; spread is the last averaging step
+    row = list(partial)
+    spread = abs(row[-1] - row[-2])
+    while len(row) > 1:
+        row = [0.5 * (row[i] + row[i + 1]) for i in range(len(row) - 1)]
+        if len(row) > 1:
+            spread = abs(row[-1] - row[-2])
+    return row[0], spread
+
+
+def test_euler_weights_match_repeated_averaging():
+    # partial sums of alternating series with decaying terms, 2 to 24 of
+    # them (the window), at magnitudes from 1e-6 to 1e3 around offsets
+    # from 1e-3 to 1e3.  The two sums round differently: allow 4 ulps of
+    # the largest partial sum
+    rng = np.random.default_rng(2718)
+    for _ in range(5000):
+        n = int(rng.integers(2, 25))
+        mags = np.sort(rng.uniform(0.0, 1.0, n - 1))[::-1] * 10.0 ** rng.uniform(-6, 3)
+        steps = mags * (-1.0) ** np.arange(n - 1)
+        p = list(rng.normal() * 10.0 ** rng.uniform(-3, 3)
+                 + np.concatenate([[0.0], np.cumsum(steps)]))
+        got, got_spread = quad._euler_accelerate(p)
+        want, want_spread = _repeated_averaging(p)
+        bound = 4.0 * np.finfo(float).eps * max(abs(x) for x in p)
+        assert abs(got - want) <= bound, p
+        assert abs(got_spread - want_spread) <= bound, p
 
 
 # ------------------------------------------------------------- root finding
