@@ -1,10 +1,10 @@
 """Position-space bound-state profiles across the parameter window.
 
 Emits a CSV (stdout or a file given as argv[1]) with one column per
-(alpha, lambda) pair, normalized so every profile starts at 1.  At
-lam=1 the profile is a pure exponential; below lam=1 the large-x tail
-goes algebraic, which is easiest to see on a log-log plot of the
-emitted columns.
+(alpha, lambda) pair, normalized so every profile starts at 1.  Only
+at alpha=2, lam=1 is the profile a pure exponential; elsewhere the
+large-x tail is algebraic, which is easiest to see on a log-log plot
+of the emitted columns.
 """
 
 import csv
@@ -23,7 +23,7 @@ def main(out=sys.stdout):
     for a, lam in PAIRS:
         cfg = PotentialConfig(alpha=a, lam=lam)
         st = energy_closed_form(cfg)
-        phi = np.array([position_wavefunction_quadrature(st, cfg, x) for x in xs])
+        phi = position_wavefunction_quadrature(st, cfg, xs)
         cols[f"a{a}_l{lam}"] = phi / phi[0]
         # quick tail diagnostic: log-slope between the last two octaves
         i, j = 20, 39

@@ -272,7 +272,7 @@ def check_hfox_shape_classical():
     chk = hfox_shape_check(st, cfg, _QUAD)
     return CheckResult(name="hfox_shape_classical", passed=chk.passed,
                        measured=chk.max_rel_dev, tolerance=1e-4,
-                       detail="reduced H route shape vs cosine transform")
+                       detail="exact H route values vs cosine transform")
 
 
 def check_x0_identity_fractional():

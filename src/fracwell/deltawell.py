@@ -23,20 +23,15 @@ pi^(lam/2); that form passes both the classical limit and the oracle,
 so it is the one implemented.  The discrepancy is documented here
 rather than silently absorbed.
 
-Wavefunctions come in three flavours: the momentum profile is an
-explicit rational expression, the position profile is either the
-direct cosine transform of that profile (position_wavefunction_
-quadrature, the trustworthy route) or the reduced H-function form
-C * (pi hbar / alpha) * H^{1,0}_{0,1}[kappa |x| | (0,1)], i.e. a pure
-exponential exp(-kappa |x|) in disguise (position_wavefunction_hfox).
-The reduction chain behind the exponential form cancels parameter
-pairs at positions that are only valid classically, and it also drops
-a factor of kappa relative to the direct transform, so the hfox route
-carries a per-configuration `verified` flag: profiles from both routes
-are normalised at the first point of a 16-point grid and the flag is
-set only if they agree to 1e-4.  At alpha=2, lam=1 the flag comes out
-true; elsewhere whatever the comparison measures is reported, never
-asserted.
+The momentum profile is an explicit rational expression.  Its cosine
+transform, the position profile, has two routes with one prefactor and
+one amplitude: position_wavefunction_quadrature integrates it (the
+independent reference), position_wavefunction_hfox evaluates its exact
+Fox H-function form (_profile_block) and is `verified` when the two
+agree to 1e-4.  The source texts reduce that form to
+H^{1,0}_{0,1}[kappa|x|] = exp(-kappa|x|), true only at alpha=2, lam=1;
+its shape is off by 0.80 at (alpha, lam) = (1.5, 0.8) and 0.96 at
+(1.2, 0.3), reported as hfox_comparison_report's printed_dev.
 
 Stationary states carry a free phase and the source derivation never
 fixes the overall constant, so the convention here is phi(0) > 0 with
@@ -51,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from .gammafn import gammaln_sign
-from .hfox import HFoxParams, eval_auto
+from .hfox import HFoxParams, _evaluate
 from .measure import MeasureDim, integrate as measure_integrate
 from .quadrature import (NumericalFailure, QuadSpec, QuadFailure,
                          integrate_adaptive, integrate_oscillatory, root_itp)
@@ -287,69 +282,73 @@ def cosine_profile_integral(state, cfg, x, spec=QuadSpec()):
                                  singularity_power=lam - 1.0)
 
 
+def _even_profile(x, profile):
+    """profile(ax) over the distinct |x| (sorted, each once), laid back
+    out over the shape of x: both position routes are even in x."""
+    x = np.asarray(x, dtype=float)
+    ax, inverse = np.unique(np.abs(x).ravel(), return_inverse=True)
+    out = profile(ax)[inverse].reshape(x.shape)
+    return float(out) if out.ndim == 0 else out
+
+
 def position_wavefunction_quadrature(state, cfg, x, spec=QuadSpec()):
     """Position profile by direct cosine transform of the momentum one.
 
     Real, even, positive at 0.  This is the reference route: it makes
-    no use of the H-function reduction chain.  Accepts scalars or
-    arrays; each distinct |x| is integrated once.
+    no use of the H-function.  Accepts scalars or arrays; each distinct
+    |x| is integrated once.
     """
-    x = np.asarray(x, dtype=float)
-    ax, inverse = np.unique(np.abs(x).ravel(), return_inverse=True)
-    vals = np.array([cosine_profile_integral(state, cfg, float(t), spec)[0]
-                     for t in ax])
-    out = _position_prefactor(state, cfg) * vals[inverse].reshape(x.shape)
-    return float(out) if out.ndim == 0 else out
+    pref = _position_prefactor(state, cfg)
+    return _even_profile(x, lambda ax: pref * np.array(
+        [cosine_profile_integral(state, cfg, float(t), spec)[0] for t in ax]))
 
 
-_REDUCED_EXP = HFoxParams(m=1, n=0, upper=(), lower=((0.0, 1.0),))
+def _profile_block(cfg):
+    """Block with I(y) = sqrt(pi)/(2 alpha) H[y/2] for the profile integral
+    I(y) = int_0^inf cos(qy) q^(lam-1) / (1 + q^alpha) dq: the duplication
+    and reflection formulas turn I's Mellin transform Gamma(s) cos(pi s/2)
+    (pi/alpha) / sin(pi (lam-s)/alpha) into sqrt(pi)/(2 alpha) 2^s h(s)."""
+    r, e = 1.0 - cfg.lam / cfg.alpha, 1.0 / cfg.alpha
+    return HFoxParams(m=2, n=1, upper=((r, e),),
+                      lower=((0.0, 0.5), (r, e), (0.5, 0.5)))
 
 
-def _hfox_profile(state, cfg, x):
-    """C * (pi hbar / alpha) * H^{1,0}_{0,1}[kappa|x| | (0,1)], the
-    closed reduction of the cosine transform."""
+def _hfox_profile(state, cfg, x, spec):
+    """_position_prefactor * (kappa hbar)^lam / |E| * I(kappa|x|): one
+    engine call on _profile_block per grid, the closed I(0) at x = 0."""
     a, lam = cfg.alpha, cfg.lam
-    abs_e = -state.energy
-    c_pref = (_position_prefactor(state, cfg)
-              * cfg.d_alpha ** (-(lam - 1.0) / a)
-              * abs_e ** (-(a + 1.0 - lam) / a))
-    w = state.kappa * abs(x)
-    if w == 0.0:
-        h = 1.0   # series limit: only the k = 0 term survives
-    else:
-        h = eval_auto(_REDUCED_EXP, w).value
-    return c_pref * (math.pi * cfg.hbar / a) * h
+    pref = (_position_prefactor(state, cfg)
+            * (state.kappa * cfg.hbar) ** lam / -state.energy)
+
+    def profile(ax):
+        y = state.kappa * ax
+        i = np.full_like(y, math.pi / (a * math.sin(math.pi * lam / a)))  # I(0)
+        pos = y > 0
+        h, _, _ = _evaluate(_profile_block(cfg), y[pos] / 2.0, spec, 0.0)
+        i[pos] = math.sqrt(math.pi) / (2.0 * a) * h
+        return pref * i
+
+    return _even_profile(x, profile)
 
 
 @dataclass(frozen=True)
 class ShapeCheck:
-    """Profile comparison of the two position routes on a fixed grid.
-
-    Profiles are normalised at the first grid point before comparing,
-    because the closed reduction drops a kappa factor relative to the
-    direct transform (visible even at alpha=2, lam=1) and the overall
-    constant is a free normalization anyway.  ratio_mean records the
-    raw hfox/quadrature ratio averaged over the grid.
-    """
+    """Value comparison of the two position routes on a fixed grid."""
 
     passed: bool
     max_rel_dev: float
-    ratio_mean: float
     xs: tuple
 
 
 def hfox_shape_check(state, cfg, spec=QuadSpec()):
     """Compare the H-function position route against the quadrature
     route on 16 points spanning [0.25, 4] decay lengths; passed when
-    the normalised profiles agree to 1e-4."""
+    the values agree to 1e-4."""
     xs = np.linspace(0.25, 4.0, 16) / state.kappa
     hq = position_wavefunction_quadrature(state, cfg, xs, spec)
-    hh = np.array([_hfox_profile(state, cfg, t) for t in xs])
-    rq = hq / hq[0]
-    rh = hh / hh[0]
-    dev = float(np.max(np.abs(rh - rq) / np.abs(rq)))
+    hh = _hfox_profile(state, cfg, xs, spec)
+    dev = float(np.max(np.abs(hh - hq) / np.abs(hq)))
     return ShapeCheck(passed=dev <= 1e-4, max_rel_dev=dev,
-                      ratio_mean=float(np.mean(hh / hq)),
                       xs=tuple(float(t) for t in xs))
 
 
@@ -359,16 +358,15 @@ def _cached_shape(state, cfg, spec):
 
 
 def position_wavefunction_hfox(state, cfg, x, spec=QuadSpec()):
-    """Position profile via the reduced H-function form.
+    """Position profile via the exact H-function form (_profile_block).
 
-    Returns (value, verified).  The flag is per-configuration: true
-    only if the profile shape matches the quadrature route to 1e-4 on
-    a 16-point grid (see hfox_shape_check).  The check is cached, so
-    repeated point evaluations of one configuration pay for it once.
+    Returns (value, verified) for scalar or array x.  The flag is true
+    only if the two routes agree to 1e-4 on hfox_shape_check's grid; the
+    check is cached, so a configuration pays for it once.
     """
-    key = replace(state, amplitude=1.0)   # shape does not see the amplitude
+    key = replace(state, amplitude=1.0)   # the check is amplitude-free
     check = _cached_shape(key, cfg, spec)
-    return _hfox_profile(state, cfg, x), check.passed
+    return _hfox_profile(state, cfg, x, spec), check.passed
 
 
 @dataclass(frozen=True)
@@ -376,11 +374,10 @@ class ComparisonReport:
     """Quadrature-vs-H-form diagnostic for one configuration.
 
     x0_rel_err measures the bound-energy identity at x = 0 (the
-    radial integral against its closed value).  The tail block fits
-    log phi_quadrature against x (exponential hypothesis, rate should
-    be kappa if the reduced form held) and against log x (power
-    hypothesis); residuals are max absolute log-space misfits.  Nothing
-    here asserts which hypothesis wins; the numbers are the report.
+    radial integral against its closed value).  printed_dev is the
+    largest relative deviation of the printed reduction
+    exp(-kappa (x - x0)) from the quadrature shape phi(x)/phi(x0) on the
+    shape grid, x0 its first point.
     """
 
     alpha: float
@@ -391,10 +388,7 @@ class ComparisonReport:
     x0_expected: float
     x0_rel_err: float
     shape: ShapeCheck
-    tail_exp_rate: float
-    tail_exp_residual: float
-    tail_pow_exponent: float
-    tail_pow_residual: float
+    printed_dev: float
 
 
 def _x0_identity(cfg, state, spec):
@@ -410,29 +404,15 @@ def hfox_comparison_report(cfg, spec=QuadSpec()):
     state = energy_closed_form(cfg)
     x0_val, x0_exp = _x0_identity(cfg, state, spec)
     shape = hfox_shape_check(state, cfg, spec)
-
-    xs = np.linspace(4.0, 12.0, 8) / state.kappa
+    xs = np.array(shape.xs)
     phi = position_wavefunction_quadrature(state, cfg, xs, spec)
-    diag = {}
-    if np.all(phi > 0):
-        ly = np.log(phi)
-        for name, t in (("exp", xs), ("pow", np.log(xs))):
-            des = np.stack([t, np.ones_like(t)], axis=1)
-            coef, *_ = np.linalg.lstsq(des, ly, rcond=None)
-            diag[name] = (-coef[0], float(np.max(np.abs(des @ coef - ly))))
-    else:
-        # sign changes in the tail: neither single-sign fit applies
-        diag["exp"] = diag["pow"] = (math.nan, math.inf)
-
     return ComparisonReport(
         alpha=cfg.alpha, lam=cfg.lam, energy=state.energy, kappa=state.kappa,
         x0_value=x0_val, x0_expected=x0_exp,
         x0_rel_err=abs(x0_val - x0_exp) / abs(x0_exp),
         shape=shape,
-        tail_exp_rate=float(diag["exp"][0]),
-        tail_exp_residual=float(diag["exp"][1]),
-        tail_pow_exponent=float(diag["pow"][0]),
-        tail_pow_residual=float(diag["pow"][1]),
+        printed_dev=float(np.max(np.abs(
+            phi[0] * np.exp(-state.kappa * (xs - xs[0])) / phi - 1.0))),
     )
 
 

@@ -732,8 +732,8 @@ def _shift(params, sigma):
 
     Every coefficient moves by sigma times its scale.  Kept private: the
     engine itself never needs it, but it documents how the reduced
-    spectral parameter block arises from the rescaled one (the tests and
-    the wavefunction report lean on it).
+    spectral parameter block arises from the rescaled one (only the
+    tests and demos/reduction_chain.py use it).
     """
     return HFoxParams(
         m=params.m, n=params.n,

@@ -187,20 +187,20 @@ def test_criterion_7_wavefunction_ground_truth():
 
 
 def test_criterion_8_verification_report():
-    # the H-form route is emitted and measured, not assumed: acceptance
-    # is finite deviations plus the x=0 identity, not shape agreement
+    # the H-form route is emitted and measured, not assumed: the exact
+    # block must match the quadrature route, and the x=0 identity hold;
+    # the printed reduction's deviation is reported alongside
     for alpha in (1.5, 1.8):
         for lam in (0.5, 0.8):
             rep = dw.hfox_comparison_report(PotentialConfig(alpha=alpha,
                                                             lam=lam))
             assert rep.x0_rel_err <= 1e-8, (alpha, lam, rep.x0_rel_err)
-            for v in (rep.shape.max_rel_dev, rep.tail_exp_rate,
-                      rep.tail_exp_residual, rep.tail_pow_exponent,
-                      rep.tail_pow_residual):
-                assert np.isfinite(v), (alpha, lam)
+            assert rep.shape.passed, (alpha, lam, rep.shape.max_rel_dev)
+            assert np.isfinite(rep.printed_dev), (alpha, lam)
             print(f"criterion 8: a={alpha} lam={lam} x0 rel "
                   f"{rep.x0_rel_err:.2e} shape dev "
-                  f"{rep.shape.max_rel_dev:.3g} verified={rep.shape.passed}")
+                  f"{rep.shape.max_rel_dev:.3g} printed reduction dev "
+                  f"{rep.printed_dev:.3g}")
 
 
 def test_criterion_9_cli_determinism(tmp_path):

@@ -139,15 +139,15 @@ def test_wavefunction_csv_classical(tmp_path):
         assert float(r["rel_dev"]) < 1e-6
 
 
-def test_wavefunction_json_fractional_unverified(tmp_path):
+def test_wavefunction_json_fractional_verified(tmp_path):
     code, path = run(tmp_path, "--mode", "wavefunction", "--alpha", "1.5",
                      "--lambda", "0.8", "--x-min", "0.5", "--x-max", "3",
                      "--x-steps", "4", "--format", "json", out="w.json")
     assert code == 0
     doc = json.loads(path.read_text())
-    assert doc["meta"]["hfox_verified"] is False
+    assert doc["meta"]["hfox_verified"] is True
     for row in doc["rows"]:
-        assert np.isfinite(row["rel_dev"])
+        assert row["rel_dev"] <= 1e-6
         assert row["phi_quadrature"] > 0
 
 
@@ -274,7 +274,7 @@ def test_hfox_eval_rational(tmp_path):
 def test_hfox_eval_rejects_invalid_params(capsys):
     code = cli.main(["--mode", "hfox-eval", "--hfox", "0,0,0,1;;0:1"])
     assert code == 2
-    assert "invalid H parameters" in capsys.readouterr().err
+    assert "invalid H-function parameters" in capsys.readouterr().err
 
 
 def test_hfox_eval_rejects_nonpositive_z(capsys):
