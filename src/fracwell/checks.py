@@ -18,13 +18,14 @@ import numpy as np
 
 from .gammafn import gamma_real
 from .hfox import (HFoxParams, eval_auto, mellin_numeric_check,
-                   rescale_power, reduce_fully, cosine_transform_check)
+                   rescale_power, reduce_fully, cosine_transform,
+                   cosine_transform_check)
 from .measure import MeasureDim, DeltaFamily, integrate as measure_integrate, \
     delta_value, sift
 from .quadrature import QuadSpec
 from .deltawell import (PotentialConfig, DomainError, energy_closed_form,
-                        energy_oracle, normalize, _radial_integral,
-                        _x0_identity, position_wavefunction_quadrature,
+                        energy_oracle, normalize, _x0_identity,
+                        position_wavefunction_quadrature,
                         hfox_shape_check)
 
 # accuracy pinned for the whole suite; user overrides do not reach here
@@ -127,7 +128,6 @@ def _classical_chain():
     # momentum kernel of the alpha=2, lam=1 well at |E| = 1/4:
     # p^(lam-1)/(D p^alpha + |E|) in reduced H form, then its cosine
     # transform at unit frequency
-    from .hfox import cosine_transform
     kern = HFoxParams(m=1, n=1, upper=((0.0, 1.0),), lower=((0.0, 1.0),),
                       arg_scale=4.0)
     return kern, cosine_transform(kern, k=1.0, s=1.0, mu=2.0)
@@ -232,23 +232,18 @@ def check_domain_window():
         PotentialConfig(alpha=1.2, lam=1.5)
     except DomainError as e:
         ok = "0 < lam < alpha" in str(e)
-        return CheckResult(name="domain_window_rejection", passed=ok,
-                           measured=0.0 if ok else 1.0, tolerance=0.5,
-                           detail=str(e))
-    return CheckResult(name="domain_window_rejection", passed=False,
-                       measured=1.0, tolerance=0.5,
-                       detail="lam=1.5, alpha=1.2 was accepted")
+        return _result("domain_window_rejection", 0.0 if ok else 1.0, 0.5,
+                       str(e))
+    return _result("domain_window_rejection", 1.0, 0.5,
+                   "lam=1.5, alpha=1.2 was accepted")
 
 
 def check_fixed_point():
     worst = 0.0
     for a, lam in ((2.0, 1.0), (1.5, 0.8)):
         cfg = PotentialConfig(alpha=a, lam=lam)
-        st = energy_closed_form(cfg)
-        val, _ = _radial_integral(cfg, -st.energy, _QUAD)
-        fp = (cfg.gamma_strength / (2.0 * math.pi * cfg.hbar) ** lam
-              * cfg.measure_norm * val)
-        worst = max(worst, abs(fp - 1.0))
+        val, want = _x0_identity(cfg, energy_closed_form(cfg), _QUAD)
+        worst = max(worst, abs(val / want - 1.0))
     return _result("energy_fixed_point", worst, 1e-8,
                    "bound-energy self-consistency of the momentum profile")
 

@@ -31,7 +31,7 @@ Fox H-function form (_profile_block) and is `verified` when the two
 agree to 1e-4.  The source texts reduce that form to
 H^{1,0}_{0,1}[kappa|x|] = exp(-kappa|x|), true only at alpha=2, lam=1;
 its shape is off by 0.80 at (alpha, lam) = (1.5, 0.8) and 0.96 at
-(1.2, 0.3), reported as hfox_comparison_report's printed_dev.
+(1.2, 0.3), reported as hfox_shape_check's printed_dev.
 
 Stationary states carry a free phase and the source derivation never
 fixes the overall constant, so the convention here is phi(0) > 0 with
@@ -324,7 +324,7 @@ def _hfox_profile(state, cfg, x, spec):
         y = state.kappa * ax
         i = np.full_like(y, math.pi / (a * math.sin(math.pi * lam / a)))  # I(0)
         pos = y > 0
-        h, _, _ = _evaluate(_profile_block(cfg), y[pos] / 2.0, spec, 0.0)
+        h, _, _ = _evaluate(_profile_block(cfg), y[pos] / 2.0, spec)
         i[pos] = math.sqrt(math.pi) / (2.0 * a) * h
         return pref * i
 
@@ -333,11 +333,17 @@ def _hfox_profile(state, cfg, x, spec):
 
 @dataclass(frozen=True)
 class ShapeCheck:
-    """Value comparison of the two position routes on a fixed grid."""
+    """Value comparison of the two position routes on a fixed grid.
+
+    printed_dev is the largest relative deviation of the printed
+    reduction exp(-kappa (x - x0)) from the quadrature shape
+    phi(x)/phi(x0) on the same grid, x0 its first point.
+    """
 
     passed: bool
     max_rel_dev: float
     xs: tuple
+    printed_dev: float
 
 
 def hfox_shape_check(state, cfg, spec=QuadSpec()):
@@ -348,8 +354,10 @@ def hfox_shape_check(state, cfg, spec=QuadSpec()):
     hq = position_wavefunction_quadrature(state, cfg, xs, spec)
     hh = _hfox_profile(state, cfg, xs, spec)
     dev = float(np.max(np.abs(hh - hq) / np.abs(hq)))
+    printed = hq[0] * np.exp(-state.kappa * (xs - xs[0])) / hq
     return ShapeCheck(passed=dev <= 1e-4, max_rel_dev=dev,
-                      xs=tuple(float(t) for t in xs))
+                      xs=tuple(float(t) for t in xs),
+                      printed_dev=float(np.max(np.abs(printed - 1.0))))
 
 
 @lru_cache(maxsize=64)
@@ -374,10 +382,7 @@ class ComparisonReport:
     """Quadrature-vs-H-form diagnostic for one configuration.
 
     x0_rel_err measures the bound-energy identity at x = 0 (the
-    radial integral against its closed value).  printed_dev is the
-    largest relative deviation of the printed reduction
-    exp(-kappa (x - x0)) from the quadrature shape phi(x)/phi(x0) on the
-    shape grid, x0 its first point.
+    radial integral against its closed value).
     """
 
     alpha: float
@@ -388,7 +393,6 @@ class ComparisonReport:
     x0_expected: float
     x0_rel_err: float
     shape: ShapeCheck
-    printed_dev: float
 
 
 def _x0_identity(cfg, state, spec):
@@ -403,16 +407,11 @@ def hfox_comparison_report(cfg, spec=QuadSpec()):
     """Produce the full comparison record for one configuration."""
     state = energy_closed_form(cfg)
     x0_val, x0_exp = _x0_identity(cfg, state, spec)
-    shape = hfox_shape_check(state, cfg, spec)
-    xs = np.array(shape.xs)
-    phi = position_wavefunction_quadrature(state, cfg, xs, spec)
     return ComparisonReport(
         alpha=cfg.alpha, lam=cfg.lam, energy=state.energy, kappa=state.kappa,
         x0_value=x0_val, x0_expected=x0_exp,
         x0_rel_err=abs(x0_val - x0_exp) / abs(x0_exp),
-        shape=shape,
-        printed_dev=float(np.max(np.abs(
-            phi[0] * np.exp(-state.kappa * (xs - xs[0])) / phi - 1.0))),
+        shape=hfox_shape_check(state, cfg, spec),
     )
 
 

@@ -397,32 +397,6 @@ def _series_core(params, w, raise_on_exhaust=True):
     return acc, errs, kused
 
 
-_ZERO_CUT = 1e-18
-_BOUND_SPEC = QuadSpec(abs_tol=1e-6, rel_tol=1e-4, max_subdivisions=400)
-
-
-def _magnitude_bound(params, c):
-    """M(c) = (1/pi) * integral_0^inf |h(c+it)| dt, so |H(w)| <= M(c) w^{-c}.
-
-    Rough quadrature is fine: the bound only certifies far-tail values
-    as negligible, with the bound itself recorded as the error.
-    """
-    prof = convergence_profile(params)
-    if prof.delta <= 0:
-        return math.inf
-
-    def absh(t):
-        s = c + 1j * np.asarray(t, dtype=float)
-        return np.abs(np.exp(_log_h(params, s)))
-
-    t_max = max(16.0, 2.0 * 80.0 / (math.pi * prof.delta))
-    try:
-        val, _ = integrate_adaptive(absh, 0.0, t_max, _BOUND_SPEC)
-    except QuadFailure:
-        return math.inf
-    return val / math.pi
-
-
 def _regions(params, w):
     """Region masks (direct, inverted) over scaled arguments w.
 
@@ -594,37 +568,20 @@ def eval_contour(params, z, quad=QuadSpec()):
     return EvalOutcome(value=total, err_est=err + abs(block), method="contour")
 
 
-def _evaluate(params, z, quad, zero_cut):
+def _evaluate(params, z, quad):
     """The one H-value dispatcher: (values, err_ests, from_series) at
     positive z of any shape, each element in its region (see _series).
 
     A series value stands when finite with err_est <= max(5e-14, 1e-8
-    |value|).  The rest of a series band meets the Mellin-magnitude bound
-    |H(w)| <= M(c) w^{-c} on a ladder of contour positions; a bound under
-    zero_cut makes the value 0 with the bound as its error (zero_cut = 0
-    certifies nothing).  Whatever is left goes through eval_contour one
-    element at a time on the band's own block; where no contour can be
-    taken, a converged series value is kept.
+    |value|).  Every other element goes through eval_contour one at a
+    time on its band's own block; where no contour can be taken, a
+    converged series value is kept.
     """
     z = np.asarray(z, dtype=float)
     vals, errs, _, bands = _series(params, z.reshape(-1), strict=False)
     series = np.isfinite(vals) & (errs <= np.maximum(5e-14, 1e-8 * np.abs(vals)))
     for block, arg, band in bands:
-        bad = band & ~series
-        if zero_cut > 0 and band is not bands[2][2] and np.any(bad):
-            left_max, right_min = _strip(block)
-            for c in (left_max + t for t in (0.5, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)):
-                if c > right_min - 1e-3 or not np.any(bad):
-                    break
-                M = _magnitude_bound(block, c)
-                if not math.isfinite(M):
-                    break
-                with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-                    bound = M * np.power(arg, -c)
-                certified = bad & (bound < zero_cut)
-                vals[certified], errs[certified] = 0.0, bound[certified]
-                bad &= ~certified
-        for i in np.flatnonzero(bad):
+        for i in np.flatnonzero(band & ~series):
             try:
                 out = eval_contour(block, float(arg[i]), quad)
             except (QuadFailure, NoSeparatingContour):
@@ -638,7 +595,7 @@ def _evaluate(params, z, quad, zero_cut):
 
 def eval_auto(params, z, quad=QuadSpec()):
     """Series evaluation with automatic contour fallback (see _evaluate)."""
-    v, e, series = _evaluate(params, [z], quad, zero_cut=0.0)
+    v, e, series = _evaluate(params, [z], quad)
     return EvalOutcome(value=float(v[0]), err_est=float(e[0]),
                        method="series" if series[0] else "contour")
 
@@ -678,7 +635,7 @@ def mellin_numeric_check(params, s, quad=QuadSpec()):
     _, r = _strip(params)
 
     def direct(z):
-        return z ** (s - 1.0) * _evaluate(params, z, quad, _ZERO_CUT)[0]
+        return z ** (s - 1.0) * _evaluate(params, z, quad)[0]
 
     if s >= 1.0:
         i1, e1 = integrate_adaptive(direct, 0.0, 1.0, quad)
@@ -686,7 +643,7 @@ def mellin_numeric_check(params, s, quad=QuadSpec()):
         def head(u):
             with np.errstate(divide="ignore"):
                 zz = np.power(u, 1.0 / s)
-            return _evaluate(params, zz, quad, _ZERO_CUT)[0] / s
+            return _evaluate(params, zz, quad)[0] / s
         i1, e1 = integrate_adaptive(head, 0.0, 1.0, quad)
 
     if math.isinf(r):   # no right family (n = 0): exponential-type tail
@@ -698,7 +655,7 @@ def mellin_numeric_check(params, s, quad=QuadSpec()):
             with np.errstate(over="ignore"):
                 zz = np.power(v, -1.0 / g)
                 pref = np.power(v, -r / g) / g
-            return pref * _evaluate(params, zz, quad, _ZERO_CUT)[0]
+            return pref * _evaluate(params, zz, quad)[0]
         i2, e2 = integrate_adaptive(tail, 0.0, 1.0, quad)
 
     numeric = i1 + i2
@@ -843,7 +800,7 @@ def cosine_transform_check(params, k, s, mu, quad=QuadSpec()):
         lead -= mu * _strip(params)[0]
 
     def envelope(p):
-        return p ** (s - 1.0) * _evaluate(params, p ** mu, quad, _ZERO_CUT)[0]
+        return p ** (s - 1.0) * _evaluate(params, p ** mu, quad)[0]
 
     lhs, _ = integrate_oscillatory(envelope, k, quad, singularity_power=lead)
 

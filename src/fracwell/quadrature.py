@@ -253,18 +253,14 @@ def integrate_oscillatory(envelope, omega, spec=QuadSpec(), *,
     # error budget must be tighter than the overall target
     head_spec = replace(spec, abs_tol=0.125 * spec.abs_tol,
                         rel_tol=0.125 * spec.rel_tol)
-    if c != 0.0:
-        # u = p^(1+c) absorbs the endpoint power: dp * p^c = du / (1+c)
-        pw = 1.0 / (1.0 + c)
+    # u = p^(1+c) absorbs the endpoint power: dp * p^c = du / (1+c).  At
+    # c = 0 every factor it adds (u ** 1.0, p ** -0.0, pw = 1.0) is exact
+    pw = 1.0 / (1.0 + c)
 
-        def lead(u):
-            p = u ** pw
-            return kfun(omega * p) * envelope(p) * p ** (-c) * pw
-        head, head_err = integrate_adaptive(lead, 0.0, z0 ** (1.0 + c), head_spec)
-    else:
-        def lead(p):
-            return kfun(omega * p) * envelope(p)
-        head, head_err = integrate_adaptive(lead, 0.0, z0, head_spec)
+    def lead(u):
+        p = u ** pw
+        return kfun(omega * p) * envelope(p) * p ** (-c) * pw
+    head, head_err = integrate_adaptive(lead, 0.0, z0 ** (1.0 + c), head_spec)
 
     seg_len = np.pi / omega
     offsets = 0.5 * seg_len * (_NODES_HI + 1.0)   # within-segment node offsets

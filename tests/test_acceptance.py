@@ -196,11 +196,11 @@ def test_criterion_8_verification_report():
                                                             lam=lam))
             assert rep.x0_rel_err <= 1e-8, (alpha, lam, rep.x0_rel_err)
             assert rep.shape.passed, (alpha, lam, rep.shape.max_rel_dev)
-            assert np.isfinite(rep.printed_dev), (alpha, lam)
+            assert np.isfinite(rep.shape.printed_dev), (alpha, lam)
             print(f"criterion 8: a={alpha} lam={lam} x0 rel "
                   f"{rep.x0_rel_err:.2e} shape dev "
                   f"{rep.shape.max_rel_dev:.3g} printed reduction dev "
-                  f"{rep.printed_dev:.3g}")
+                  f"{rep.shape.printed_dev:.3g}")
 
 
 def test_criterion_9_cli_determinism(tmp_path):

@@ -225,15 +225,19 @@ def test_validate_all_green(tmp_path):
 
 def test_validate_catches_corrupted_gamma(tmp_path, monkeypatch, capsys):
     """Negative control: a 1e-4 perturbation of the Lanczos coefficients
-    must trip the Mellin cross-checks and flip the exit code."""
+    must keep failing these 12 checks and flip the exit code."""
     monkeypatch.setattr(gf, "LANCZOS_COEFFS", gf.LANCZOS_COEFFS * (1.0 + 1e-4))
     code, path = run(tmp_path, "--mode", "validate", "--format", "csv",
                      out="v.csv")
     assert code == 1
     _, rows = read_csv(path)
     failed = {r["name"] for r in rows if r["passed"] == "false"}
-    assert "hfox_mellin_exp" in failed
-    assert "hfox_mellin_rational" in failed
+    assert {"delta_unit_mass", "energy_classical_limit", "energy_fixed_point",
+            "energy_oracle_agreement", "gamma_reflection",
+            "hfox_cancellation_chain", "hfox_cosine_transform",
+            "hfox_mellin_exp", "hfox_mellin_rational",
+            "hfox_rational_pointwise", "hfox_shape_classical",
+            "wavefunction_classical_profile"} <= failed
     err = capsys.readouterr().err
     assert "hfox_mellin_exp" in err
 

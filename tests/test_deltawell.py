@@ -345,7 +345,7 @@ def test_printed_reduction_exact_only_classically():
     # the printed exp(-kappa|x|) form holds at alpha=2, lam=1 (and
     # test_comparison_report_fields shows it fails at (1.5, 0.8))
     rep = dw.hfox_comparison_report(PotentialConfig(alpha=2.0, lam=1.0))
-    assert rep.printed_dev < 1e-6
+    assert rep.shape.printed_dev < 1e-6
 
 
 def test_comparison_report_fields():
@@ -355,7 +355,7 @@ def test_comparison_report_fields():
     assert rep.energy < 0 and rep.kappa > 0
     assert rep.x0_rel_err <= 1e-8
     assert rep.shape.passed and rep.shape.max_rel_dev <= 1e-6
-    assert rep.printed_dev > 0.5     # the printed reduction's defect
+    assert rep.shape.printed_dev > 0.5     # the printed reduction's defect
 
 
 def test_x0_identity_all_report_points():

@@ -190,13 +190,13 @@ def test_auto_relative_accuracy(name, data):
 
 
 def test_auto_does_not_certify_far_tail_as_zero():
-    # exp(-45) lies under the integrands' zero cut, which eval_auto does
-    # not apply; the integrand grid does
+    # one value per argument: the integrand grid returns the far-tail
+    # exp(-45) = 2.86e-20 that eval_auto returns, not a certified zero
     out = hf.eval_auto(EXP, 45.0)
     assert_allclose(out.value, math.exp(-45.0), rtol=1e-7)
-    grid = hf._evaluate(EXP, np.array([0.5, 45.0]), QuadSpec(), hf._ZERO_CUT)[0]
+    grid = hf._evaluate(EXP, np.array([0.5, 45.0]), QuadSpec())[0]
     assert_allclose(grid[0], math.exp(-0.5), rtol=1e-12)
-    assert grid[1] == 0.0
+    assert_allclose(grid[1], math.exp(-45.0), rtol=1e-7)
 
 
 def test_dispatcher_keeps_series_value_without_contour(monkeypatch):
@@ -209,7 +209,7 @@ def test_dispatcher_keeps_series_value_without_contour(monkeypatch):
     out = hf.eval_auto(EXP, 12.0)
     assert out.method == "series"
     assert_allclose(out.value, math.exp(-12.0), rtol=1e-2)
-    vals = hf._evaluate(EXP, np.array([[0.5], [12.0]]), QuadSpec(), hf._ZERO_CUT)[0]
+    vals = hf._evaluate(EXP, np.array([[0.5], [12.0]]), QuadSpec())[0]
     assert vals.shape == (2, 1) and vals[1, 0] == out.value
     # in the annulus of 1/(1+z) there is no series value to keep
     with pytest.raises(QuadFailure):
