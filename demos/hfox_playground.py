@@ -15,12 +15,13 @@ RAT = HFoxParams(m=1, n=1, upper=((0.0, 1.0),), lower=((0.0, 1.0),))
 
 
 def main():
-    print("exponential instance")
+    print("exponential instance (the alternating series cancels at large z;")
+    print("the contour's line moves with z and keeps relative accuracy)")
     print(f"{'z':>6} {'series':>20} {'contour':>20} {'e^-z':>20}")
-    for z in (0.3, 1.0, 3.0):
+    for z in (0.3, 1.0, 3.0, 20.0, 100.0):
         s = eval_series(EXP, z)
         c = eval_contour(EXP, z)
-        print(f"{z:6.2f} {s.value:20.14f} {c.value:20.14f} {math.exp(-z):20.14f}")
+        print(f"{z:6.1f} {s.value:20.13e} {c.value:20.13e} {math.exp(-z):20.13e}")
 
     print("\nrational instance (series switches to the 1/z expansion past z=1;")
     print("a guard annulus around |z|=1 is refused and left to the contour)")

@@ -28,6 +28,15 @@ ascending expansion; when it converges only inside |w| < radius, the
 engine continues it through the inversion identity
 
     H^{m,n}_{p,q}[w | (a,A); (b,B)] = H^{n,m}_{q,p}[1/w | (1-b,B); (1-a,A)].
+
+The contour takes H(w) = (1/pi) int_0^inf Re[h(c + it) w^{-c-it}] dt on
+a line Re s = c between the families by the trapezoid rule on nodes
+t = k h, which converges geometrically there (Trefethen & Weideman,
+SIAM Rev. 56, 2014).  Arguments on one line share its nodes: log h is
+taken once per node and each H(w) is a row of one (argument x node)
+product, summed in units of its t = 0 amplitude.  err_est is
+|T_h - T_2h| plus 2.3e-16 h sum |y| (1 + |E|), the rounding of each
+node's exponent E = log h(s) - s log w in the summands y.
 """
 
 from __future__ import annotations
@@ -74,6 +83,8 @@ __all__ = [
 COINCIDENCE_TOL = 1e-12
 _SERIES_TOL = 1e-12   # a residue term under this times the sum is small
 _MAX_TERMS = 512      # residue series term budget
+_TERM_BLOCK = 16      # residue terms per (k, w) array: 3 of them at 1984 w < 1 MB
+_BLOCK = 2 ** 18      # largest temporary of the contour's (w x node) products
 
 
 class NonSimplePoles(NumericalFailure):
@@ -338,6 +349,8 @@ def _series_core(params, w, raise_on_exhaust=True):
                 if e_i > 0 and not np.all(sg_i):
                     clash = min(clash, int(np.argmin(sg_i != 0.0)))
 
+    # _TERM_BLOCK poles at a time as one (k, w) array: cumsum carries the
+    # running sum as a term-by-term loop would; the stopping rule runs per k
     w = np.asarray(w, dtype=float)
     logw = np.log(w)
     acc = np.zeros_like(w)
@@ -348,37 +361,45 @@ def _series_core(params, w, raise_on_exhaust=True):
     kused = _MAX_TERMS
     exhausted = True
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for k in range(_MAX_TERMS):
-            if k == clash:
-                raise NonSimplePoles(
-                    f"a numerator gamma has a pole at left pole k={k}")
-            term = np.zeros_like(w)
+        for k0 in range(0, _MAX_TERMS, _TERM_BLOCK):
+            kb = slice(k0, k0 + _TERM_BLOCK)
+            term = np.zeros((len(ks[kb]), w.size))
             for j in range(m):
-                if sign[j, k] != 0.0:
-                    term = term + sign[j, k] * np.exp(logabs[j, k] + power[j, k] * logw)
-            acc = np.where(live, acc + term, acc)
-            dead_now = live & ~np.isfinite(acc)
-            if np.any(dead_now):
-                live &= ~dead_now
-                if not np.any(live):
+                x = np.multiply(power[j, kb, None], logw)
+                x += logabs[j, kb, None]
+                np.exp(x, out=x)
+                x *= sign[j, kb, None]
+                x[sign[j, kb] == 0.0] = 0.0   # a vanishing residue adds nothing
+                term += x
+            mag = np.abs(term, out=x)   # reusing x and term: three (k, w) arrays
+            term[0] += acc
+            run = np.cumsum(term, axis=0)
+            alive = live & np.isfinite(run)   # a sum that went non-finite stays so
+            mag[~alive] = 0.0
+            norms = mag.max(axis=1)
+            run_mag = np.abs(run, out=term)
+            run_mag[~alive] = 0.0
+            scales = np.maximum(1.0, run_mag.max(axis=1))
+            for row, k in enumerate(range(k0, k0 + len(norms))):
+                if k == clash:
+                    raise NonSimplePoles(
+                        f"a numerator gamma has a pole at left pole k={k}")
+                stop = row + 1
+                if not alive[row].any():   # every sum went non-finite
                     break
-            mag = np.where(live, np.abs(term), 0.0)
-            max_mag = np.maximum(max_mag, mag)
-            norm = float(np.max(mag))
-            prev_norms.append(norm)
-            scale = max(1.0, float(np.max(np.abs(acc[live]))))
-            if norm < _SERIES_TOL * scale:
-                tail_small += 1
-            else:
-                tail_small = 0
-            if tail_small >= 3 and len(prev_norms) >= 5:
-                recent = [x for x in prev_norms[-5:] if x > 0.0]
-                ratios = [recent[i + 1] / recent[i] for i in range(len(recent) - 1)]
-                r = max(ratios) if ratios else 0.0
-                if r < 0.9:
-                    kused = k + 1
-                    exhausted = False
-                    break
+                prev_norms.append(float(norms[row]))
+                tail_small = tail_small + 1 if norms[row] < _SERIES_TOL * scales[row] else 0
+                if tail_small >= 3 and len(prev_norms) >= 5:
+                    recent = [x for x in prev_norms[-5:] if x > 0.0]
+                    ratios = [recent[i + 1] / recent[i] for i in range(len(recent) - 1)]
+                    if (max(ratios) if ratios else 0.0) < 0.9:
+                        kused = k + 1
+                        exhausted = False
+                        break
+            acc, live = run[stop - 1].copy(), alive[stop - 1]
+            max_mag = np.maximum(max_mag, mag[:stop].max(axis=0))
+            if not (exhausted and live.any()):
+                break
 
     if exhausted and np.any(live) and raise_on_exhaust:
         recent = prev_norms[-8:]
@@ -485,36 +506,26 @@ def _log_h_real(params, s, on_pole="zero"):
     return np.where(sign != 0.0, logabs, np.inf), sign
 
 
-def _saddle_position(params, w, left_max):
-    """Contour position minimizing the t = 0 integrand amplitude
-    |h(c)| w^{-c} over a geometric ladder right of the left poles.
-
-    Only used when there is no right pole family (n = 0), where c is
-    unconstrained from above.  Keeps the integrand amplitude comparable
-    to the function value, so exponentially small H values come out of
-    the quadrature with relative (not just absolute) accuracy.  A rung
-    where h vanishes or the amplitude is nan is never taken, ties go to
-    the first rung; with no usable rung c = left_max + 0.5.
-    """
-    c = left_max + 2.0 ** np.arange(-1, 10)   # rungs 0.5, 1, 2, ..., 512
-    f = _log_h_real(params, c)[0] - c * math.log(w)   # inf where h = 0
-    usable = f < math.inf   # False at inf and at nan
-    if not np.any(usable):
-        return left_max + 0.5
-    return float(c[np.argmin(np.where(usable, f, math.inf))])
-
-
 def _contour_position(params, w):
+    """Line Re(s) = c for each scaled argument w (1-d): the strip
+    midpoint, at least 1e-3 from each pole family, or 0.5 left of the
+    right poles.  With left poles only (n = 0), the rung of a geometric
+    ladder right of them that minimizes the t = 0 integrand amplitude
+    |h(c)| w^{-c}, so exponentially small H values keep relative
+    accuracy.  A rung where h vanishes or the amplitude is nan is never
+    taken, ties go to the first rung, and with none usable c is the
+    first, left_max + 0.5."""
     left_max, right_min = _strip(params)
     if math.isinf(right_min):
-        return _saddle_position(params, w, left_max)
+        c = left_max + 2.0 ** np.arange(-1, 10)   # rungs 0.5, 1, 2, ..., 512
+        f = _log_h_real(params, c)[0] - np.log(w)[:, None] * c   # inf where h = 0
+        return c[np.argmin(np.where(f < math.inf, f, math.inf), axis=1)]
     if math.isinf(left_max):
-        return right_min - 0.5
+        return np.full_like(w, right_min - 0.5)
     if right_min - left_max < 2e-3:
-        raise NoSeparatingContour(
-            f"pole families leave no usable gap: left max {left_max}, "
-            f"right min {right_min}")
-    return 0.5 * (left_max + right_min)
+        raise NoSeparatingContour(f"pole families leave no usable gap: left max "
+                                  f"{left_max}, right min {right_min}")
+    return np.full_like(w, 0.5 * (left_max + right_min))
 
 
 def _log_h(params, s):
@@ -527,45 +538,67 @@ def _log_h(params, s):
         return np.sum(np.where(e[:, None] > 0, lg, -lg), axis=0).reshape(s.shape)
 
 
-def eval_contour(params, z, quad=QuadSpec()):
-    """Mellin-Barnes line integral of H[arg_scale * z] at scalar z > 0.
-
-    The line Re(s) = c separates the pole families: the strip midpoint
-    (at least 1e-3 from each family), or with one family 0.5 left of the
-    right poles or _saddle_position's rung.  Requires the profile's
-    delta > 0 so the integrand decays like exp(-delta pi|t|/2); the line
-    is first cut where that envelope falls under quadrature.TAIL_CUTOFF.
+def _contour(params, w, quad):
+    """Mellin-Barnes line integrals at the scaled arguments w (1-d):
+    (values, err_ests), err_est inf where the quadrature did not settle.
+    The trapezoid rule of the module docstring on each line of
+    _contour_position.  t_max doubles, at most 8 times, until |h| at
+    t_max is TAIL_CUTOFF e^-5 below its t = 0 value; h halves, at most 10
+    times, until |T_h - T_2h| <= max(abs_tol, rel_tol |T_h|) for every
+    argument on the line.
     """
+    delta = convergence_profile(params).delta
+    if delta <= 0:
+        raise QuadFailure(f"contour integrand does not decay (delta = {delta})")
+    logw, cpos = np.log(w), _contour_position(params, w)
+    vals, errs = np.full_like(w, np.nan), np.full_like(w, np.inf)
+    cut = math.log(TAIL_CUTOFF) - 5.0
+    for c in sorted(set(cpos.tolist())):
+        on = cpos == c
+        lw, lh0 = logw[on, None], complex(_log_h(params, c))
+        reach = float(np.max(np.abs(lw)))
+        t_max = 2.0 ** np.arange(9) * max(8.0, 2.0 * (reach - cut) / (math.pi * delta))
+        settled = _log_h(params, c + 1j * t_max).real - lh0.real <= cut
+        if not np.any(settled):
+            continue
+        h = min(0.5, 1.0 / (1.0 + reach))
+        n, step = math.ceil(t_max[np.argmax(settled)] / h), 1
+        # node blocks: each temporary within _BLOCK elements, or one column
+        cols = max(1, _BLOCK // max(lw.size, len(params.upper + params.lower)))
+        scale = lh0.real - c * lw   # each row sums in units of its t = 0 amplitude
+        tot = 0.5 * math.cos(lh0.imag)   # the t = 0 node, weight 1/2: sign of h(c)
+        mag = 0.5 * (1.0 + np.abs(lh0 - c * lw[:, 0]))
+        for level in range(11):
+            if level:   # halve h: the new nodes are the odd multiples
+                h, n, step = 0.5 * h, 2 * n, 2
+            t, coarse = h * np.arange(1, n + 1, step), 2.0 * h * tot
+            for k in range(0, t.size, cols):
+                lh = _log_h(params, c + 1j * t[k:k + cols])
+                re, im = lh.real - c * lw, lh.imag - t[k:k + cols] * lw
+                y = np.exp(re - scale)
+                tot = tot + np.sum(y * np.cos(im), axis=1)
+                mag = mag + np.sum(y * (1.0 + np.hypot(re, im)), axis=1)
+            amp = np.exp(scale[:, 0]) / math.pi
+            diff = amp * np.abs(h * tot - coarse)
+            ok = diff <= np.maximum(quad.abs_tol, quad.rel_tol * amp * np.abs(h * tot))
+            if level and np.all(ok):
+                break
+        vals[on] = amp * h * tot
+        errs[on] = np.where(ok, diff + amp * 2.3e-16 * h * mag, np.inf)
+    return vals, errs
+
+
+def eval_contour(params, z, quad=QuadSpec()):
+    """Mellin-Barnes line integral of H[arg_scale * z] at scalar z > 0:
+    _contour at one argument, QuadFailure where it does not settle."""
     _require_valid(params)
     if not z > 0:
         raise ValueError(f"argument must be positive, got {z!r}")
     w = params.arg_scale * float(z)
-    prof = convergence_profile(params)
-    if prof.delta <= 0:
-        raise QuadFailure(
-            f"contour integrand does not decay (delta = {prof.delta})")
-    cpos = _contour_position(params, w)
-    logw = math.log(w)
-
-    def integrand(t):
-        s = cpos + 1j * np.asarray(t, dtype=float)
-        vals = np.exp(_log_h(params, s) - s * logw)
-        return vals.real / np.pi
-
-    t_max = max(8.0, 2.0 * (-math.log(TAIL_CUTOFF) + abs(logw) + 5.0)
-                / (math.pi * prof.delta))
-    total, err = integrate_adaptive(integrand, 0.0, t_max, quad)
-    block_lo = t_max
-    for _ in range(8):
-        block, berr = integrate_adaptive(integrand, block_lo, 2.0 * block_lo, quad)
-        total += block
-        err += berr
-        if abs(block) < max(quad.abs_tol, quad.rel_tol * abs(total)):
-            break
-        block_lo *= 2.0
-    else:
-        raise QuadFailure("contour tail did not settle within the block budget")
-    return EvalOutcome(value=total, err_est=err + abs(block), method="contour")
+    v, e = _contour(params, np.array([w]), quad)
+    if not np.isfinite(e[0]):
+        raise QuadFailure(f"contour did not settle at w = {w:.6g}")
+    return EvalOutcome(value=float(v[0]), err_est=float(e[0]), method="contour")
 
 
 def _evaluate(params, z, quad):
@@ -573,23 +606,30 @@ def _evaluate(params, z, quad):
     positive z of any shape, each element in its region (see _series).
 
     A series value stands when finite with err_est <= max(5e-14, 1e-8
-    |value|).  Every other element goes through eval_contour one at a
-    time on its band's own block; where no contour can be taken, a
-    converged series value is kept.
+    |value|).  The other elements of each band go to one _contour call on
+    the band's own block.  Where the contour did not settle or cannot be
+    taken, a finite series value is kept; otherwise the failure is raised.
     """
     z = np.asarray(z, dtype=float)
     vals, errs, _, bands = _series(params, z.reshape(-1), strict=False)
     series = np.isfinite(vals) & (errs <= np.maximum(5e-14, 1e-8 * np.abs(vals)))
     for block, arg, band in bands:
-        for i in np.flatnonzero(band & ~series):
-            try:
-                out = eval_contour(block, float(arg[i]), quad)
-            except (QuadFailure, NoSeparatingContour):
-                if not (np.isfinite(vals[i]) and np.isfinite(errs[i])):
-                    raise
-                series[i] = True
-                continue
-            vals[i], errs[i] = out.value, out.err_est
+        idx = np.flatnonzero(band & ~series)
+        if not idx.size:
+            continue
+        keep = np.isfinite(vals[idx]) & np.isfinite(errs[idx])
+        try:
+            cv, ce = _contour(block, arg[idx], quad)
+        except (QuadFailure, NoSeparatingContour):
+            if not np.all(keep):
+                raise
+            cv = ce = np.full(idx.size, np.inf)
+        took = np.isfinite(ce)
+        lost = idx[~(took | keep)]
+        if lost.size:
+            raise QuadFailure(f"contour did not settle at w = {arg[lost[0]]:.6g}")
+        vals[idx[took]], errs[idx[took]] = cv[took], ce[took]
+        series[idx[~took]] = True
     return vals.reshape(z.shape), errs.reshape(z.shape), series.reshape(z.shape)
 
 

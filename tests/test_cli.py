@@ -266,6 +266,15 @@ def test_hfox_eval_exponential_far_tail(tmp_path, z):
     assert float(rows[0]["err_est"]) <= 1e-7 * math.exp(-z)
 
 
+def test_hfox_eval_exponential_relative_far_tail(tmp_path):
+    # exp(-200) = 1.3839e-87 keeps its relative accuracy on the saddle line
+    code, path = run(tmp_path, "--mode", "hfox-eval", "--hfox", "1,0,0,1;;0:1",
+                     "--z", "200", "--format", "csv", out="h.csv")
+    assert code == 0
+    _, rows = read_csv(path)
+    assert float(rows[0]["value"]) == pytest.approx(math.exp(-200.0), rel=1e-10)
+
+
 def test_hfox_eval_rational(tmp_path):
     code, path = run(tmp_path, "--mode", "hfox-eval", "--hfox",
                      "1,1,1,1;0:1;0:1", "--z", "3.0", "--format", "json",

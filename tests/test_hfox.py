@@ -8,6 +8,7 @@ import scipy.integrate as si
 from hypothesis import given, settings, strategies as st
 
 from fracwell import hfox as hf
+from fracwell.gammafn import gammaln_sign
 from fracwell.hfox import HFoxParams
 from fracwell.quadrature import QuadFailure, QuadSpec
 
@@ -19,6 +20,8 @@ RAT = HFoxParams(m=1, n=1, upper=((0.0, 1.0),), lower=((0.0, 1.0),))
 # (0.2, 0.9), upper denominator (0.2, 1.1)
 MIXED = HFoxParams(m=2, n=1, upper=((0.3, 0.7), (0.2, 1.1)),
                    lower=((0.1, 1.0), (0.4, 0.6), (0.2, 0.9)))
+# H[z] = 2 exp(-z^2)
+G2 = HFoxParams(m=1, n=0, upper=(), lower=((0.0, 0.5),))
 
 
 # --------------------------------------------------------------- validate
@@ -148,10 +151,13 @@ def _saddle_reference(params, w, left_max):
     HFoxParams(m=1, n=0, upper=((0.5, 1.0),), lower=((0.3, 0.7),)),
 ])
 def test_saddle_ladder_matches_scalar_reference(params):
+    # the whole grid in one (w x rung) argmin, out of order
     left_max = hf._strip(params)[0]
-    for w in (1e-3, 0.3, 1.0, 7.0, 45.0, 1e3):
-        assert (hf._saddle_position(params, w, left_max)
-                == _saddle_reference(params, w, left_max))
+    w = np.concatenate([[1e-3, 0.3, 1.0, 7.0, 45.0, 1e3],
+                        np.geomspace(1e-3, 1e3, 34)[::-1]])
+    got = hf._contour_position(params, w)
+    assert got.shape == w.shape
+    assert list(got) == [_saddle_reference(params, x, left_max) for x in w]
 
 
 def test_auto_dispatch():
@@ -164,9 +170,8 @@ def test_auto_dispatch():
 
 # block, exact value and largest z of the eval_auto accuracy property
 EXACT = {
-    "exp": (EXP, lambda z: math.exp(-z), 40.0),
-    "2exp(-z^2)": (HFoxParams(m=1, n=0, upper=(), lower=((0.0, 0.5),)),
-                   lambda z: 2.0 * math.exp(-z * z), 6.0),
+    "exp": (EXP, lambda z: math.exp(-z), 300.0),
+    "2exp(-z^2)": (G2, lambda z: 2.0 * math.exp(-z * z), 6.0),
     "1/(1+z)": (RAT, lambda z: 1.0 / (1.0 + z), 1e3),
     "z^0.25/(1+z)": (HFoxParams(m=1, n=1, upper=((0.25, 1.0),),
                                 lower=((0.25, 1.0),)),
@@ -203,17 +208,183 @@ def test_dispatcher_keeps_series_value_without_contour(monkeypatch):
     def no_contour(*args, **kwargs):
         raise QuadFailure("no contour")
 
-    monkeypatch.setattr(hf, "eval_contour", no_contour)
-    # the series value of exp(-12) fails the acceptance rule; with no
-    # contour to take, it is still returned, as a series value
-    out = hf.eval_auto(EXP, 12.0)
-    assert out.method == "series"
-    assert_allclose(out.value, math.exp(-12.0), rtol=1e-2)
-    vals = hf._evaluate(EXP, np.array([[0.5], [12.0]]), QuadSpec())[0]
-    assert vals.shape == (2, 1) and vals[1, 0] == out.value
-    # in the annulus of 1/(1+z) there is no series value to keep
-    with pytest.raises(QuadFailure):
-        hf.eval_auto(RAT, 1.0)
+    def unsettled_contour(params, w, quad):
+        return np.full(len(w), np.nan), np.full(len(w), np.inf)
+
+    for fake in (no_contour, unsettled_contour):
+        monkeypatch.setattr(hf, "_contour", fake)
+        # the series value of exp(-12) fails the acceptance rule; with no
+        # contour to take, it is still returned, as a series value
+        out = hf.eval_auto(EXP, 12.0)
+        assert out.method == "series"
+        assert_allclose(out.value, math.exp(-12.0), rtol=1e-2)
+        vals = hf._evaluate(EXP, np.array([[0.5], [12.0]]), QuadSpec())[0]
+        assert vals.shape == (2, 1) and vals[1, 0] == out.value
+        # in the annulus of 1/(1+z) there is no series value to keep
+        with pytest.raises(QuadFailure):
+            hf.eval_auto(RAT, 1.0)
+
+
+@pytest.mark.parametrize("params, z, exact", [
+    (EXP, 100.0, math.exp(-100.0)),
+    (EXP, 200.0, math.exp(-200.0)),
+    (EXP, 300.0, math.exp(-300.0)),
+    (G2, 10.0, 2.0 * math.exp(-100.0)),
+])
+def test_far_tail_relative_accuracy(params, z, exact):
+    # the saddle-placed line sums in units of its t = 0 amplitude, so an
+    # exponentially small value keeps its relative accuracy, alone and
+    # inside a grid that shares lines with other arguments
+    assert_allclose(hf.eval_auto(params, z).value, exact, rtol=1e-10)
+    grid = hf._evaluate(params, np.array([z, 0.5, 12.0, z, 3.0]), QuadSpec())[0]
+    assert_allclose(grid[[0, 3]], exact, rtol=1e-10)
+
+
+@pytest.mark.parametrize("params, z, exact", [
+    (EXP, 700.0, math.exp(-700.0)),
+    (G2, 20.0, 2.0 * math.exp(-400.0)),
+])
+def test_far_tail_err_est_covers_error(params, z, exact):
+    # relative accuracy runs out here; the exponent-aware roundoff term
+    # must still cover the error, and the value keeps its sign
+    out = hf.eval_auto(params, z)
+    assert out.value > 0.0
+    assert out.err_est >= abs(out.value - exact)
+
+
+@pytest.mark.parametrize("params", [
+    EXP, RAT, MIXED,
+    HFoxParams(m=1, n=1, upper=((0.25, 1.0),), lower=((0.25, 1.0),)),
+])
+def test_contour_grid_matches_single_arguments(params):
+    # grouping by line and sizing the nodes by the whole grid must not
+    # move any value by more than 1e-13 relative, or where a call reports
+    # less accuracy than that (the cancelling far tails), by more than its
+    # err_est
+    w = np.concatenate([[3.0, 1e6, 1e-3, 0.5, 45.0, 3.0, 1e-3, 700.0, 200.0],
+                        np.geomspace(1e-3, 1e6, 19)[::-1]])
+    vals, errs = hf._contour(params, w, QuadSpec())
+    assert np.all(np.isfinite(errs))
+    single = np.array([hf._contour(params, np.array([x]), QuadSpec()) for x in w])
+    bound = np.maximum(1e-13 * np.abs(single[:, 0, 0]),
+                       np.minimum(errs, single[:, 1, 0]))
+    assert np.all(np.abs(vals - single[:, 0, 0]) <= bound)
+
+
+def _series_reference(params, w, raise_on_exhaust=True):
+    # the residue series one term at a time: the loop the blocked
+    # _series_core must reproduce bit for bit
+    m = params.m
+    if m == 0:
+        raise hf.OutOfRegion("no left pole family; the residue series is empty")
+    c, d, e = hf._factors(params)
+    ks = np.arange(hf._MAX_TERMS)
+    power = (c[:m, None] + ks) / d[:m, None]
+    if m > 1:
+        sp = np.sort(-power.ravel())
+        gaps = np.diff(sp)
+        if np.any(gaps < hf.COINCIDENCE_TOL * np.maximum(1.0, np.abs(sp[:-1]))):
+            raise hf.NonSimplePoles("coinciding left poles")
+    log_fact = np.array([math.lgamma(k + 1) for k in range(hf._MAX_TERMS)])
+    logabs = np.array([-log_fact - math.log(B) for B in d[:m]])
+    sign = np.tile((-1.0) ** ks, (m, 1))
+    clash = hf._MAX_TERMS
+    with np.errstate(invalid="ignore"):
+        for j in range(m):
+            rest = np.arange(len(c)) != j
+            la, sg = gammaln_sign(c[rest, None] + d[rest, None] * -power[j])
+            for la_i, sg_i, e_i in zip(la, sg, e[rest]):
+                logabs[j] = logabs[j] + la_i if e_i > 0 else logabs[j] - la_i
+                sign[j] *= sg_i
+                if e_i > 0 and not np.all(sg_i):
+                    clash = min(clash, int(np.argmin(sg_i != 0.0)))
+    w = np.asarray(w, dtype=float)
+    logw = np.log(w)
+    acc = np.zeros_like(w)
+    max_mag = np.zeros_like(w)
+    live = np.ones_like(w, dtype=bool)
+    tail_small = 0
+    prev_norms = []
+    kused = hf._MAX_TERMS
+    exhausted = True
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        for k in range(hf._MAX_TERMS):
+            if k == clash:
+                raise hf.NonSimplePoles(f"pole at left pole k={k}")
+            term = np.zeros_like(w)
+            for j in range(m):
+                if sign[j, k] != 0.0:
+                    term = term + sign[j, k] * np.exp(logabs[j, k] + power[j, k] * logw)
+            acc = np.where(live, acc + term, acc)
+            dead_now = live & ~np.isfinite(acc)
+            if np.any(dead_now):
+                live &= ~dead_now
+                if not np.any(live):
+                    break
+            mag = np.where(live, np.abs(term), 0.0)
+            max_mag = np.maximum(max_mag, mag)
+            norm = float(np.max(mag))
+            prev_norms.append(norm)
+            scale = max(1.0, float(np.max(np.abs(acc[live]))))
+            tail_small = tail_small + 1 if norm < hf._SERIES_TOL * scale else 0
+            if tail_small >= 3 and len(prev_norms) >= 5:
+                recent = [x for x in prev_norms[-5:] if x > 0.0]
+                ratios = [recent[i + 1] / recent[i] for i in range(len(recent) - 1)]
+                if (max(ratios) if ratios else 0.0) < 0.9:
+                    kused = k + 1
+                    exhausted = False
+                    break
+    if exhausted and np.any(live) and raise_on_exhaust:
+        raise hf.SeriesDiverged("series not converged")
+    tail = prev_norms[-1] * (0.9 / 0.1) if prev_norms else 0.0
+    errs = np.full_like(w, tail) + 2e-16 * max_mag
+    if exhausted and np.any(live):
+        errs = np.where(live, np.inf, errs)
+    errs = np.where(live, errs, np.inf)
+    acc = np.where(live, acc, np.nan)
+    return acc, errs, kused
+
+
+@pytest.mark.parametrize("params", [
+    EXP, RAT, G2, MIXED,   # MIXED is H^{2,1}_{2,3} of the series-error defect
+    HFoxParams(m=1, n=0, upper=((0.5, 1.0),), lower=((0.3, 0.7),)),
+])
+@pytest.mark.parametrize("raise_on_exhaust", [True, False])
+def test_series_blocks_match_term_loop(params, raise_on_exhaust):
+    # grids that converge, that overflow in part or in full, and that
+    # exhaust the term budget
+    w = np.geomspace(1e-3, 1e8, 97)
+    for grid in (w, w[w < 5.0], w[w > 100.0], w[:1], w[::-7]):
+        outs = []
+        for series in (hf._series_core, _series_reference):
+            try:
+                outs.append(series(params, grid, raise_on_exhaust))
+            except hf.NumericalFailure as exc:
+                outs.append(type(exc))
+        got, want = outs
+        if isinstance(want, type):
+            assert got is want
+            continue
+        assert np.array_equal(got[0], want[0], equal_nan=True)
+        assert np.array_equal(np.signbit(got[0]), np.signbit(want[0]))
+        assert np.array_equal(got[1], want[1])
+        assert got[2] == want[2]
+
+
+@pytest.mark.parametrize("name", ["check_hfox_cosine_transform",
+                                  "check_hfox_mellin_exp"])
+def test_hfox_checks_stay_small_in_memory(name):
+    # the contour and series products are formed in blocks, so no grid
+    # turns into one large (argument x node) or (term x argument) matrix
+    import tracemalloc
+    from fracwell import checks
+    tracemalloc.start()
+    try:
+        assert getattr(checks, name)().passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 # ------------------------------------------------------- convergence data
