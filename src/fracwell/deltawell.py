@@ -263,23 +263,36 @@ def _position_prefactor(state, cfg):
 
 
 def cosine_profile_integral(state, cfg, x, spec=QuadSpec()):
-    """int_0^inf cos(p|x|/hbar) p^(lam-1) / (D p^alpha + |E|) dp.
+    """int_0^inf cos(p|x|/hbar) p^(lam-1) / (D p^alpha + |E|) dp for a
+    float x or an array of them; returns (value, err_est) alike.
 
     At x = 0 this reduces to the radial integral of the energy
     condition, whose value at the bound energy must equal
     (2 pi hbar)^lam Gamma(lam/2) / (gamma 2 pi^(lam/2)); the identity
-    is measured, not substituted.
+    is measured, not substituted.  Elsewhere q = p/p0, with the knee
+    p0 = kappa hbar, makes it p0^lam/|E| I(kappa|x|) with
+    I(y) = int_0^inf cos(qy) q^(lam-1) / (1 + q^alpha) dq, taken by
+    one integrate_oscillatory call over every nonzero kappa|x|.
     """
-    abs_e = -state.energy
-    if x == 0.0:
-        return _radial_integral(cfg, abs_e, spec)
-    lam, a, d = cfg.lam, cfg.alpha, cfg.d_alpha
+    lam, a = cfg.lam, cfg.alpha
+    y = state.kappa * np.abs(np.asarray(x, dtype=float))
+    value = np.empty(y.shape)
+    err = np.empty(y.shape)
+    zero = y == 0.0
+    if zero.any():
+        value[zero], err[zero] = _radial_integral(cfg, -state.energy, spec)
+    if not zero.all():
+        def envelope(q):
+            return np.power(q, lam - 1.0) / (np.power(q, a) + 1.0)
 
-    def envelope(p):
-        return np.power(p, lam - 1.0) / (d * np.power(p, a) + abs_e)
-
-    return integrate_oscillatory(envelope, abs(x) / cfg.hbar, spec,
-                                 singularity_power=lam - 1.0)
+        scale = (state.kappa * cfg.hbar) ** lam / -state.energy
+        v, e = integrate_oscillatory(envelope, y[~zero], spec,
+                                     singularity_power=lam - 1.0)
+        value[~zero] = scale * v
+        err[~zero] = scale * e
+    if y.ndim == 0:
+        return float(value), float(err)
+    return value, err
 
 
 def _even_profile(x, profile):
@@ -295,12 +308,12 @@ def position_wavefunction_quadrature(state, cfg, x, spec=QuadSpec()):
     """Position profile by direct cosine transform of the momentum one.
 
     Real, even, positive at 0.  This is the reference route: it makes
-    no use of the H-function.  Accepts scalars or arrays; each distinct
-    |x| is integrated once.
+    no use of the H-function.  Accepts scalars or arrays; the distinct
+    |x| go through one cosine_profile_integral call.
     """
     pref = _position_prefactor(state, cfg)
-    return _even_profile(x, lambda ax: pref * np.array(
-        [cosine_profile_integral(state, cfg, float(t), spec)[0] for t in ax]))
+    return _even_profile(
+        x, lambda ax: pref * cosine_profile_integral(state, cfg, ax, spec)[0])
 
 
 def _profile_block(cfg):
@@ -420,15 +433,18 @@ def normalize(state, cfg, spec=QuadSpec()):
 
     The norm is computed on the quadrature route from a unit-amplitude
     copy, so the operation is idempotent by construction.  phi is even,
-    hence twice the half-line integral.
+    hence twice the half-line integral, taken in y = kappa x (d^lam x =
+    kappa^-lam d^lam y) so that the panels meet the profile's decay
+    length at any kappa.
     """
     base = replace(state, amplitude=1.0)
 
-    def f(xs):
-        return position_wavefunction_quadrature(base, cfg, xs, spec) ** 2
+    def f(ys):
+        return position_wavefunction_quadrature(base, cfg, ys / state.kappa,
+                                                spec) ** 2
 
     half, err = measure_integrate(cfg.dim, f, (0.0, np.inf), spec)
-    nrm2 = 2.0 * half
+    nrm2 = 2.0 * half / state.kappa ** cfg.lam
     if not (nrm2 > 0 and np.isfinite(nrm2)):
         raise QuadFailure(f"norm integral came out {nrm2}")
     return replace(state, amplitude=1.0 / math.sqrt(nrm2))

@@ -83,6 +83,8 @@ __all__ = [
 COINCIDENCE_TOL = 1e-12
 _SERIES_TOL = 1e-12   # a residue term under this times the sum is small
 _MAX_TERMS = 512      # residue series term budget
+# log k! over the term budget, shared by every residue series
+_LOG_FACT = np.array([math.lgamma(k + 1) for k in range(_MAX_TERMS)])
 _TERM_BLOCK = 16      # residue terms per (k, w) array: 3 of them at 1984 w < 1 MB
 _BLOCK = 2 ** 18      # largest temporary of the contour's (w x node) products
 
@@ -335,8 +337,7 @@ def _series_core(params, w, raise_on_exhaust=True):
     # the other factors' gammas taken in one call over the horizon.  A
     # vanishing reciprocal gamma leaves sign = 0 (the term is zero); a
     # numerator pole makes the poles non-simple once the sum reaches it
-    log_fact = np.array([math.lgamma(k + 1) for k in range(_MAX_TERMS)])
-    logabs = np.array([-log_fact - math.log(B) for B in d[:m]])
+    logabs = np.array([-_LOG_FACT - math.log(B) for B in d[:m]])
     sign = np.tile((-1.0) ** ks, (m, 1))
     clash = _MAX_TERMS
     with np.errstate(invalid="ignore"):

@@ -175,9 +175,9 @@ def _half_line_oscillatory(dim, f, k, quad):
 def fourier_forward(dim, f, k, quad=QuadSpec()):
     """Weighted transform integral of f(x) e^{ikx} d^lam(x) over the line.
 
-    Oscillation is handled by splitting at the kernel zeros with series
-    acceleration of the alternating tail.  Returns (complex value,
-    err_est).
+    The cosine and sine halves go through the Ooura-Mori
+    double-exponential rule, whose nodes sit on the kernel's zeros, so
+    no tail is split off or summed.  Returns (complex value, err_est).
     """
     if k == 0.0:
         v, e = integrate(dim, f, (-np.inf, np.inf), quad)

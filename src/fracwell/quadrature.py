@@ -10,15 +10,17 @@ integrable endpoint singularities never get evaluated directly; the
 adaptive bisection resolves them by geometric refinement instead.
 Semi-infinite domains are mapped by t = x/(1+x), chosen over an
 exponential map because the spectral integrands have heavy power-law
-tails.  All decisions are data-independent and sequential, so repeated
-calls produce bit-identical results.
+tails.  Fourier-type integrals take the Ooura-Mori double-exponential
+rule, whose nodes close in on the kernel's zeros, so one node table
+serves every frequency and no tail is summed.  All decisions are
+data-independent, so repeated calls produce bit-identical results.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +52,7 @@ class NonIntegrable(NumericalFailure):
 
 
 class NonDecaying(NumericalFailure):
-    """Oscillatory segment magnitudes stopped decreasing."""
+    """An oscillatory envelope still grows at the rule's outermost node."""
 
 
 class NoBracket(NumericalFailure):
@@ -63,8 +65,8 @@ class QuadSpec:
 
     abs_tol / rel_tol bound the reported error estimate; the effective
     target is max(abs_tol, rel_tol * |value|).  max_subdivisions caps
-    panel splits in one adaptive call.  The threshold below which
-    semi-infinite tails are considered dead is the constant TAIL_CUTOFF.
+    panel splits in one adaptive call.  The oscillatory rule is fixed:
+    it reports its error estimate rather than refining toward these.
     """
 
     abs_tol: float = 1e-10
@@ -197,112 +199,107 @@ def integrate_adaptive(f, a, b, spec=QuadSpec()):
     return _adaptive_core(f, a, b, spec, initial=4)
 
 
-# envelope size, relative to the sum, below which a semi-infinite tail is
-# dead: the oscillatory tail's plain-sum exit and the contour's cut in hfox
+# the contour in hfox cuts its semi-infinite line where the integrand has
+# fallen TAIL_CUTOFF e^-5 below its t = 0 value
 TAIL_CUTOFF = 1e-14
-_SEG_CHUNK = 64
-_MAX_SEGMENTS = 4096
-_EULER_WINDOW = 24
-# _EULER_WEIGHTS[n][k] = C(n-1, k) / 2^(n-1): n - 1 rounds of pairwise
-# averaging of n partial sums, in closed form
-_EULER_WEIGHTS = [np.array([math.comb(n - 1, k) for k in range(n)]) / 2.0 ** (n - 1)
-                  for n in range(_EULER_WINDOW + 1)]
+# Ooura-Mori rule (J. Comput. Appl. Math. 38, 353-360, 1991; 112, 229-241,
+# 1999): step of the reported rule (checked against twice it) and t range
+_DE_STEP = 0.05
+_DE_T = (-7.0, 6.0)
 
 
-def _euler_accelerate(partial):
-    """Repeated-averaging (Euler) limit sum_k C(n-1,k) p_k / 2^(n-1) of
-    n >= 2 partial sums p.
-
-    Returns (estimate, spread) where spread is the final averaging step
-    (the same sum one order lower, over diff(p)), an honest convergence
-    indicator for alternating tails.
+def _de_table(h, kernel):
+    """Nodes u = M phi(t_n), weights w = pi kernel(u) phi'(t_n), M h = pi:
+    int_0^inf kernel(omega p) f(p) dp ~ sum f(u / omega) w / omega, with
+    phi(t) = t / (1 - exp(-2t - a(1 - e^-t) - b(e^t - 1))), b = 1/4,
+    a = b / sqrt(1 + M log(1 + M) / (4 pi)).  t_n = (n - 1/2) h (cos) or
+    n h (sin) puts M t_n on a kernel zero, which M phi(t_n) approaches
+    double-exponentially.  Nodes with phi = 0 or w zero or inf are dropped.
     """
-    p = np.asarray(partial)
-    n = len(p)
-    return (float(_EULER_WEIGHTS[n] @ p),
-            abs(float(_EULER_WEIGHTS[n - 1] @ np.diff(p))))
+    m = math.pi / h
+    b = 0.25
+    a = b / math.sqrt(1.0 + m * math.log1p(m) / (4.0 * math.pi))
+    g1, g2 = 2.0 + a + b, b - a          # g'(0), g''(0): limits at t = 0
+    n = np.arange(math.floor(_DE_T[0] / h), math.ceil(_DE_T[1] / h) + 1)
+    t = (n - 0.5) * h if kernel == "cos" else n * h
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        e = np.exp(-(2.0 * t - a * np.expm1(-t) + b * np.expm1(t)))
+        d = 1.0 - e
+        phi = np.where(t == 0.0, 1.0 / g1, t / d)
+        dphi = np.where(t == 0.0, (g1 * g1 - g2) / (2.0 * g1 * g1), 1.0 / d
+                        - t * e * (2.0 + a * np.exp(-t) + b * np.exp(t)) / (d * d))
+        # for t > 0, kernel(M phi) = (-1)^n sin(M (phi - t)), phi - t = t e / d:
+        # no cancellation near the kernel's zeros
+        near_zero = np.where(n % 2 == 0, 1.0, -1.0) * np.sin(m * t * e / d)
+    kfun = np.cos if kernel == "cos" else np.sin
+    w = math.pi * np.where(t > 0.0, near_zero, kfun(m * phi)) * dphi
+    keep = (phi > 0.0) & np.isfinite(w) & (w != 0.0)
+    return m * phi[keep], w[keep]
+
+
+_DE_TABLES = {k: (_de_table(_DE_STEP, k), _de_table(2.0 * _DE_STEP, k))
+              for k in ("cos", "sin")}
 
 
 def integrate_oscillatory(envelope, omega, spec=QuadSpec(), *,
                           singularity_power=0.0, kernel="cos"):
-    """Integrate kernel(omega*p) * envelope(p) over p in [0, inf),
-    kernel being cos (default) or sin.
+    """Integrate kernel(omega*p) * envelope(p) over p in [0, inf), kernel
+    being cos (default) or sin, by the Ooura-Mori rule.
 
-    The envelope must be eventually of one sign and decaying.  The
-    integral is split at the zeros of the kernel; the leading segment
-    (which may hold an integrable p^singularity_power behaviour at 0,
-    declare it if so) goes through the adaptive rule after a power
-    substitution, and the alternating tail series is summed with Euler
-    acceleration.  Returns (value, error_estimate).
+    omega is a positive float or 1-d array; envelope gets p of shape
+    (len(omega), n_nodes), and an array omega returns arrays equal to the
+    scalar calls bit for bit.  The envelope must not grow at the outermost
+    node, about 377/omega (NonDecaying).  A declared p^c at 0, c =
+    singularity_power > -1, is taken out as g0 p^c e^(-omega p), g0 read at
+    the smallest node, and its transform g0 Gamma(1+c) (sqrt(2) omega)^-(1+c)
+    cos or sin(pi (1+c)/4) added back.  The error estimate is the gap to the
+    rule with twice the step, plus roundoff and the mass below the smallest
+    node; the rule is fixed, so spec does not enter.  Returns (value, err).
     """
-    if omega <= 0:
-        raise ValueError("omega must be positive; use integrate_adaptive otherwise")
-    if kernel == "cos":
-        kfun = np.cos
-        z0 = 0.5 * np.pi / omega   # first cosine zero
-    elif kernel == "sin":
-        kfun = np.sin
-        z0 = np.pi / omega
-    else:
+    om = np.asarray(omega, dtype=float)
+    if om.ndim > 1 or not np.all(om > 0):
+        raise ValueError("omega must be a positive float or 1-d array; "
+                         "use integrate_adaptive at omega = 0")
+    if kernel not in _DE_TABLES:
         raise ValueError(f"kernel must be 'cos' or 'sin', got {kernel!r}")
     c = float(singularity_power)
     if c <= -1.0:
         raise NonIntegrable(f"envelope power {c} at 0 is not integrable")
+    rows = np.atleast_1d(om)[:, None]
 
-    # the head often exceeds the whole integral in magnitude, so its
-    # error budget must be tighter than the overall target
-    head_spec = replace(spec, abs_tol=0.125 * spec.abs_tol,
-                        rel_tol=0.125 * spec.rel_tol)
-    # u = p^(1+c) absorbs the endpoint power: dp * p^c = du / (1+c).  At
-    # c = 0 every factor it adds (u ** 1.0, p ** -0.0, pw = 1.0) is exact
-    pw = 1.0 / (1.0 + c)
+    def sample(u):
+        p = u / rows
+        f = np.asarray(envelope(p), dtype=float)
+        if f.shape != p.shape:
+            raise ValueError("envelope must return an array matching its input")
+        if not np.all(np.isfinite(f)):
+            raise NonIntegrable("non-finite envelope value at an oscillatory node")
+        return p, f
 
-    def lead(u):
-        p = u ** pw
-        return kfun(omega * p) * envelope(p) * p ** (-c) * pw
-    head, head_err = integrate_adaptive(lead, 0.0, z0 ** (1.0 + c), head_spec)
-
-    seg_len = np.pi / omega
-    offsets = 0.5 * seg_len * (_NODES_HI + 1.0)   # within-segment node offsets
-    partial = [head]
-    seg_values = []
-    quad_err = head_err
-    for chunk_start in range(0, _MAX_SEGMENTS, _SEG_CHUNK):
-        starts = z0 + seg_len * (chunk_start + np.arange(_SEG_CHUNK))[:, None]
-        p = starts + offsets[None, :]
-        y = np.asarray(envelope(p), dtype=float) * kfun(omega * p)
-        if not np.all(np.isfinite(y)):
-            raise NonIntegrable("non-finite envelope value in oscillatory tail")
-        hi = 0.5 * seg_len * (y @ _W_HI)
-        lo = 0.5 * seg_len * (y[:, _LO_SUBSET] @ _W_LO)
-        errs = np.abs(hi - lo)
-        for i in range(_SEG_CHUNK):
-            seg_values.append(hi[i])
-            quad_err += errs[i]
-            partial.append(partial[-1] + hi[i])
-            scale = max(1.0, abs(partial[-1]))
-            if abs(hi[i]) < TAIL_CUTOFF * scale:
-                # envelope died: the plain sum is the answer; Euler
-                # averaging here would blend in pre-asymptotic partials
-                return partial[-1], abs(hi[i]) + quad_err
-            if len(seg_values) < 4:
-                continue
-            best, best_spread = _euler_accelerate(partial[-_EULER_WINDOW:])
-            tol = max(spec.abs_tol, spec.rel_tol * abs(best))
-            # second exit: once the acceleration spread sits far below
-            # the accumulated panel error, more segments cannot reduce
-            # the total; stop and report the floor honestly
-            if best_spread + quad_err < tol or best_spread < 0.01 * quad_err:
-                return best, best_spread + quad_err
-        # divergence guard: magnitudes must trend downward eventually
-        if len(seg_values) >= 128:
-            recent = np.abs(seg_values[-64:])
-            older = np.abs(seg_values[-128:-64])
-            if np.median(recent) > np.median(older):
-                raise NonDecaying("oscillatory segment magnitudes are not decaying")
-    raise QuadFailure(
-        f"oscillatory tail not converged after {_MAX_SEGMENTS} segments "
-        f"(spread {best_spread:.3e})")
+    (u, w), (u2, w2) = _DE_TABLES[kernel]
+    p, f = sample(u)
+    if np.any(np.abs(f[:, -1]) > np.abs(f[:, -2])):
+        raise NonDecaying("envelope still growing at the outermost oscillatory node")
+    p2, f2 = sample(u2)
+    closed = 0.0
+    if c != 0.0:
+        g0 = f[:, :1] * p[:, :1] ** -c
+        f = f - g0 * p ** c * np.exp(-rows * p)
+        f2 = f2 - g0 * p2 ** c * np.exp(-rows * p2)
+        kfun = math.cos if kernel == "cos" else math.sin
+        closed = (g0[:, 0] * (math.gamma(1.0 + c) * kfun(0.25 * math.pi * (1.0 + c)))
+                  * (math.sqrt(2.0) * rows[:, 0]) ** -(1.0 + c))
+    fw = f * w
+    fine = fw.sum(axis=-1) / rows[:, 0]
+    coarse = (f2 * w2).sum(axis=-1) / rows[:, 0]
+    value = fine + closed
+    # roundoff: an ulp in each of the n terms, added as a random walk
+    err = (np.abs(fine - coarse) + math.sqrt(len(w)) * np.finfo(float).eps
+           * (np.abs(fw).sum(axis=-1) / rows[:, 0] + np.abs(closed))
+           + np.abs(f[:, 0]) * p[:, 0] / (1.0 + c))
+    if om.ndim == 0:
+        return float(value[0]), float(err[0])
+    return value, err
 
 
 def root_itp(g, lo, hi, glo, ghi, tol=1e-12):

@@ -151,6 +151,30 @@ def test_wavefunction_json_fractional_verified(tmp_path):
         assert row["phi_quadrature"] > 0
 
 
+def test_wavefunction_large_kappa_rows(tmp_path):
+    # alpha=2, lam=1, gamma=100: phi(x) = sqrt(50) e^(-50 x) with
+    # amplitude 2 pi sqrt(50); rows past x = 0.5 sit below the rule's
+    # absolute floor and are not judged
+    code, path = run(tmp_path, "--mode", "wavefunction", "--alpha", "2",
+                     "--lambda", "1", "--gamma", "100", "--x-min", "0",
+                     "--x-max", "1", "--x-steps", "11", "--format", "csv",
+                     out="w.csv")
+    assert code == 0
+    comments, rows = read_csv(path)
+    meta = dict(c.lstrip("# ").split(" = ") for c in comments)
+    root = math.sqrt(50.0)
+    assert float(meta["normalization"]) == pytest.approx(2.0 * math.pi * root,
+                                                         rel=1e-10)
+    assert float(rows[0]["phi_quadrature"]) == pytest.approx(root, rel=1e-10)
+    for r in rows:
+        x, phi = float(r["x"]), float(r["phi_quadrature"])
+        if x <= 0.3:
+            assert phi == pytest.approx(root * math.exp(-50.0 * x), rel=1e-6)
+    mid = float(rows[5]["phi_quadrature"])
+    assert float(rows[5]["x"]) == 0.5
+    assert mid > 0 and mid == pytest.approx(root * math.exp(-25.0), rel=1e-3)
+
+
 def test_wavefunction_byte_deterministic(tmp_path):
     args = ["--mode", "wavefunction", "--alpha", "1.8", "--lambda", "0.5",
             "--x-min", "0", "--x-max", "4", "--x-steps", "6",

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate as si
+import scipy.special as sp
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
@@ -227,7 +229,31 @@ def test_position_wavefunction_quadrature_on_arrays(monkeypatch):
                         lambda *a: calls.append(a[2]) or integral(*a))
     got = dw.position_wavefunction_quadrature(st, cfg, xs)
     assert got.shape == xs.shape and np.array_equal(got, want)
-    assert sorted(calls) == [0.0, 0.5, 1.0]   # each |x| integrated once
+    # one call on the distinct |x|, each integrated once
+    assert len(calls) == 1 and np.array_equal(calls[0], [0.0, 0.5, 1.0])
+
+
+def test_cosine_profile_integral_error_estimate_at_large_kappa():
+    # alpha=2, lam=1, gamma=100: kappa = 50 and the integral is
+    # (pi/(2 D kappa)) e^(-kappa x), down to 6e-24 at x = 1
+    cfg = PotentialConfig(alpha=2.0, lam=1.0, gamma_strength=100.0)
+    st = dw.energy_closed_form(cfg)
+    xs = np.arange(1, 11) / 10.0
+    v, e = dw.cosine_profile_integral(st, cfg, xs)
+    exact = math.pi / (2.0 * cfg.d_alpha * st.kappa) * np.exp(-st.kappa * xs)
+    assert np.all(np.abs(v - exact) <= e)
+
+
+@pytest.mark.parametrize("alpha,lam", [(1.5, 0.02), (1.2, 0.01)])
+def test_quadrature_route_at_small_lam(alpha, lam):
+    # the q^(lam-1) mass at 0 is taken out in closed form, so small lam
+    # costs no accuracy
+    cfg = PotentialConfig(alpha=alpha, lam=lam)
+    state = dw.energy_closed_form(cfg)
+    xs = np.linspace(0.25, 4.0, 16) / state.kappa
+    want, _ = dw.position_wavefunction_hfox(state, cfg, xs)
+    got = dw.position_wavefunction_quadrature(state, cfg, xs)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-8
 
 
 def test_normalize_classical_matches_textbook():
@@ -238,6 +264,28 @@ def test_normalize_classical_matches_textbook():
         got = dw.position_wavefunction_quadrature(st, cfg, x)
         assert_allclose(got, math.sqrt(kap) * math.exp(-kap * abs(x)),
                         rtol=1e-7)
+
+
+@pytest.mark.parametrize("alpha,lam", [(2.0, 1.0), (1.5, 0.8), (1.2, 0.3),
+                                       (1.05, 1.0)])
+def test_normalize_matches_mellin_parseval(alpha, lam):
+    # int_0^inf I(y)^2 y^(lam-1) dy = (1/pi) int_0^inf |M(lam/2 + it)|^2 dt,
+    # M(s) = Gamma(s) cos(pi s/2) (pi/alpha) / sin(pi (lam - s)/alpha) the
+    # Mellin transform of I; at (1.05, 1) kappa = 1.3e16
+    def mellin_sq(t):
+        s = lam / 2 + 1j * t
+        return abs(sp.gamma(s) * np.cos(np.pi * s / 2) * (np.pi / alpha)
+                   / np.sin(np.pi * (lam - s) / alpha)) ** 2
+
+    cfg = PotentialConfig(alpha=alpha, lam=lam)
+    st = dw.energy_closed_form(cfg)
+    j = si.quad(mellin_sq, 0.0, 40.0, limit=400, epsabs=0.0,
+                epsrel=1e-12)[0] / np.pi
+    pref = (dw._position_prefactor(st, cfg)
+            * (st.kappa * cfg.hbar) ** lam / -st.energy)
+    nrm2 = 2.0 * cfg.dim.weight_norm * pref ** 2 * st.kappa ** -lam * j
+    assert_allclose(dw.normalize(st, cfg).amplitude, 1.0 / math.sqrt(nrm2),
+                    rtol=1e-6)
 
 
 def test_normalize_idempotent():
@@ -328,7 +376,7 @@ def test_profile_closed_value_at_origin(alpha, lam, gamma, d, hbar):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(alpha=st.floats(1.01, 2.0), lam=st.floats(0.05, 1.0),
+@given(alpha=st.floats(1.01, 2.0), lam=st.floats(0.01, 1.0),
        ks=st.lists(st.floats(0.25, 4.0), min_size=1, max_size=6))
 def test_hfox_route_matches_quadrature(alpha, lam, ks):
     # kappa x in [0.25, 4]: both routes must give the same values

@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 import scipy.integrate as si
 
-import fracwell.quadrature as quad
 from fracwell.quadrature import (
     NoBracket,
     NonDecaying,
@@ -139,35 +138,50 @@ def test_oscillatory_rejects_bad_kernel():
         integrate_oscillatory(lambda p: np.exp(-p), 1.0, kernel="tan")
 
 
-def _repeated_averaging(partial):
-    # the triangle of pairwise averages that _euler_accelerate sums in
-    # closed form; spread is the last averaging step
-    row = list(partial)
-    spread = abs(row[-1] - row[-2])
-    while len(row) > 1:
-        row = [0.5 * (row[i] + row[i + 1]) for i in range(len(row) - 1)]
-        if len(row) > 1:
-            spread = abs(row[-1] - row[-2])
-    return row[0], spread
+def test_oscillatory_growing_envelope_is_non_decaying():
+    # finite at every node, so only the explicit guard can catch it
+    with pytest.raises(NonDecaying):
+        integrate_oscillatory(lambda p: np.exp(0.5 * p), 1.0)
 
 
-def test_euler_weights_match_repeated_averaging():
-    # partial sums of alternating series with decaying terms, 2 to 24 of
-    # them (the window), at magnitudes from 1e-6 to 1e3 around offsets
-    # from 1e-3 to 1e3.  The two sums round differently: allow 4 ulps of
-    # the largest partial sum
-    rng = np.random.default_rng(2718)
-    for _ in range(5000):
-        n = int(rng.integers(2, 25))
-        mags = np.sort(rng.uniform(0.0, 1.0, n - 1))[::-1] * 10.0 ** rng.uniform(-6, 3)
-        steps = mags * (-1.0) ** np.arange(n - 1)
-        p = list(rng.normal() * 10.0 ** rng.uniform(-3, 3)
-                 + np.concatenate([[0.0], np.cumsum(steps)]))
-        got, got_spread = quad._euler_accelerate(p)
-        want, want_spread = _repeated_averaging(p)
-        bound = 4.0 * np.finfo(float).eps * max(abs(x) for x in p)
-        assert abs(got - want) <= bound, p
-        assert abs(got_spread - want_spread) <= bound, p
+@pytest.mark.parametrize("kernel", ["cos", "sin"])
+@pytest.mark.parametrize("power", [0.0, -0.7])
+def test_oscillatory_array_omega_matches_scalar_calls(kernel, power):
+    # one call over a grid returns each row's scalar result bit for bit
+    omegas = np.array([0.02, 0.3, 1.0, 2.5, 7.0, 40.0, 900.0])
+
+    def env(p):
+        return p ** power / (1.0 + p * p)
+
+    v, e = integrate_oscillatory(env, omegas, kernel=kernel,
+                                 singularity_power=power)
+    one = [integrate_oscillatory(env, float(w), kernel=kernel,
+                                 singularity_power=power) for w in omegas]
+    assert isinstance(one[0][0], float) and v.shape == e.shape == omegas.shape
+    assert np.array_equal(v, [x for x, _ in one])
+    assert np.array_equal(e, [x for _, x in one])
+
+
+@pytest.mark.parametrize("kernel, env, exact, power", [
+    ("cos", lambda p: np.exp(-p), lambda w: 1.0 / (1.0 + w * w), 0.0),
+    ("sin", lambda p: np.exp(-p), lambda w: w / (1.0 + w * w), 0.0),
+    ("cos", lambda p: 1.0 / (1.0 + p * p), lambda w: 0.5 * math.pi * math.exp(-w), 0.0),
+    ("sin", lambda p: p / (1.0 + p * p), lambda w: 0.5 * math.pi * math.exp(-w), 0.0),
+    ("cos", lambda p: np.exp(-p * p),
+     lambda w: 0.5 * math.sqrt(math.pi) * math.exp(-w * w / 4), 0.0),
+    # Gamma(1+c) Re / Im (1 - i w)^-(1+c), c = -1/2
+    ("cos", lambda p: np.exp(-p) / np.sqrt(p),
+     lambda w: (math.sqrt(math.pi) * (1 - 1j * w) ** -0.5).real, -0.5),
+    ("sin", lambda p: np.exp(-p) / np.sqrt(p),
+     lambda w: (math.sqrt(math.pi) * (1 - 1j * w) ** -0.5).imag, -0.5),
+])
+def test_oscillatory_error_estimate_covers_error(kernel, env, exact, power):
+    omegas = np.geomspace(0.01, 100.0, 25)
+    v, e = integrate_oscillatory(env, omegas, kernel=kernel,
+                                 singularity_power=power)
+    want = np.array([exact(w) for w in omegas])
+    assert np.all(np.abs(v - want) <= e)
+    assert np.all(np.abs(v - want) <= 1e-13)
 
 
 # ------------------------------------------------------------- root finding
