@@ -1,14 +1,15 @@
 """A short tour of the H-function engine on instances with known values.
 
 H^{1,0}_{0,1}[z | (0,1)] is e^{-z}; H^{1,1}_{1,1}[z | (0,1);(0,1)] is
-1/(1+z).  Both evaluators (residue series, Mellin-Barnes contour) are
-run side by side, then the Mellin transform of each instance is checked
+1/(1+z).  eval_auto (the residue series, with the Mellin-Barnes contour
+as its fallback) runs beside the contour alone, and reports which of the
+two answered; then the Mellin transform of each instance is checked
 against direct quadrature.
 """
 
 import math
 
-from fracwell import HFoxParams, eval_contour, eval_series, mellin, mellin_numeric_check
+from fracwell import HFoxParams, eval_auto, eval_contour, mellin, mellin_numeric_check
 
 EXP = HFoxParams(m=1, n=0, upper=(), lower=((0.0, 1.0),))
 RAT = HFoxParams(m=1, n=1, upper=((0.0, 1.0),), lower=((0.0, 1.0),))
@@ -17,18 +18,21 @@ RAT = HFoxParams(m=1, n=1, upper=((0.0, 1.0),), lower=((0.0, 1.0),))
 def main():
     print("exponential instance (the alternating series cancels at large z;")
     print("the contour's line moves with z and keeps relative accuracy)")
-    print(f"{'z':>6} {'series':>20} {'contour':>20} {'e^-z':>20}")
+    print(f"{'z':>6} {'eval_auto':>20} {'method':>8} {'contour':>20} {'e^-z':>20}")
     for z in (0.3, 1.0, 3.0, 20.0, 100.0):
-        s = eval_series(EXP, z)
+        a = eval_auto(EXP, z)
         c = eval_contour(EXP, z)
-        print(f"{z:6.1f} {s.value:20.13e} {c.value:20.13e} {math.exp(-z):20.13e}")
+        print(f"{z:6.1f} {a.value:20.13e} {a.method:>8} {c.value:20.13e} "
+              f"{math.exp(-z):20.13e}")
 
     print("\nrational instance (series switches to the 1/z expansion past z=1;")
     print("a guard annulus around |z|=1 is refused and left to the contour)")
-    print(f"{'z':>6} {'series':>20} {'1/(1+z)':>20} {'terms':>6}")
-    for z in (0.3, 0.7, 1.26, 5.0):
-        s = eval_series(RAT, z)
-        print(f"{z:6.2f} {s.value:20.14f} {1 / (1 + z):20.14f} {s.terms:6d}")
+    print(f"{'z':>6} {'eval_auto':>20} {'method':>8} {'contour':>20} {'1/(1+z)':>20}")
+    for z in (0.3, 0.7, 1.0, 1.26, 5.0):
+        a = eval_auto(RAT, z)
+        c = eval_contour(RAT, z)
+        print(f"{z:6.2f} {a.value:20.14f} {a.method:>8} {c.value:20.14f} "
+              f"{1 / (1 + z):20.14f}")
 
     print("\nMellin transforms: gamma products vs direct quadrature")
     for params, name, pts in ((EXP, "exp", (0.5, 1.0, 2.5)),

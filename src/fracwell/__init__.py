@@ -6,8 +6,8 @@ The package has four numerical layers plus a command line front end:
   finding.  Every closed form in the package is cross-checked against
   this layer, so it stays deliberately independent of the rest.
 - ``gammafn`` / ``hfox``: complex gamma kernel and a Fox H-function
-  engine (residue series, Mellin-Barnes contour, Mellin transform,
-  parameter algebra).
+  engine (residue series with a Mellin-Barnes contour fallback behind
+  eval_auto, Mellin transform, parameter algebra).
 - ``measure``: the fractional measure d^lam(x), its delta family,
   Fourier transforms and convolution.
 - ``deltawell``: the spectral problem itself; closed-form energy, an
@@ -27,11 +27,8 @@ from .quadrature import (
 )
 from .hfox import (
     HFoxParams,
-    ConvergenceProfile,
     EvalOutcome,
     validate,
-    convergence_profile,
-    eval_series,
     eval_contour,
     eval_auto,
     mellin,
@@ -76,8 +73,7 @@ __all__ = [
     "NumericalFailure", "QuadSpec", "QuadFailure", "NonIntegrable",
     "NonDecaying", "NoBracket", "integrate_adaptive", "integrate_oscillatory",
     "root_itp",
-    "HFoxParams", "ConvergenceProfile", "EvalOutcome", "validate",
-    "convergence_profile", "eval_series", "eval_contour", "eval_auto",
+    "HFoxParams", "EvalOutcome", "validate", "eval_contour", "eval_auto",
     "mellin", "mellin_numeric_check", "rescale_power", "cancel_pairs",
     "cosine_transform", "cosine_transform_check",
     "MeasureDim", "DeltaFamily", "SingularPoint", "weight", "integrate",

@@ -286,7 +286,7 @@ def cosine_profile_integral(state, cfg, x, spec=QuadSpec()):
             return np.power(q, lam - 1.0) / (np.power(q, a) + 1.0)
 
         scale = (state.kappa * cfg.hbar) ** lam / -state.energy
-        v, e = integrate_oscillatory(envelope, y[~zero], spec,
+        v, e = integrate_oscillatory(envelope, y[~zero],
                                      singularity_power=lam - 1.0)
         value[~zero] = scale * v
         err[~zero] = scale * e

@@ -1,6 +1,6 @@
-"""Fox H-function engine: residue series and Mellin-Barnes contour behind
-one dispatcher (_evaluate), Mellin transform, and the parameter algebra
-(argument rescaling, pair cancellation, cosine transform).
+"""Fox H-function engine: one way to an H value (the dispatcher _evaluate
+behind eval_auto), Mellin transform, and the parameter algebra (argument
+rescaling, pair cancellation, cosine transform).
 
 Conventions
 -----------
@@ -23,11 +23,14 @@ enforced by the test suite against the quadrature oracle.
 
 Pole families: Gamma(b_j + B_j s), j <= m, contributes the left set
 s = -(b_j + k)/B_j; Gamma(1 - a_j - A_j s), j <= n, the right set
-s = (1 - a_j + k)/A_j.  The residue series over the left set gives the
-ascending expansion; when it converges only inside |w| < radius, the
-engine continues it through the inversion identity
+s = (1 - a_j + k)/A_j.  _evaluate first sums the residue series over
+the left set, the ascending expansion; where it converges only inside
+|w| < radius, it continues it through the inversion identity
 
     H^{m,n}_{p,q}[w | (a,A); (b,B)] = H^{n,m}_{q,p}[1/w | (1-b,B); (1-a,A)].
+
+What the series cannot sum or does not pass goes to the contour (see
+_evaluate); eval_contour is the contour alone.
 
 The contour takes H(w) = (1/pi) int_0^inf Re[h(c + it) w^{-c-it}] dt on
 a line Re s = c between the families by the trapezoid rule on nodes
@@ -53,22 +56,16 @@ from .quadrature import (TAIL_CUTOFF, NumericalFailure, QuadFailure, QuadSpec,
 __all__ = [
     "COINCIDENCE_TOL",
     "HFoxParams",
-    "ConvergenceProfile",
     "EvalOutcome",
     "ValidationReport",
     "CosineTransform",
     "MellinCheck",
     "CosineTransformCheck",
-    "NonSimplePoles",
-    "SeriesDiverged",
-    "OutOfRegion",
     "NoSeparatingContour",
     "OutOfStrip",
     "NoMatchingPair",
     "StripViolation",
     "validate",
-    "convergence_profile",
-    "eval_series",
     "eval_contour",
     "eval_auto",
     "mellin",
@@ -87,18 +84,6 @@ _MAX_TERMS = 512      # residue series term budget
 _LOG_FACT = np.array([math.lgamma(k + 1) for k in range(_MAX_TERMS)])
 _TERM_BLOCK = 16      # residue terms per (k, w) array: 3 of them at 1984 w < 1 MB
 _BLOCK = 2 ** 18      # largest temporary of the contour's (w x node) products
-
-
-class NonSimplePoles(NumericalFailure):
-    """Two series poles coincide; the plain residue formula is invalid."""
-
-
-class SeriesDiverged(NumericalFailure):
-    """Residue terms failed to decay within the term budget."""
-
-
-class OutOfRegion(NumericalFailure):
-    """The argument sits where neither residue series converges."""
 
 
 class NoSeparatingContour(NumericalFailure):
@@ -153,22 +138,10 @@ class ValidationReport:
 
 
 @dataclass(frozen=True)
-class ConvergenceProfile:
-    """delta: contour decay exponent; mu: series growth exponent;
-    series_radius: where the left residue series converges (inf when
-    mu > 0, the finite radius when mu == 0, 0.0 when mu < 0)."""
-
-    delta: float
-    mu: float
-    series_radius: float
-
-
-@dataclass(frozen=True)
 class EvalOutcome:
     value: float
     err_est: float
     method: str
-    terms: int = 0
 
 
 @dataclass(frozen=True)
@@ -276,21 +249,17 @@ def _poles_beyond(c, d, bound, cap=4096):
     return out
 
 
-def convergence_profile(params):
+def _radius(params):
+    """Where the left residue series converges: inf when mu = sum(B) -
+    sum(A) > 0, 0.0 when mu < 0, prod B^B / prod A^A when mu == 0."""
     _, d, e = _factors(params)
-    delta = float(np.sum(e * np.abs(d)))
     mu = float(np.sum(e * d))   # sum(B) - sum(A)
-    A = [A for _, A in params.upper]
-    B = [B for _, B in params.lower]
-    log_beta = sum(b * math.log(b) for b in B) - sum(a * math.log(a) for a in A)
-    beta = math.exp(log_beta)
     if mu > COINCIDENCE_TOL:
-        radius = math.inf
-    elif mu < -COINCIDENCE_TOL:
-        radius = 0.0
-    else:
-        radius = beta
-    return ConvergenceProfile(delta=delta, mu=mu, series_radius=radius)
+        return math.inf
+    if mu < -COINCIDENCE_TOL:
+        return 0.0
+    return math.exp(sum(B * math.log(B) for _, B in params.lower)
+                    - sum(A * math.log(A) for _, A in params.upper))
 
 
 def _swap(params):
@@ -306,37 +275,34 @@ def _swap(params):
 
 # --- residue series -------------------------------------------------------
 
-def _series_core(params, w, raise_on_exhaust=True):
-    """Left-pole residue series at scaled arguments w (positive ndarray).
+def _series_core(params, w):
+    """Left-pole residue series at scaled arguments w (positive ndarray):
+    (values, err_ests).
 
     Caller guarantees the series converges for every element in exact
     arithmetic.  Floating point is another matter: at large w the
     alternating terms overflow or cancel catastrophically before the
-    factorial decay wins.  Elements that go non-finite are frozen and
-    come back with err_est = inf; the roundoff term 2e-16 * max|term|
-    reports the cancellation loss on the rest.  Returns
-    (values, err_ests, terms_used).
+    factorial decay wins.  The roundoff term 2e-16 * max|term| reports
+    the cancellation loss.  An element the series cannot sum comes back
+    nan with err_est inf: one whose sum went non-finite, and every
+    element when the block has no left family (m = 0), when the sum
+    reaches a left pole that is also a pole of another numerator gamma
+    (a pole of higher order, outside the simple-residue formula), or
+    when the term budget runs out.
     """
     m = params.m
+    w = np.asarray(w, dtype=float)
+    failed = np.full_like(w, np.nan), np.full_like(w, np.inf)
     if m == 0:
-        raise OutOfRegion("no left pole family; the residue series is empty")
+        return failed
     c, d, e = _factors(params)   # rows j < m are the left families (b_j, B_j)
     ks = np.arange(_MAX_TERMS)
     power = (c[:m, None] + ks) / d[:m, None]   # left pole k of family j: -power[j, k]
 
-    # coincidence scan over the truncation horizon
-    if m > 1:
-        sp = np.sort(-power.ravel())
-        gaps = np.diff(sp)
-        if np.any(gaps < COINCIDENCE_TOL * np.maximum(1.0, np.abs(sp[:-1]))):
-            raise NonSimplePoles(
-                "coinciding left poles within the truncation horizon; "
-                "reduce the parameter block (pair cancellation) first")
-
     # residue of family j at pole k: sign * exp(logabs + power * log w),
     # the other factors' gammas taken in one call over the horizon.  A
     # vanishing reciprocal gamma leaves sign = 0 (the term is zero); a
-    # numerator pole makes the poles non-simple once the sum reaches it
+    # numerator pole there, left or right, is the clash
     logabs = np.array([-_LOG_FACT - math.log(B) for B in d[:m]])
     sign = np.tile((-1.0) ** ks, (m, 1))
     clash = _MAX_TERMS
@@ -352,14 +318,12 @@ def _series_core(params, w, raise_on_exhaust=True):
 
     # _TERM_BLOCK poles at a time as one (k, w) array: cumsum carries the
     # running sum as a term-by-term loop would; the stopping rule runs per k
-    w = np.asarray(w, dtype=float)
     logw = np.log(w)
     acc = np.zeros_like(w)
     max_mag = np.zeros_like(w)
     live = np.ones_like(w, dtype=bool)
     tail_small = 0
     prev_norms = []
-    kused = _MAX_TERMS
     exhausted = True
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for k0 in range(0, _MAX_TERMS, _TERM_BLOCK):
@@ -383,8 +347,7 @@ def _series_core(params, w, raise_on_exhaust=True):
             scales = np.maximum(1.0, run_mag.max(axis=1))
             for row, k in enumerate(range(k0, k0 + len(norms))):
                 if k == clash:
-                    raise NonSimplePoles(
-                        f"a numerator gamma has a pole at left pole k={k}")
+                    return failed
                 stop = row + 1
                 if not alive[row].any():   # every sum went non-finite
                     break
@@ -394,7 +357,6 @@ def _series_core(params, w, raise_on_exhaust=True):
                     recent = [x for x in prev_norms[-5:] if x > 0.0]
                     ratios = [recent[i + 1] / recent[i] for i in range(len(recent) - 1)]
                     if (max(ratios) if ratios else 0.0) < 0.9:
-                        kused = k + 1
                         exhausted = False
                         break
             acc, live = run[stop - 1].copy(), alive[stop - 1]
@@ -402,21 +364,10 @@ def _series_core(params, w, raise_on_exhaust=True):
             if not (exhausted and live.any()):
                 break
 
-    if exhausted and np.any(live) and raise_on_exhaust:
-        recent = prev_norms[-8:]
-        if len(recent) >= 2 and recent[-1] > recent[0]:
-            raise SeriesDiverged(
-                f"series terms growing after {_MAX_TERMS} terms "
-                f"(last {recent[-1]:.3e})")
-        raise SeriesDiverged(f"series not converged within {_MAX_TERMS} terms")
-
-    tail = prev_norms[-1] * (0.9 / 0.1) if prev_norms else 0.0
-    errs = np.full_like(w, tail) + 2e-16 * max_mag
-    if exhausted and np.any(live):
-        errs = np.where(live, np.inf, errs)
-    errs = np.where(live, errs, np.inf)
-    acc = np.where(live, acc, np.nan)
-    return acc, errs, kused
+    if exhausted:
+        return failed
+    err = prev_norms[-1] * (0.9 / 0.1) + 2e-16 * max_mag   # tail + roundoff
+    return np.where(live, acc, np.nan), np.where(live, err, np.inf)
 
 
 def _regions(params, w):
@@ -425,22 +376,18 @@ def _regions(params, w):
     The direct series serves w inside 0.8 of the series radius, the
     inversion identity w beyond 1.25 of it; the borderline annulus
     between the two (where both masks are False) is left to the contour.
-    The radius is inf for mu > 0 and 0 for mu < 0, so one family then
-    serves every w.
     """
-    radius = convergence_profile(params).series_radius
+    radius = _radius(params)
     return w <= 0.8 * radius, w >= 1.25 * radius
 
 
-def _series(params, z, strict):
+def _series(params, z):
     """Residue series at positive z (1-d ndarray), each scaled argument
-    w = arg_scale * z in its own region (see _regions).
-
-    Returns (values, err_ests, terms, bands), bands holding the (block,
-    argument, mask) of the direct series, of the inverted one (the
-    swapped block at 1/w) and of the annulus (no series; nan, err inf).
-    strict raises the series' failures; otherwise a band whose series
-    cannot be formed is left nan with err inf for the caller's fallback.
+    w = arg_scale * z in its own region (see _regions): (values,
+    err_ests, bands), nan with err_est inf where there is no series value
+    (see _series_core).  bands holds the (block, argument, mask) of the
+    direct series, of the inverted one (the swapped block at 1/w) and of
+    the annulus (no series).
     """
     _require_valid(params)
     if not np.all(z > 0):
@@ -451,44 +398,10 @@ def _series(params, z, strict):
     bands = ((base, w, direct), (_swap(base), 1.0 / w, inverted),
              (base, w, ~direct & ~inverted))
     vals, errs = np.full_like(w, np.nan), np.full_like(w, np.inf)
-    terms = 0
     for block, arg, mask in bands[:2]:
-        if not np.any(mask):
-            continue
-        try:
-            vals[mask], errs[mask], k = _series_core(
-                block, arg[mask], raise_on_exhaust=strict)
-        except (NonSimplePoles, OutOfRegion):
-            if strict:
-                raise
-            continue
-        terms = max(terms, k)
-    return vals, errs, terms, bands
-
-
-def eval_series(params, z):
-    """Residue-series value of H[arg_scale * z] at scalar z > 0.
-
-    Converges inside the profile's region; arguments beyond the series
-    radius are continued through the inversion identity.  In the
-    borderline annulus around the radius OutOfRegion is raised and the
-    caller should fall back to eval_contour.  err_est combines the
-    geometric tail bound with a roundoff term from the largest summand
-    (alternating series with large arguments lose digits to
-    cancellation; the estimate reports that honestly).
-    """
-    vals, errs, k, bands = _series(params, np.array([float(z)]), strict=True)
-    w = bands[0][1]
-    if bands[2][2][0]:
-        raise OutOfRegion(
-            f"argument {w[0]} lies in the borderline annulus around the series "
-            f"radius {convergence_profile(params).series_radius}; use eval_contour")
-    if not np.isfinite(vals[0]):
-        raise SeriesDiverged(
-            f"series overflowed in floating point at scaled argument {w[0]}; "
-            "use eval_contour")
-    return EvalOutcome(value=float(vals[0]), err_est=float(errs[0]),
-                       method="series", terms=k)
+        if np.any(mask):
+            vals[mask], errs[mask] = _series_core(block, arg[mask])
+    return vals, errs, bands
 
 
 # --- contour --------------------------------------------------------------
@@ -545,10 +458,12 @@ def _contour(params, w, quad):
     The trapezoid rule of the module docstring on each line of
     _contour_position.  t_max doubles, at most 8 times, until |h| at
     t_max is TAIL_CUTOFF e^-5 below its t = 0 value; h halves, at most 10
-    times, until |T_h - T_2h| <= max(abs_tol, rel_tol |T_h|) for every
-    argument on the line.
+    times, until every argument on the line has |T_h - T_2h| <=
+    max(abs_tol, rel_tol |T_h|) or is down to its own rounding term, which
+    no finer h improves (such an argument keeps err_est inf).
     """
-    delta = convergence_profile(params).delta
+    _, d, e = _factors(params)
+    delta = float(np.sum(e * np.abs(d)))
     if delta <= 0:
         raise QuadFailure(f"contour integrand does not decay (delta = {delta})")
     logw, cpos = np.log(w), _contour_position(params, w)
@@ -582,10 +497,11 @@ def _contour(params, w, quad):
             amp = np.exp(scale[:, 0]) / math.pi
             diff = amp * np.abs(h * tot - coarse)
             ok = diff <= np.maximum(quad.abs_tol, quad.rel_tol * amp * np.abs(h * tot))
-            if level and np.all(ok):
+            rounding = amp * 2.3e-16 * h * mag
+            if level and np.all(ok | (diff <= rounding)):
                 break
         vals[on] = amp * h * tot
-        errs[on] = np.where(ok, diff + amp * 2.3e-16 * h * mag, np.inf)
+        errs[on] = np.where(ok, diff + rounding, np.inf)
     return vals, errs
 
 
@@ -606,13 +522,14 @@ def _evaluate(params, z, quad):
     """The one H-value dispatcher: (values, err_ests, from_series) at
     positive z of any shape, each element in its region (see _series).
 
-    A series value stands when finite with err_est <= max(5e-14, 1e-8
-    |value|).  The other elements of each band go to one _contour call on
-    the band's own block.  Where the contour did not settle or cannot be
-    taken, a finite series value is kept; otherwise the failure is raised.
+    The residue series goes first; its value stands when finite with
+    err_est <= max(5e-14, 1e-8 |value|).  The other elements of each band
+    go to one _contour call on the band's own block.  Where the contour
+    did not settle or cannot be taken, a series value with a finite
+    err_est is kept; otherwise the failure is raised.
     """
     z = np.asarray(z, dtype=float)
-    vals, errs, _, bands = _series(params, z.reshape(-1), strict=False)
+    vals, errs, bands = _series(params, z.reshape(-1))
     series = np.isfinite(vals) & (errs <= np.maximum(5e-14, 1e-8 * np.abs(vals)))
     for block, arg, band in bands:
         idx = np.flatnonzero(band & ~series)
@@ -843,7 +760,7 @@ def cosine_transform_check(params, k, s, mu, quad=QuadSpec()):
     def envelope(p):
         return p ** (s - 1.0) * _evaluate(params, p ** mu, quad)[0]
 
-    lhs, _ = integrate_oscillatory(envelope, k, quad, singularity_power=lead)
+    lhs, _ = integrate_oscillatory(envelope, k, singularity_power=lead)
 
     reduced = reduce_fully(ct.params)
     rhs = ct.multiplier * eval_auto(reduced, ct.argument, quad).value

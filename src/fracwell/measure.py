@@ -151,7 +151,7 @@ def sift(dim, f, epsilon, quad=QuadSpec()):
     return value, bias + qerr
 
 
-def _half_line_oscillatory(dim, f, k, quad):
+def _half_line_oscillatory(dim, f, k):
     """(re, im, err) of the full-line weighted integral of f(x) e^{ikx},
     k != 0, folded onto [0, inf)."""
     lam = dim.lam
@@ -164,10 +164,9 @@ def _half_line_oscillatory(dim, f, k, quad):
     def odd_env(p):
         return p ** (lam - 1.0) * (f(p) - f(-p))
 
-    re, re_err = integrate_oscillatory(even_env, w, quad,
-                                       singularity_power=lam - 1.0)
-    im, im_err = integrate_oscillatory(odd_env, w, quad,
-                                       singularity_power=lam - 1.0, kernel="sin")
+    re, re_err = integrate_oscillatory(even_env, w, singularity_power=lam - 1.0)
+    im, im_err = integrate_oscillatory(odd_env, w, singularity_power=lam - 1.0,
+                                       kernel="sin")
     sign = 1.0 if k > 0 else -1.0
     return N * re, sign * N * im, N * (re_err + im_err)
 
@@ -182,7 +181,7 @@ def fourier_forward(dim, f, k, quad=QuadSpec()):
     if k == 0.0:
         v, e = integrate(dim, f, (-np.inf, np.inf), quad)
         return complex(v, 0.0), e
-    re, im, err = _half_line_oscillatory(dim, f, k, quad)
+    re, im, err = _half_line_oscillatory(dim, f, k)
     return complex(re, im), err
 
 

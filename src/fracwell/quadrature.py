@@ -241,8 +241,8 @@ _DE_TABLES = {k: (_de_table(_DE_STEP, k), _de_table(2.0 * _DE_STEP, k))
               for k in ("cos", "sin")}
 
 
-def integrate_oscillatory(envelope, omega, spec=QuadSpec(), *,
-                          singularity_power=0.0, kernel="cos"):
+def integrate_oscillatory(envelope, omega, *, singularity_power=0.0,
+                          kernel="cos"):
     """Integrate kernel(omega*p) * envelope(p) over p in [0, inf), kernel
     being cos (default) or sin, by the Ooura-Mori rule.
 
@@ -254,7 +254,7 @@ def integrate_oscillatory(envelope, omega, spec=QuadSpec(), *,
     the smallest node, and its transform g0 Gamma(1+c) (sqrt(2) omega)^-(1+c)
     cos or sin(pi (1+c)/4) added back.  The error estimate is the gap to the
     rule with twice the step, plus roundoff and the mass below the smallest
-    node; the rule is fixed, so spec does not enter.  Returns (value, err).
+    node; the rule is fixed, so no QuadSpec enters.  Returns (value, err).
     """
     om = np.asarray(omega, dtype=float)
     if om.ndim > 1 or not np.all(om > 0):

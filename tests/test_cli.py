@@ -111,8 +111,7 @@ def test_energy_kappa_out_of_double_range_exits_3(capsys):
 
 @pytest.mark.parametrize("cls", [
     quadrature.QuadFailure, quadrature.NonIntegrable, quadrature.NonDecaying,
-    quadrature.NoBracket, deltawell.BracketFailure, hfox.NonSimplePoles,
-    hfox.SeriesDiverged, hfox.OutOfRegion, hfox.NoSeparatingContour,
+    quadrature.NoBracket, deltawell.BracketFailure, hfox.NoSeparatingContour,
 ], ids=lambda cls: cls.__name__)
 def test_convergence_failures_share_one_base(cls):
     # the CLI maps NumericalFailure to exit code 3

@@ -11,14 +11,14 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("demo", [
-    "energy_scan.py", "cli_tour.py", "hfox_playground.py", "reduction_chain.py",
+    "energy_scan.py", "hfox_playground.py", "reduction_chain.py",
     "classical_limit.py", "delta_family.py", "wavefunction_profiles.py",
 ])
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    # cli_tour writes into ./cli_out, so run it in a scratch directory
+    # each demo runs in a scratch directory, so none leaves files behind
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
                           cwd=tmp_path, env=env, capture_output=True,
                           text=True, timeout=300)

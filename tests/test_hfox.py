@@ -50,55 +50,72 @@ def test_validate_rejects_order_overflow():
 
 # ----------------------------------------------------------------- series
 
+def _series_value(params, z):
+    # (value, err_est) of the dispatcher at one argument, which the
+    # residue series must have answered
+    vals, errs, from_series = hf._evaluate(params, np.array([z]), QuadSpec())
+    assert from_series[0]
+    return vals[0], errs[0]
+
+
+def _assert_series_refused(params, z):
+    # the series leaves nan with err_est inf, and eval_auto returns the
+    # contour's value
+    vals, errs, _ = hf._series(params, np.array([z]))
+    assert np.isnan(vals[0]) and errs[0] == math.inf
+    out = hf.eval_auto(params, z)
+    assert out.method == "contour"
+    assert out.value == hf.eval_contour(params, z).value
+
+
 @pytest.mark.parametrize("z", [0.1, 1.0, 5.0])
 def test_series_exponential(z):
     # alternating sum loses ~2 digits to cancellation by z=5
-    out = hf.eval_series(EXP, z)
-    assert_allclose(out.value, math.exp(-z), rtol=1e-11)
+    value, _ = _series_value(EXP, z)
+    assert_allclose(value, math.exp(-z), rtol=1e-11)
 
 
 def test_series_exponential_tiny_argument():
-    out = hf.eval_series(EXP, 1e-12)
-    assert_allclose(out.value, 1.0, rtol=1e-11)
+    value, _ = _series_value(EXP, 1e-12)
+    assert_allclose(value, 1.0, rtol=1e-11)
 
 
 @pytest.mark.parametrize("z", [0.3, 0.79])
 def test_series_rational_inside_radius(z):
-    out = hf.eval_series(RAT, z)
-    assert_allclose(out.value, 1.0 / (1.0 + z), rtol=1e-12)
+    value, _ = _series_value(RAT, z)
+    assert_allclose(value, 1.0 / (1.0 + z), rtol=1e-12)
 
 
 @pytest.mark.parametrize("z", [1.26, 3.0])
 def test_series_rational_outside_radius_inverted(z):
     # |z| > 1 goes through the right-pole expansion in 1/z
-    out = hf.eval_series(RAT, z)
-    assert_allclose(out.value, 1.0 / (1.0 + z), rtol=1e-12)
+    value, _ = _series_value(RAT, z)
+    assert_allclose(value, 1.0 / (1.0 + z), rtol=1e-12)
 
 
 def test_series_exponential_far_argument_diverges():
     # exp(-800): the alternating terms overflow before they decay
-    with pytest.raises(hf.SeriesDiverged):
-        hf.eval_series(EXP, 800.0)
+    _assert_series_refused(EXP, 800.0)
 
 
 def test_series_rational_on_radius_rejected():
-    with pytest.raises(hf.OutOfRegion):
-        hf.eval_series(RAT, 1.0)
+    # z = 1 is in the borderline annulus, where neither series is taken
+    _assert_series_refused(RAT, 1.0)
 
 
 def test_series_shifted_rational():
     # H^{1,1}_{1,1}[z | (a,1); (a,1)] = z^a / (1+z)
     Q = HFoxParams(m=1, n=1, upper=((0.25, 1.0),), lower=((0.25, 1.0),))
-    out = hf.eval_series(Q, 0.2)
-    assert_allclose(out.value, 0.2 ** 0.25 / 1.2, rtol=1e-12)
+    value, _ = _series_value(Q, 0.2)
+    assert_allclose(value, 0.2 ** 0.25 / 1.2, rtol=1e-12)
 
 
 def test_series_sqrt_exponential_form():
     # H^{1,0}_{0,1}[w | (1,2)] = (1/2) sqrt(w) e^{-sqrt(w)}
     P = HFoxParams(m=1, n=0, upper=(), lower=((1.0, 2.0),))
     for w in (0.3, 0.7, 2.0):
-        out = hf.eval_series(P, w)
-        assert_allclose(out.value, 0.5 * math.sqrt(w) * math.exp(-math.sqrt(w)),
+        value, _ = _series_value(P, w)
+        assert_allclose(value, 0.5 * math.sqrt(w) * math.exp(-math.sqrt(w)),
                         rtol=1e-11)
 
 
@@ -122,9 +139,29 @@ def test_contour_shifted_rational():
 
 def test_contour_agrees_with_series():
     for z in (0.2, 0.7, 2.0, 6.0):
-        a = hf.eval_series(EXP, z)
+        value, err = _series_value(EXP, z)
         b = hf.eval_contour(EXP, z)
-        assert abs(a.value - b.value) <= max(a.err_est + b.err_est, 1e-10)
+        assert abs(value - b.value) <= max(err + b.err_est, 1e-10)
+
+
+def test_contour_stops_refining_at_its_rounding(monkeypatch):
+    # z^a/(1+z), a = -2/15, at the tiny arguments of the cosine-transform
+    # check: the line's rounding term exceeds the tolerance, so no finer h
+    # settles these; the contour gives up after a few levels, not ten
+    P = HFoxParams(m=1, n=1, upper=((-2 / 15, 1.0),), lower=((-2 / 15, 1.0),))
+    w = np.array([2.44873879e-38, 4.55057433e-35, 4.23999621e-32, 2.11520413e-29,
+                  5.99549083e-27, 1.01888504e-24, 1.08986792e-22, 7.66796977e-21])
+    nodes = []
+    log_h = hf._log_h
+
+    def counting(params, s):
+        nodes.append(np.size(s))
+        return log_h(params, s)
+
+    monkeypatch.setattr(hf, "_log_h", counting)
+    _, errs = hf._contour(P, w, QuadSpec())
+    assert sum(nodes) < 1e5
+    assert np.all(errs == math.inf)
 
 
 def _saddle_reference(params, w, left_max):
@@ -271,20 +308,17 @@ def test_contour_grid_matches_single_arguments(params):
     assert np.all(np.abs(vals - single[:, 0, 0]) <= bound)
 
 
-def _series_reference(params, w, raise_on_exhaust=True):
+def _series_reference(params, w):
     # the residue series one term at a time: the loop the blocked
     # _series_core must reproduce bit for bit
     m = params.m
+    w = np.asarray(w, dtype=float)
+    failed = np.full_like(w, np.nan), np.full_like(w, np.inf)
     if m == 0:
-        raise hf.OutOfRegion("no left pole family; the residue series is empty")
+        return failed
     c, d, e = hf._factors(params)
     ks = np.arange(hf._MAX_TERMS)
     power = (c[:m, None] + ks) / d[:m, None]
-    if m > 1:
-        sp = np.sort(-power.ravel())
-        gaps = np.diff(sp)
-        if np.any(gaps < hf.COINCIDENCE_TOL * np.maximum(1.0, np.abs(sp[:-1]))):
-            raise hf.NonSimplePoles("coinciding left poles")
     log_fact = np.array([math.lgamma(k + 1) for k in range(hf._MAX_TERMS)])
     logabs = np.array([-log_fact - math.log(B) for B in d[:m]])
     sign = np.tile((-1.0) ** ks, (m, 1))
@@ -298,19 +332,17 @@ def _series_reference(params, w, raise_on_exhaust=True):
                 sign[j] *= sg_i
                 if e_i > 0 and not np.all(sg_i):
                     clash = min(clash, int(np.argmin(sg_i != 0.0)))
-    w = np.asarray(w, dtype=float)
     logw = np.log(w)
     acc = np.zeros_like(w)
     max_mag = np.zeros_like(w)
     live = np.ones_like(w, dtype=bool)
     tail_small = 0
     prev_norms = []
-    kused = hf._MAX_TERMS
     exhausted = True
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for k in range(hf._MAX_TERMS):
             if k == clash:
-                raise hf.NonSimplePoles(f"pole at left pole k={k}")
+                return failed
             term = np.zeros_like(w)
             for j in range(m):
                 if sign[j, k] != 0.0:
@@ -331,44 +363,31 @@ def _series_reference(params, w, raise_on_exhaust=True):
                 recent = [x for x in prev_norms[-5:] if x > 0.0]
                 ratios = [recent[i + 1] / recent[i] for i in range(len(recent) - 1)]
                 if (max(ratios) if ratios else 0.0) < 0.9:
-                    kused = k + 1
                     exhausted = False
                     break
-    if exhausted and np.any(live) and raise_on_exhaust:
-        raise hf.SeriesDiverged("series not converged")
     tail = prev_norms[-1] * (0.9 / 0.1) if prev_norms else 0.0
-    errs = np.full_like(w, tail) + 2e-16 * max_mag
-    if exhausted and np.any(live):
-        errs = np.where(live, np.inf, errs)
-    errs = np.where(live, errs, np.inf)
-    acc = np.where(live, acc, np.nan)
-    return acc, errs, kused
+    errs = np.where(live & ~exhausted, tail + 2e-16 * max_mag, np.inf)
+    acc = np.where(live & ~exhausted, acc, np.nan)
+    return acc, errs
 
 
 @pytest.mark.parametrize("params", [
     EXP, RAT, G2, MIXED,   # MIXED is H^{2,1}_{2,3} of the series-error defect
     HFoxParams(m=1, n=0, upper=((0.5, 1.0),), lower=((0.3, 0.7),)),
 ])
-@pytest.mark.parametrize("raise_on_exhaust", [True, False])
-def test_series_blocks_match_term_loop(params, raise_on_exhaust):
+@pytest.mark.parametrize("swapped", [True, False])
+def test_series_blocks_match_term_loop(params, swapped):
     # grids that converge, that overflow in part or in full, and that
-    # exhaust the term budget
+    # exhaust the term budget; swapped takes the block the inverted band
+    # sums, which for the blocks without right poles has no left family
+    if swapped:
+        params = hf._swap(params)
     w = np.geomspace(1e-3, 1e8, 97)
     for grid in (w, w[w < 5.0], w[w > 100.0], w[:1], w[::-7]):
-        outs = []
-        for series in (hf._series_core, _series_reference):
-            try:
-                outs.append(series(params, grid, raise_on_exhaust))
-            except hf.NumericalFailure as exc:
-                outs.append(type(exc))
-        got, want = outs
-        if isinstance(want, type):
-            assert got is want
-            continue
+        got, want = hf._series_core(params, grid), _series_reference(params, grid)
         assert np.array_equal(got[0], want[0], equal_nan=True)
         assert np.array_equal(np.signbit(got[0]), np.signbit(want[0]))
         assert np.array_equal(got[1], want[1])
-        assert got[2] == want[2]
 
 
 @pytest.mark.parametrize("name", ["check_hfox_cosine_transform",
@@ -390,10 +409,11 @@ def test_hfox_checks_stay_small_in_memory(name):
 # ------------------------------------------------------- convergence data
 
 def test_convergence_profile_values():
-    prof = hf.convergence_profile(EXP)
-    assert prof.delta == 1.0 and prof.mu == 1.0 and prof.series_radius == math.inf
-    prof = hf.convergence_profile(RAT)
-    assert prof.delta == 2.0 and prof.mu == 0.0 and prof.series_radius == 1.0
+    # series radius, and the contour decay exponent delta = sum(e |d|)
+    assert hf._radius(EXP) == math.inf and hf._radius(RAT) == 1.0
+    for params, delta in ((EXP, 1.0), (RAT, 2.0)):
+        _, d, e = hf._factors(params)
+        assert np.sum(e * np.abs(d)) == delta
 
 
 # ----------------------------------------------------------------- mellin
@@ -458,8 +478,8 @@ def test_rescale_numeric_identity(mu):
     # H[a z^mu | P] = mult * H[a' z | P']
     new, mult = hf.rescale_power(EXP, mu)
     for z in (0.5, 1.3):
-        lhs = hf.eval_series(EXP, z ** mu).value
-        rhs = mult * hf.eval_series(new, z).value
+        lhs, _ = _series_value(EXP, z ** mu)
+        rhs = mult * _series_value(new, z)[0]
         assert_allclose(lhs, rhs, rtol=1e-11)
 
 
@@ -488,9 +508,9 @@ def test_cancel_pairs_numeric_consistency():
     # value must be unchanged by cancellation; contour on both sides
     shifted = _classical_shifted()
     full = hf.eval_contour(shifted, 0.7)
-    red = hf.eval_series(hf.reduce_fully(shifted), 0.7)
-    assert abs(full.value - red.value) <= 1e-8
-    assert_allclose(red.value, math.exp(-0.7), rtol=1e-12)
+    red, _ = _series_value(hf.reduce_fully(shifted), 0.7)
+    assert abs(full.value - red) <= 1e-8
+    assert_allclose(red, math.exp(-0.7), rtol=1e-12)
 
 
 def test_cancel_pairs_nothing_to_cancel():
@@ -557,9 +577,32 @@ def test_cosine_transform_strip_violation():
 
 @pytest.mark.parametrize("z", [0.3, 1.0, 2.0])
 def test_series_agrees_with_contour_mixed_block(z):
-    a = hf.eval_series(MIXED, z)
+    value, err = _series_value(MIXED, z)
     b = hf.eval_contour(MIXED, z)
-    assert abs(a.value - b.value) <= a.err_est + b.err_est
+    assert abs(value - b.value) <= err + b.err_est
+
+
+@pytest.mark.xfail(strict=True, reason="the series err_est leaves out the "
+                   "rounding of each term's exponent")
+def test_series_err_est_covers_error_mixed_block():
+    # eval_auto accepts -0.030437863017167 by series with err_est 4.9e-13;
+    # the contour gives -0.030437863026580 +- 2.1e-15, 19x further off
+    out = hf.eval_auto(MIXED, 4.0)
+    assert out.err_est >= abs(out.value - hf.eval_contour(MIXED, 4.0).value)
+
+
+def test_series_sums_short_of_a_shared_left_pole():
+    # the wavefunction block at (alpha, lam) = (1.9, 1): Gamma(s/2) and
+    # Gamma(9/19 + 10 s/19) share the pole s = -18, the tenth term of
+    # each; the series answers where its sum stops short of that term
+    # and leaves nan with err_est inf where the sum reaches it
+    from fracwell.deltawell import PotentialConfig, _profile_block
+    P = _profile_block(PotentialConfig(alpha=1.9, lam=1.0))
+    for z in (0.005, 0.05, 0.2):
+        value, err = _series_value(P, z)
+        b = hf.eval_contour(P, z)
+        assert abs(value - b.value) <= err + b.err_est
+    _assert_series_refused(P, 1.0)
 
 
 def test_series_rejects_shared_left_poles():
@@ -567,5 +610,4 @@ def test_series_rejects_shared_left_poles():
     # Gamma(1 + s) among its numerators: both have poles at s = -1, -2, ...
     from fracwell.checks import _classical_chain
     _, ct = _classical_chain()
-    with pytest.raises(hf.NonSimplePoles):
-        hf.eval_series(ct.params, 0.5)
+    _assert_series_refused(ct.params, 0.5)
