@@ -322,6 +322,10 @@ def _build_parser():
     return p
 
 
+# built once, at import: parse_args keeps no state between calls
+_PARSER = _build_parser()
+
+
 def _read_config(path):
     out = {}
     with open(path, encoding="utf-8") as fh:
@@ -367,7 +371,7 @@ def _resolve(args):
 
 def main(argv=None):
     try:
-        args = _build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as e:         # argparse already printed the message
         return int(e.code or 0)
     try:

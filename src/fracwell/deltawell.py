@@ -139,10 +139,6 @@ def _kappa(cfg, abs_e):
     return math.exp(log_kappa)
 
 
-def _log_gamma(x):
-    return float(gammaln_sign(x)[0])   # every argument here is positive
-
-
 def energy_closed_form(cfg):
     """Analytic bound-state energy.
 
@@ -156,11 +152,13 @@ def energy_closed_form(cfg):
     range.
     """
     a, lam = cfg.alpha, cfg.lam
+    # the three gammas in one kernel call; every argument is positive
+    lg = gammaln_sign(np.array([lam / a, 1.0 - lam / a, 0.5 * lam]))[0].tolist()
     log_bracket = (math.log(cfg.gamma_strength)
-                   + _log_gamma(lam / a) + _log_gamma(1.0 - lam / a)
+                   + lg[0] + lg[1]
                    + (1.0 - lam) * math.log(2.0)
                    - 0.5 * lam * math.log(math.pi) - lam * math.log(cfg.hbar)
-                   - _log_gamma(0.5 * lam) - math.log(a)
+                   - lg[2] - math.log(a)
                    - (lam / a) * math.log(cfg.d_alpha))
     log_e = log_bracket * (a / (a - lam))
     if not _LOG_E_MIN <= log_e <= _LOG_E_MAX:

@@ -50,11 +50,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .gammafn import gammaln_sign, loggamma
-from .quadrature import (TAIL_CUTOFF, NumericalFailure, QuadFailure, QuadSpec,
-                         integrate_adaptive, integrate_oscillatory)
+from .quadrature import (BLOCK, TAIL_CUTOFF, NumericalFailure, QuadFailure,
+                         QuadSpec, integrate_adaptive, integrate_oscillatory)
 
 __all__ = [
-    "COINCIDENCE_TOL",
     "HFoxParams",
     "EvalOutcome",
     "ValidationReport",
@@ -83,7 +82,6 @@ _MAX_TERMS = 512      # residue series term budget
 # log k! over the term budget, shared by every residue series
 _LOG_FACT = np.array([math.lgamma(k + 1) for k in range(_MAX_TERMS)])
 _TERM_BLOCK = 16      # residue terms per (k, w) array: 3 of them at 1984 w < 1 MB
-_BLOCK = 2 ** 18      # largest temporary of the contour's (w x node) products
 
 
 class NoSeparatingContour(NumericalFailure):
@@ -479,8 +477,8 @@ def _contour(params, w, quad):
             continue
         h = min(0.5, 1.0 / (1.0 + reach))
         n, step = math.ceil(t_max[np.argmax(settled)] / h), 1
-        # node blocks: each temporary within _BLOCK elements, or one column
-        cols = max(1, _BLOCK // max(lw.size, len(params.upper + params.lower)))
+        # node blocks: each temporary within BLOCK elements, or one column
+        cols = max(1, BLOCK // max(lw.size, len(params.upper + params.lower)))
         scale = lh0.real - c * lw   # each row sums in units of its t = 0 amplitude
         tot = 0.5 * math.cos(lh0.imag)   # the t = 0 node, weight 1/2: sign of h(c)
         mag = 0.5 * (1.0 + np.abs(lh0 - c * lw[:, 0]))

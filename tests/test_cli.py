@@ -406,3 +406,22 @@ def test_every_option_from_config_and_flag(tmp_path, key):
     rc = cli._resolve(parser.parse_args(["--config", str(cfgfile),
                                          "--" + key, on_flag]))
     assert rc[dest] == conv(on_flag)
+
+
+def test_parser_built_once_serves_every_call(tmp_path, capsys, monkeypatch):
+    # main reuses the parser built at import; a --config call, a plain call
+    # and an invalid flag, in that order, each give what a fresh parser gives
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("mode = energy\nalpha = 1.5\nlambda = 0.8\n")
+    calls = (["--config", str(cfgfile), "--format", "json"],
+             ["--mode", "energy", "--alpha", "2.0"],
+             ["--mode", "energy", "--no-such-flag", "1"])
+    shared = []
+    for argv in calls:
+        code = cli.main(argv)
+        shared.append((code, capsys.readouterr()))
+    for argv, want in zip(calls, shared):
+        monkeypatch.setattr(cli, "_PARSER", cli._build_parser())
+        code = cli.main(argv)
+        assert (code, capsys.readouterr()) == want
+    assert [code for code, _ in shared] == [0, 0, 2]

@@ -94,6 +94,45 @@ def test_energy_oracle_work_is_pinned(monkeypatch):
         assert calls[0] <= 16, (alpha, lam, calls[0])
 
 
+# (alpha, lam, gamma, D) -> most spectral integrals (h evaluations) and
+# integrand calls one oracle call may take at the CLI's default QuadSpec
+_ORACLE_WORK = {
+    (2.0, 1.0, 1.0, 1.0): (8, 16),
+    (1.5, 0.8, 1.0, 1.0): (7, 14),
+    (1.05, 1.0, 1.0, 1.0): (12, 48),
+    (1.2, 0.3, 1.0, 1.0): (8, 24),
+    (1.9, 1.0, 1.0, 1.0): (9, 18),
+    (1.8, 0.3, 1.0, 1.0): (8, 32),
+    (1.3, 0.6, 5.0, 0.2): (9, 18),
+    (1.6, 0.05, 0.2, 8.0): (8, 24),
+}
+
+
+def test_energy_oracle_work_counters(monkeypatch):
+    # deterministic work counts: h evaluations (bracket search plus ITP)
+    # and integrand calls, one per panel set of each adaptive call
+    calls = {"h": 0, "f": 0}
+    radial, adaptive = dw._radial_integral, dw.integrate_adaptive
+
+    def counted_radial(*args, **kwargs):
+        calls["h"] += 1
+        return radial(*args, **kwargs)
+
+    def counted_adaptive(f, *args, **kwargs):
+        def g(x):
+            calls["f"] += 1
+            return f(x)
+        return adaptive(g, *args, **kwargs)
+
+    monkeypatch.setattr(dw, "_radial_integral", counted_radial)
+    monkeypatch.setattr(dw, "integrate_adaptive", counted_adaptive)
+    for (alpha, lam, gamma, d), (h_max, f_max) in _ORACLE_WORK.items():
+        calls.update(h=0, f=0)
+        dw.energy_oracle(PotentialConfig(alpha=alpha, lam=lam,
+                                         gamma_strength=gamma, d_alpha=d))
+        assert calls["h"] <= h_max and calls["f"] <= f_max, (alpha, lam, calls)
+
+
 def test_energy_oracle_beyond_two_to_the_200():
     # |E| ~ 8.02e102 > 2^200 ~ 1.6e60
     cfg = PotentialConfig(alpha=1.03, lam=1.0, gamma_strength=10.0,

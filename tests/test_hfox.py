@@ -391,10 +391,13 @@ def test_series_blocks_match_term_loop(params, swapped):
 
 
 @pytest.mark.parametrize("name", ["check_hfox_cosine_transform",
-                                  "check_hfox_mellin_exp"])
+                                  "check_hfox_mellin_exp",
+                                  "check_hfox_mellin_rational",
+                                  "check_wavefunction_classical"])
 def test_hfox_checks_stay_small_in_memory(name):
-    # the contour and series products are formed in blocks, so no grid
-    # turns into one large (argument x node) or (term x argument) matrix
+    # the contour, series and Ooura-Mori products are formed in blocks, so
+    # no grid turns into one large (argument x node) or (term x argument)
+    # matrix, however many panels' nodes an integrand call carries
     import tracemalloc
     from fracwell import checks
     tracemalloc.start()

@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import numpy as np
@@ -6,7 +7,9 @@ from numpy.testing import assert_allclose
 
 import scipy.integrate as si
 
+from fracwell import quadrature as q
 from fracwell.quadrature import (
+    BLOCK,
     NoBracket,
     NonDecaying,
     NonIntegrable,
@@ -69,6 +72,86 @@ def test_adaptive_respects_tight_spec():
     spec = QuadSpec(abs_tol=1e-13, rel_tol=1e-12)
     v, e = integrate_adaptive(lambda x: np.exp(-x * x), 0.0, np.inf, spec)
     assert abs(v - math.sqrt(math.pi) / 2.0) < 5e-13
+
+
+class _Counted:
+    """Integrand wrapper that records the size of every call."""
+
+    def __init__(self, f):
+        self.f, self.sizes = f, []
+
+    def __call__(self, x):
+        self.sizes.append(x.size)
+        return self.f(x)
+
+
+def _adaptive_reference(f, a, b, spec, initial):
+    """The adaptive rule with one integrand call per panel: (value, err,
+    splits).  Same heap, split order and tolerance test as _adaptive_core."""
+    def panel(lo, hi):
+        half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
+        y = f(mid + half * q._NODES_HI)
+        v = half * float(q._W_HI @ y)
+        lo_v = half * float(q._W_LO @ y[q._LO_SUBSET])
+        return v, abs(v - lo_v) + 1e-16 * half * float(np.abs(q._W_HI) @ np.abs(y))
+
+    edges = np.linspace(a, b, initial + 1).tolist()
+    heap, total, total_err = [], 0.0, 0.0
+    for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        v, e = panel(lo, hi)
+        heap.append((-e, i, lo, hi, v))
+        total += v
+        total_err += e
+    heapq.heapify(heap)
+    counter, splits = initial, 0
+    while total_err > max(spec.abs_tol, spec.rel_tol * abs(total)):
+        neg_e, _, lo, hi, v = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        (v1, e1), (v2, e2) = panel(lo, mid), panel(mid, hi)
+        total += (v1 + v2) - v
+        total_err += (e1 + e2) + neg_e
+        heapq.heappush(heap, (-e1, counter, lo, mid, v1))
+        heapq.heappush(heap, (-e2, counter + 1, mid, hi, v2))
+        counter += 2
+        splits += 1
+    return total, total_err, splits
+
+
+@pytest.mark.parametrize("f, a, b", [
+    (np.sin, 0.0, math.pi),
+    (lambda x: 1.0 / np.sqrt(x), 0.0, 1.0),
+    (lambda x: np.log(x) * np.cos(30.0 * x), 0.0, 2.0),
+    (lambda x: 1.0 / (1e-4 + (x - 0.3) ** 2), 0.0, 1.0),
+])
+@pytest.mark.parametrize("initial", [4, 8])
+def test_adaptive_batched_matches_panel_by_panel(f, a, b, initial):
+    # one integrand call for the initial mesh and one per split, both
+    # halves at once; the splits and the value are those of the rule
+    # taken one panel at a time
+    spec = QuadSpec()
+    counted = _Counted(f)
+    v, e = q._adaptive_core(counted, a, b, spec, initial=initial)
+    rv, re_, splits = _adaptive_reference(f, a, b, spec, initial)
+    assert counted.sizes == [31 * initial] + [62] * splits
+    assert abs(v - rv) <= 1e-15 * abs(rv)
+    assert abs(e - re_) <= 1e-6 * re_ + 1e-15 * abs(rv)
+
+
+def test_adaptive_nonfinite_names_its_panel():
+    # initial mesh: the first failing panel of the four is [0.5, 0.75]
+    f = lambda x: np.where(x > 0.5, np.inf, 1.0)
+    with pytest.raises(NonIntegrable, match=r"\[0\.5, 0\.75\]"):
+        integrate_adaptive(f, 0.0, 1.0)
+    # a split: 1/sqrt(x) first splits [0, 0.25]; its right half fails
+    calls = [0]
+
+    def g(x):
+        calls[0] += 1
+        y = 1.0 / np.sqrt(x)
+        return np.where(x > 0.125, np.nan, y) if calls[0] == 2 else y
+
+    with pytest.raises(NonIntegrable, match=r"\[0\.125, 0\.25\]"):
+        integrate_adaptive(g, 0.0, 1.0)
 
 
 # ------------------------------------------------------------- oscillatory
@@ -158,6 +241,19 @@ def test_oscillatory_array_omega_matches_scalar_calls(kernel, power):
     one = [integrate_oscillatory(env, float(w), kernel=kernel,
                                  singularity_power=power) for w in omegas]
     assert isinstance(one[0][0], float) and v.shape == e.shape == omegas.shape
+    assert np.array_equal(v, [x for x, _ in one])
+    assert np.array_equal(e, [x for _, x in one])
+
+
+def test_oscillatory_rows_in_blocks_match_scalar_calls():
+    # more rows than one BLOCK holds: the envelope sees blocks of rows,
+    # and every row still equals its scalar call bit for bit
+    omegas = np.geomspace(0.05, 50.0, 300)
+    env = _Counted(lambda p: p ** -0.4 / (1.0 + p * p))
+    v, e = integrate_oscillatory(env, omegas, singularity_power=-0.4)
+    assert len(env.sizes) > 2 and max(env.sizes) <= BLOCK
+    one = [integrate_oscillatory(env, float(w), singularity_power=-0.4)
+           for w in omegas]
     assert np.array_equal(v, [x for x, _ in one])
     assert np.array_equal(e, [x for _, x in one])
 
