@@ -56,14 +56,12 @@ from .deltawell import (
     PotentialConfig,
     BoundState,
     ShapeCheck,
-    ComparisonReport,
     energy_closed_form,
     energy_oracle,
     momentum_wavefunction,
     position_wavefunction_quadrature,
     position_wavefunction_hfox,
     hfox_shape_check,
-    hfox_comparison_report,
     normalize,
 )
 
@@ -79,9 +77,9 @@ __all__ = [
     "MeasureDim", "DeltaFamily", "SingularPoint", "weight", "integrate",
     "delta_value", "sift", "fourier_forward", "fourier_inverse", "convolve",
     "DomainError", "BracketFailure", "PotentialConfig", "BoundState",
-    "ShapeCheck", "ComparisonReport", "energy_closed_form",
+    "ShapeCheck", "energy_closed_form",
     "energy_oracle", "momentum_wavefunction",
     "position_wavefunction_quadrature", "position_wavefunction_hfox",
-    "hfox_shape_check", "hfox_comparison_report", "normalize",
+    "hfox_shape_check", "normalize",
     "__version__",
 ]

@@ -29,6 +29,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import sys
 
 import numpy as np
@@ -138,6 +139,9 @@ def run_wavefunction(rc):
     quad = _quad(rc)
     if rc["x_steps"] < 1:
         raise ValueError(f"x-steps must be at least 1, got {rc['x_steps']}")
+    for flag, key in (("x-min", "x_min"), ("x-max", "x_max")):
+        if not math.isfinite(rc[key]):
+            raise ValueError(f"{flag} must be finite, got {rc[key]}")
     if rc["x_max"] < rc["x_min"]:
         raise ValueError("x-max must not be below x-min")
     st = normalize(energy_closed_form(cfg), cfg, quad)

@@ -388,42 +388,12 @@ def position_wavefunction_hfox(state, cfg, x, spec=QuadSpec()):
     return _hfox_profile(state, cfg, x, spec), check.passed
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Quadrature-vs-H-form diagnostic for one configuration.
-
-    x0_rel_err measures the bound-energy identity at x = 0 (the
-    radial integral against its closed value).
-    """
-
-    alpha: float
-    lam: float
-    energy: float
-    kappa: float
-    x0_value: float
-    x0_expected: float
-    x0_rel_err: float
-    shape: ShapeCheck
-
-
 def _x0_identity(cfg, state, spec):
     """(radial integral at the state's energy, its closed value
     (2 pi hbar)^lam / (gamma measure_norm)): the identity at x = 0."""
     val, _ = _radial_integral(cfg, -state.energy, spec)
     return val, ((2.0 * math.pi * cfg.hbar) ** cfg.lam
                  / (cfg.gamma_strength * cfg.measure_norm))
-
-
-def hfox_comparison_report(cfg, spec=QuadSpec()):
-    """Produce the full comparison record for one configuration."""
-    state = energy_closed_form(cfg)
-    x0_val, x0_exp = _x0_identity(cfg, state, spec)
-    return ComparisonReport(
-        alpha=cfg.alpha, lam=cfg.lam, energy=state.energy, kappa=state.kappa,
-        x0_value=x0_val, x0_expected=x0_exp,
-        x0_rel_err=abs(x0_val - x0_exp) / abs(x0_exp),
-        shape=hfox_shape_check(state, cfg, spec),
-    )
 
 
 def normalize(state, cfg, spec=QuadSpec()):

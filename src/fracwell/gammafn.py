@@ -20,8 +20,8 @@ __all__ = [
     "GammaPole",
     "LANCZOS_G",
     "LANCZOS_COEFFS",
+    "LANCZOS_REL_ACC",
     "loggamma",
-    "gamma_complex",
     "gammaln_sign",
     "gamma_real",
 ]
@@ -33,7 +33,8 @@ class GammaPole(Exception):
 
 LANCZOS_G = 7.0
 
-# Godfrey's g=7, n=9 coefficient set; ~1e-13 relative over the right half plane.
+# Godfrey's g=7, n=9 coefficient set, LANCZOS_REL_ACC relative over the
+# right half plane.
 LANCZOS_COEFFS = np.array([
     0.99999999999980993,
     676.5203681218851,
@@ -45,6 +46,7 @@ LANCZOS_COEFFS = np.array([
     9.9843695780195716e-6,
     1.5056327351493116e-7,
 ])
+LANCZOS_REL_ACC = 1e-13
 
 _HALF_LOG_TWO_PI = 0.91893853320467274178  # log(2*pi)/2
 _POLE_TOL = 5e-13
@@ -95,11 +97,6 @@ def loggamma(z):
         # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z)
         out[~right] = np.log(np.pi) - _log_sin_pi(zl) - _core_loggamma(1.0 - zl)
     return out[0] if scalar else out
-
-
-def gamma_complex(z):
-    """Gamma(z) for complex z."""
-    return np.exp(loggamma(z))
 
 
 def _near_nonpositive_int(x):

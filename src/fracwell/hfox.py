@@ -29,8 +29,10 @@ the left set, the ascending expansion; where it converges only inside
 
     H^{m,n}_{p,q}[w | (a,A); (b,B)] = H^{n,m}_{q,p}[1/w | (1-b,B); (1-a,A)].
 
-What the series cannot sum or does not pass goes to the contour (see
-_evaluate); eval_contour is the contour alone.
+Each argument's series stops on its own terms (_series_core), so an H
+value never depends on the rest of its grid.  What the series cannot
+sum or does not pass goes to the contour, band by band (see _evaluate);
+eval_contour is the contour alone.
 
 The contour takes H(w) = (1/pi) int_0^inf Re[h(c + it) w^{-c-it}] dt on
 a line Re s = c between the families by the trapezoid rule on nodes
@@ -49,7 +51,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gammafn import gammaln_sign, loggamma
+from .gammafn import LANCZOS_REL_ACC, gammaln_sign, loggamma
 from .quadrature import (BLOCK, TAIL_CUTOFF, NumericalFailure, QuadFailure,
                          QuadSpec, integrate_adaptive, integrate_oscillatory)
 
@@ -81,7 +83,8 @@ _SERIES_TOL = 1e-12   # a residue term under this times the sum is small
 _MAX_TERMS = 512      # residue series term budget
 # log k! over the term budget, shared by every residue series
 _LOG_FACT = np.array([math.lgamma(k + 1) for k in range(_MAX_TERMS)])
-_TERM_BLOCK = 16      # residue terms per (k, w) array: 3 of them at 1984 w < 1 MB
+_TERM_BLOCK = 16      # residue terms per (k, w) array: about 8 of them at 1984 w take 2 MB
+_POLE_CAP = 4096      # poles per family that validate's coincidence scan lists
 
 
 class NoSeparatingContour(NumericalFailure):
@@ -209,11 +212,13 @@ def validate(params):
     if m == 0 and n == 0:
         v.append("m^2 + n^2 != 0 violated (no numerator gammas at all)")
     for tag, sym, pairs in (("upper", "A_j", params.upper), ("lower", "B_j", params.lower)):
-        for i, (_, scale) in enumerate(pairs):
-            if not scale > 0:
+        for i, (coef, scale) in enumerate(pairs):
+            if not (math.isfinite(coef) and math.isfinite(scale)):
+                v.append(f"{tag}[{i}] must be finite, got ({coef}, {scale})")
+            elif not scale > 0:
                 v.append(f"{sym} > 0 violated at {tag}[{i}]: got {scale}")
-    if not params.arg_scale > 0:
-        v.append(f"arg_scale must be positive, got {params.arg_scale}")
+    if not (math.isfinite(params.arg_scale) and params.arg_scale > 0):
+        v.append(f"arg_scale must be finite and positive, got {params.arg_scale}")
     if not v and m > 0 and n > 0:
         left_max, right_min = _strip(params)
         if left_max >= right_min - COINCIDENCE_TOL:
@@ -235,12 +240,13 @@ def _require_valid(params):
         raise ValueError("invalid H-function parameters: " + "; ".join(rep.violations))
 
 
-def _poles_beyond(c, d, bound, cap=4096):
+def _poles_beyond(c, d, bound):
     """Poles s = -(c + k)/d of Gamma(c + d s) on the far side of bound:
-    s >= bound for a left family (d > 0), s <= bound for a right one."""
+    s >= bound for a left family (d > 0), s <= bound for a right one;
+    at most the first _POLE_CAP of them."""
     out = []
     kmax = int(math.floor(-bound * d - c)) + 1
-    for k in range(0, max(0, min(kmax + 1, cap))):
+    for k in range(0, max(0, min(kmax + 1, _POLE_CAP))):
         s = -(c + k) / d
         if (s >= bound) if d > 0 else (s <= bound):
             out.append(s)
@@ -280,19 +286,25 @@ def _series_core(params, w):
     Caller guarantees the series converges for every element in exact
     arithmetic.  Floating point is another matter: at large w the
     alternating terms overflow or cancel catastrophically before the
-    factorial decay wins.  The roundoff term 2e-16 * max|term| reports
-    the cancellation loss.  An element the series cannot sum comes back
-    nan with err_est inf: one whose sum went non-finite, and every
-    element when the block has no left family (m = 0), when the sum
+    factorial decay wins.  Each element stops on its own terms, so a grid
+    call gives each element the bits of its one-element call: at term k
+    >= 4, when its last three terms are each under _SERIES_TOL times
+    max(1, |sum|) and every positive one of its last five is under 0.9
+    times the positive one before.  err_est is 9 times that last term
+    (the tail) plus LANCZOS_REL_ACC * max|term|, the gamma kernel's
+    relative accuracy in each term's coefficient.  An element the series
+    cannot sum comes back nan with err_est inf: one whose sum went
+    non-finite before it stopped, one that has not stopped when its sum
     reaches a left pole that is also a pole of another numerator gamma
-    (a pole of higher order, outside the simple-residue formula), or
-    when the term budget runs out.
+    (a pole of higher order, outside the simple-residue formula) or when
+    the term budget runs out, and every element when the block has no
+    left family (m = 0).
     """
     m = params.m
     w = np.asarray(w, dtype=float)
-    failed = np.full_like(w, np.nan), np.full_like(w, np.inf)
+    vals, errs = np.full_like(w, np.nan), np.full_like(w, np.inf)
     if m == 0:
-        return failed
+        return vals, errs
     c, d, e = _factors(params)   # rows j < m are the left families (b_j, B_j)
     ks = np.arange(_MAX_TERMS)
     power = (c[:m, None] + ks) / d[:m, None]   # left pole k of family j: -power[j, k]
@@ -314,19 +326,17 @@ def _series_core(params, w):
                 if e_i > 0 and not np.all(sg_i):
                     clash = min(clash, int(np.argmin(sg_i != 0.0)))
 
-    # _TERM_BLOCK poles at a time as one (k, w) array: cumsum carries the
-    # running sum as a term-by-term loop would; the stopping rule runs per k
-    logw = np.log(w)
-    acc = np.zeros_like(w)
-    max_mag = np.zeros_like(w)
-    live = np.ones_like(w, dtype=bool)
-    tail_small = 0
-    prev_norms = []
-    exhausted = True
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for k0 in range(0, _MAX_TERMS, _TERM_BLOCK):
-            kb = slice(k0, k0 + _TERM_BLOCK)
-            term = np.zeros((len(ks[kb]), w.size))
+    # _TERM_BLOCK poles at a time as one (k, w) array over the elements
+    # still summing: cumsum carries each running sum as a term-by-term
+    # loop would; the last four |term| and two small flags of each element
+    # carry its stopping rule from block to block
+    todo = np.arange(w.size)
+    logw, acc, max_mag = np.log(w), np.zeros_like(w), np.zeros_like(w)
+    last, small = np.zeros((4, w.size)), np.zeros((2, w.size), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore", divide="ignore"):
+        for k0 in range(0, clash, _TERM_BLOCK):
+            kb = slice(k0, min(k0 + _TERM_BLOCK, clash))
+            term = np.zeros((len(ks[kb]), todo.size))
             for j in range(m):
                 x = np.multiply(power[j, kb, None], logw)
                 x += logabs[j, kb, None]
@@ -334,72 +344,30 @@ def _series_core(params, w):
                 x *= sign[j, kb, None]
                 x[sign[j, kb] == 0.0] = 0.0   # a vanishing residue adds nothing
                 term += x
-            mag = np.abs(term, out=x)   # reusing x and term: three (k, w) arrays
+            mag = np.abs(term, out=x)
             term[0] += acc
             run = np.cumsum(term, axis=0)
-            alive = live & np.isfinite(run)   # a sum that went non-finite stays so
-            mag[~alive] = 0.0
-            norms = mag.max(axis=1)
-            run_mag = np.abs(run, out=term)
-            run_mag[~alive] = 0.0
-            scales = np.maximum(1.0, run_mag.max(axis=1))
-            for row, k in enumerate(range(k0, k0 + len(norms))):
-                if k == clash:
-                    return failed
-                stop = row + 1
-                if not alive[row].any():   # every sum went non-finite
-                    break
-                prev_norms.append(float(norms[row]))
-                tail_small = tail_small + 1 if norms[row] < _SERIES_TOL * scales[row] else 0
-                if tail_small >= 3 and len(prev_norms) >= 5:
-                    recent = [x for x in prev_norms[-5:] if x > 0.0]
-                    ratios = [recent[i + 1] / recent[i] for i in range(len(recent) - 1)]
-                    if (max(ratios) if ratios else 0.0) < 0.9:
-                        exhausted = False
-                        break
-            acc, live = run[stop - 1].copy(), alive[stop - 1]
-            max_mag = np.maximum(max_mag, mag[:stop].max(axis=0))
-            if not (exhausted and live.any()):
+            bad = ~np.isfinite(run)   # a sum that went non-finite stays so
+            small = np.concatenate([small, mag < _SERIES_TOL * np.maximum(1.0, np.abs(run))])
+            stop = small[2:] & small[1:-1] & small[:-2] & ~bad & (ks[kb, None] >= 4)
+            last = np.concatenate([last, mag])
+            prev = np.zeros_like(mag)   # each window's last positive |term|
+            for t in (last[i:i + len(mag)] for i in range(5)):
+                stop &= ~((t > 0.0) & (prev > 0.0) & ~(t / prev < 0.9))
+                prev = np.where(t > 0.0, t, prev)
+            stopped = stop.any(axis=0)
+            took = np.flatnonzero(stopped)
+            at = np.argmax(stop[:, took], axis=0)   # the term each one stops at
+            top = np.maximum(max_mag[took], np.maximum.accumulate(mag, axis=0)[at, took])
+            vals[todo[took]] = run[at, took]
+            errs[todo[took]] = mag[at, took] * (0.9 / 0.1) + LANCZOS_REL_ACC * top
+            keep = ~(stopped | bad[-1])
+            todo, logw, acc = todo[keep], logw[keep], run[-1, keep]
+            max_mag = np.maximum(max_mag[keep], mag.max(axis=0)[keep])
+            last, small = last[-4:, keep], small[-2:, keep]
+            if not todo.size:
                 break
-
-    if exhausted:
-        return failed
-    err = prev_norms[-1] * (0.9 / 0.1) + 2e-16 * max_mag   # tail + roundoff
-    return np.where(live, acc, np.nan), np.where(live, err, np.inf)
-
-
-def _regions(params, w):
-    """Region masks (direct, inverted) over scaled arguments w.
-
-    The direct series serves w inside 0.8 of the series radius, the
-    inversion identity w beyond 1.25 of it; the borderline annulus
-    between the two (where both masks are False) is left to the contour.
-    """
-    radius = _radius(params)
-    return w <= 0.8 * radius, w >= 1.25 * radius
-
-
-def _series(params, z):
-    """Residue series at positive z (1-d ndarray), each scaled argument
-    w = arg_scale * z in its own region (see _regions): (values,
-    err_ests, bands), nan with err_est inf where there is no series value
-    (see _series_core).  bands holds the (block, argument, mask) of the
-    direct series, of the inverted one (the swapped block at 1/w) and of
-    the annulus (no series).
-    """
-    _require_valid(params)
-    if not np.all(z > 0):
-        raise ValueError(f"arguments must be positive, got {float(z[~(z > 0)][0])}")
-    w = params.arg_scale * z
-    base = replace(params, arg_scale=1.0)
-    direct, inverted = _regions(base, w)
-    bands = ((base, w, direct), (_swap(base), 1.0 / w, inverted),
-             (base, w, ~direct & ~inverted))
-    vals, errs = np.full_like(w, np.nan), np.full_like(w, np.inf)
-    for block, arg, mask in bands[:2]:
-        if np.any(mask):
-            vals[mask], errs[mask] = _series_core(block, arg[mask])
-    return vals, errs, bands
+    return vals, errs
 
 
 # --- contour --------------------------------------------------------------
@@ -507,8 +475,8 @@ def eval_contour(params, z, quad=QuadSpec()):
     """Mellin-Barnes line integral of H[arg_scale * z] at scalar z > 0:
     _contour at one argument, QuadFailure where it does not settle."""
     _require_valid(params)
-    if not z > 0:
-        raise ValueError(f"argument must be positive, got {z!r}")
+    if not (math.isfinite(z) and z > 0):
+        raise ValueError(f"argument must be finite and positive, got {z!r}")
     w = params.arg_scale * float(z)
     v, e = _contour(params, np.array([w]), quad)
     if not np.isfinite(e[0]):
@@ -518,19 +486,38 @@ def eval_contour(params, z, quad=QuadSpec()):
 
 def _evaluate(params, z, quad):
     """The one H-value dispatcher: (values, err_ests, from_series) at
-    positive z of any shape, each element in its region (see _series).
+    finite positive z of any shape.
 
-    The residue series goes first; its value stands when finite with
-    err_est <= max(5e-14, 1e-8 |value|).  The other elements of each band
+    Each scaled argument w = arg_scale * z falls in one band: the direct
+    series serves w inside 0.8 of the series radius (_radius), the
+    inversion identity (the swapped block at 1/w) w beyond 1.25 of it,
+    and the borderline annulus between the two has no series.  In each
+    band the residue series goes first; its value stands when finite
+    with err_est <= max(5e-14, 1e-8 |value|).  The band's other elements
     go to one _contour call on the band's own block.  Where the contour
     did not settle or cannot be taken, a series value with a finite
     err_est is kept; otherwise the failure is raised.
     """
+    _require_valid(params)
     z = np.asarray(z, dtype=float)
-    vals, errs, bands = _series(params, z.reshape(-1))
-    series = np.isfinite(vals) & (errs <= np.maximum(5e-14, 1e-8 * np.abs(vals)))
-    for block, arg, band in bands:
-        idx = np.flatnonzero(band & ~series)
+    good = np.isfinite(z) & (z > 0)
+    if not np.all(good):
+        raise ValueError(f"arguments must be finite and positive, got {z[~good][0]}")
+    w = params.arg_scale * z.reshape(-1)
+    base = replace(params, arg_scale=1.0)
+    radius = _radius(base)
+    direct, inverted = w <= 0.8 * radius, w >= 1.25 * radius
+    vals, errs = np.full_like(w, np.nan), np.full_like(w, np.inf)
+    series = np.zeros(w.shape, dtype=bool)
+    for block, arg, band, summed in ((base, w, direct, True),
+                                     (_swap(base), 1.0 / w, inverted, True),
+                                     (base, w, ~direct & ~inverted, False)):
+        idx = np.flatnonzero(band)
+        if summed and idx.size:
+            vals[idx], errs[idx] = _series_core(block, arg[idx])
+            series[idx] = np.isfinite(vals[idx]) & (
+                errs[idx] <= np.maximum(5e-14, 1e-8 * np.abs(vals[idx])))
+        idx = idx[~series[idx]]
         if not idx.size:
             continue
         keep = np.isfinite(vals[idx]) & np.isfinite(errs[idx])

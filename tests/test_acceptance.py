@@ -194,15 +194,18 @@ def test_criterion_8_verification_report():
     # the printed reduction's deviation is reported alongside
     for alpha in (1.5, 1.8):
         for lam in (0.5, 0.8):
-            rep = dw.hfox_comparison_report(PotentialConfig(alpha=alpha,
-                                                            lam=lam))
-            assert rep.x0_rel_err <= 1e-8, (alpha, lam, rep.x0_rel_err)
-            assert rep.shape.passed, (alpha, lam, rep.shape.max_rel_dev)
-            assert np.isfinite(rep.shape.printed_dev), (alpha, lam)
+            cfg = PotentialConfig(alpha=alpha, lam=lam)
+            state = dw.energy_closed_form(cfg)
+            val, want = dw._x0_identity(cfg, state, QuadSpec())
+            x0_rel_err = abs(val - want) / abs(want)
+            shape = dw.hfox_shape_check(state, cfg)
+            assert x0_rel_err <= 1e-8, (alpha, lam, x0_rel_err)
+            assert shape.passed, (alpha, lam, shape.max_rel_dev)
+            assert np.isfinite(shape.printed_dev), (alpha, lam)
             print(f"criterion 8: a={alpha} lam={lam} x0 rel "
-                  f"{rep.x0_rel_err:.2e} shape dev "
-                  f"{rep.shape.max_rel_dev:.3g} printed reduction dev "
-                  f"{rep.shape.printed_dev:.3g}")
+                  f"{x0_rel_err:.2e} shape dev "
+                  f"{shape.max_rel_dev:.3g} printed reduction dev "
+                  f"{shape.printed_dev:.3g}")
 
 
 def test_criterion_9_cli_determinism(tmp_path):

@@ -319,6 +319,28 @@ def test_hfox_eval_rejects_nonpositive_z(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("spec, z, message", [
+    ("1,0,0,1;;0:inf", "1", "lower[0] must be finite"),
+    ("1,0,0,1;;nan:1", "1", "lower[0] must be finite"),
+    ("1,0,0,1;;0:1", "inf", "finite and positive"),
+    ("1,1,1,1;0:1;0:1", "inf", "finite and positive"),
+    ("1,1,1,1;0:1;0:1", "nan", "finite and positive"),
+])
+def test_hfox_eval_rejects_non_finite_input(capsys, spec, z, message):
+    code = cli.main(["--mode", "hfox-eval", "--hfox", spec, "--z", z])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+
+
+@pytest.mark.parametrize("flag, value", [("--x-min", "nan"), ("--x-max", "inf")])
+def test_wavefunction_rejects_non_finite_bounds(capsys, flag, value):
+    code = cli.main(["--mode", "wavefunction", flag, value])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"{flag[2:]} must be finite" in err
+
+
 def test_hfox_eval_coinciding_poles_exits_2(capsys):
     # left poles of Gamma(1 + s) meet right poles of Gamma(1 - 3 - s)
     code = cli.main(["--mode", "hfox-eval", "--hfox", "1,1,1,1;3:1;1:1",

@@ -133,6 +133,23 @@ def test_energy_oracle_work_counters(monkeypatch):
         assert calls["h"] <= h_max and calls["f"] <= f_max, (alpha, lam, calls)
 
 
+def test_validate_contour_work_counter(monkeypatch):
+    # the series answers every argument it can sum on its own terms, so
+    # one run of the validation suite sends at most 700 arguments to the
+    # contour (1884 when one stopping rule served a whole grid)
+    from fracwell import checks
+    sent = []
+    contour = hf._contour
+
+    def counted(params, w, quad):
+        sent.append(len(w))
+        return contour(params, w, quad)
+
+    monkeypatch.setattr(hf, "_contour", counted)
+    assert all(r.passed for r in checks.run_all())
+    assert sum(sent) <= 700
+
+
 def test_energy_oracle_beyond_two_to_the_200():
     # |E| ~ 8.02e102 > 2^200 ~ 1.6e60
     cfg = PotentialConfig(alpha=1.03, lam=1.0, gamma_strength=10.0,
@@ -428,21 +445,28 @@ def test_hfox_route_matches_quadrature(alpha, lam, ks):
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-6
 
 
+def _x0_rel_err(cfg, state):
+    # relative error of the identity at x = 0: the radial integral at the
+    # bound energy against its closed value
+    val, want = dw._x0_identity(cfg, state, QuadSpec())
+    return abs(val - want) / abs(want)
+
+
 def test_printed_reduction_exact_only_classically():
     # the printed exp(-kappa|x|) form holds at alpha=2, lam=1 (and
     # test_comparison_report_fields shows it fails at (1.5, 0.8))
-    rep = dw.hfox_comparison_report(PotentialConfig(alpha=2.0, lam=1.0))
-    assert rep.shape.printed_dev < 1e-6
+    cfg = PotentialConfig(alpha=2.0, lam=1.0)
+    assert dw.hfox_shape_check(dw.energy_closed_form(cfg), cfg).printed_dev < 1e-6
 
 
 def test_comparison_report_fields():
     cfg = PotentialConfig(alpha=1.5, lam=0.8)
-    rep = dw.hfox_comparison_report(cfg)
-    assert rep.alpha == 1.5 and rep.lam == 0.8
-    assert rep.energy < 0 and rep.kappa > 0
-    assert rep.x0_rel_err <= 1e-8
-    assert rep.shape.passed and rep.shape.max_rel_dev <= 1e-6
-    assert rep.shape.printed_dev > 0.5     # the printed reduction's defect
+    state = dw.energy_closed_form(cfg)
+    assert state.energy < 0 and state.kappa > 0
+    assert _x0_rel_err(cfg, state) <= 1e-8
+    shape = dw.hfox_shape_check(state, cfg)
+    assert shape.passed and shape.max_rel_dev <= 1e-6
+    assert shape.printed_dev > 0.5     # the printed reduction's defect
 
 
 def test_x0_identity_all_report_points():
@@ -450,5 +474,5 @@ def test_x0_identity_all_report_points():
     # gamma expression; holds on the whole report grid
     for alpha in (1.5, 1.8):
         for lam in (0.5, 0.8):
-            rep = dw.hfox_comparison_report(PotentialConfig(alpha=alpha, lam=lam))
-            assert rep.x0_rel_err <= 1e-8, (alpha, lam)
+            cfg = PotentialConfig(alpha=alpha, lam=lam)
+            assert _x0_rel_err(cfg, dw.energy_closed_form(cfg)) <= 1e-8, (alpha, lam)
