@@ -31,12 +31,15 @@ the left set, the ascending expansion; where it converges only inside
 
 Each argument's series stops on its own terms (_series_core), so an H
 value never depends on the rest of its grid.  What the series cannot
-sum or does not pass goes to the contour, band by band (see _evaluate);
+sum or does not pass goes to one contour call (see _evaluate);
 eval_contour is the contour alone.
 
 The contour takes H(w) = (1/pi) int_0^inf Re[h(c + it) w^{-c-it}] dt on
-a line Re s = c between the families by the trapezoid rule on nodes
-t = k h, which converges geometrically there (Trefethen & Weideman,
+a line Re s = c right of the left poles (_contour_position) and adds back
+the residues of the right poles it passes, the first terms of the
+inverted series (Braaksma, Compositio Math. 15, 1964; Paris & Kaminski,
+Asymptotics and Mellin-Barnes Integrals, 2001, ch. 5).  The trapezoid
+rule on nodes t = k h converges geometrically (Trefethen & Weideman,
 SIAM Rev. 56, 2014).  Arguments on one line share its nodes: log h is
 taken once per node and each H(w) is a row of one (argument x node)
 product, summed in units of its t = 0 amplitude.  err_est is
@@ -52,7 +55,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .gammafn import LANCZOS_REL_ACC, gammaln_sign, loggamma
-from .quadrature import (BLOCK, TAIL_CUTOFF, NumericalFailure, QuadFailure,
+from .quadrature import (BLOCK, TAIL_CUTOFF, QuadFailure,
                          QuadSpec, integrate_adaptive, integrate_oscillatory)
 
 __all__ = [
@@ -62,7 +65,6 @@ __all__ = [
     "CosineTransform",
     "MellinCheck",
     "CosineTransformCheck",
-    "NoSeparatingContour",
     "OutOfStrip",
     "NoMatchingPair",
     "StripViolation",
@@ -85,10 +87,6 @@ _MAX_TERMS = 512      # residue series term budget
 _LOG_FACT = np.array([math.lgamma(k + 1) for k in range(_MAX_TERMS)])
 _TERM_BLOCK = 16      # residue terms per (k, w) array: about 8 of them at 1984 w take 2 MB
 _POLE_CAP = 4096      # poles per family that validate's coincidence scan lists
-
-
-class NoSeparatingContour(NumericalFailure):
-    """Left and right pole families interleave; no vertical line splits them."""
 
 
 class OutOfStrip(Exception):
@@ -267,11 +265,8 @@ def _radius(params):
 
 
 def _swap(params):
-    """Inversion identity: H[w | params] = H[1/w | swapped].
-
-    Exchanges the roles of the two pole families, so an argument beyond
-    the series radius becomes one inside the swapped radius.
-    """
+    """Inversion identity: H[w | params] = H[1/w | swapped], which
+    exchanges the roles of the left and right pole families."""
     new_upper = tuple((1.0 - b, B) for b, B in params.lower)
     new_lower = tuple((1.0 - a, A) for a, A in params.upper)
     return HFoxParams(m=params.n, n=params.m, upper=new_upper, lower=new_lower)
@@ -279,43 +274,19 @@ def _swap(params):
 
 # --- residue series -------------------------------------------------------
 
-def _series_core(params, w):
-    """Left-pole residue series at scaled arguments w (positive ndarray):
-    (values, err_ests).
-
-    Caller guarantees the series converges for every element in exact
-    arithmetic.  Floating point is another matter: at large w the
-    alternating terms overflow or cancel catastrophically before the
-    factorial decay wins.  Each element stops on its own terms, so a grid
-    call gives each element the bits of its one-element call: at term k
-    >= 4, when its last three terms are each under _SERIES_TOL times
-    max(1, |sum|) and every positive one of its last five is under 0.9
-    times the positive one before.  err_est is 9 times that last term
-    (the tail) plus LANCZOS_REL_ACC * max|term|, the gamma kernel's
-    relative accuracy in each term's coefficient.  An element the series
-    cannot sum comes back nan with err_est inf: one whose sum went
-    non-finite before it stopped, one that has not stopped when its sum
-    reaches a left pole that is also a pole of another numerator gamma
-    (a pole of higher order, outside the simple-residue formula) or when
-    the term budget runs out, and every element when the block has no
-    left family (m = 0).
-    """
+def _residues(params, terms=_MAX_TERMS):
+    """(power, logabs, sign, clash) of the first `terms` poles of each left
+    family (rows j < m of _factors): pole k of family j sits at s =
+    -power[j, k], with residue sign * exp(logabs + power log w) of h(s)
+    w^{-s}; sign = 0 where a reciprocal gamma vanishes.  clash[j] is the
+    first k where another numerator gamma has a pole too, or `terms`."""
     m = params.m
-    w = np.asarray(w, dtype=float)
-    vals, errs = np.full_like(w, np.nan), np.full_like(w, np.inf)
-    if m == 0:
-        return vals, errs
-    c, d, e = _factors(params)   # rows j < m are the left families (b_j, B_j)
-    ks = np.arange(_MAX_TERMS)
-    power = (c[:m, None] + ks) / d[:m, None]   # left pole k of family j: -power[j, k]
-
-    # residue of family j at pole k: sign * exp(logabs + power * log w),
-    # the other factors' gammas taken in one call over the horizon.  A
-    # vanishing reciprocal gamma leaves sign = 0 (the term is zero); a
-    # numerator pole there, left or right, is the clash
-    logabs = np.array([-_LOG_FACT - math.log(B) for B in d[:m]])
+    c, d, e = _factors(params)
+    ks = np.arange(terms)
+    power = (c[:m, None] + ks) / d[:m, None]
+    logabs = np.array([-_LOG_FACT[:terms] - math.log(B) for B in d[:m]]).reshape(m, terms)
     sign = np.tile((-1.0) ** ks, (m, 1))
-    clash = _MAX_TERMS
+    clash = np.full(m, terms)
     with np.errstate(invalid="ignore"):
         for j in range(m):
             rest = np.arange(len(c)) != j
@@ -324,7 +295,32 @@ def _series_core(params, w):
                 logabs[j] = logabs[j] + la_i if e_i > 0 else logabs[j] - la_i
                 sign[j] *= sg_i
                 if e_i > 0 and not np.all(sg_i):
-                    clash = min(clash, int(np.argmin(sg_i != 0.0)))
+                    clash[j] = min(clash[j], int(np.argmin(sg_i != 0.0)))
+    return power, logabs, sign, clash
+
+
+def _series_core(params, w):
+    """Left-pole residue series at scaled arguments w (positive ndarray):
+    (values, err_ests), the terms read from _residues.  The series
+    converges in exact arithmetic, but at large w its alternating terms
+    may overflow or cancel first.  Each element stops on its own terms,
+    as its one-element call would: at term k >= 4, when its last three
+    terms are each under _SERIES_TOL times max(1, |sum|) and every
+    positive one of its last five is under 0.9 times the positive one
+    before.  err_est is 9 times that last term (the tail) plus
+    LANCZOS_REL_ACC * max|term|, the gamma kernel's relative accuracy in
+    each term.  An element comes back nan with err_est inf when its sum
+    goes non-finite, reaches a clash of _residues or runs out of terms
+    before it stops, and every element does when m = 0.
+    """
+    m = params.m
+    w = np.asarray(w, dtype=float)
+    vals, errs = np.full_like(w, np.nan), np.full_like(w, np.inf)
+    if m == 0:
+        return vals, errs
+    power, logabs, sign, clash = _residues(params)
+    clash = int(clash.min())
+    ks = np.arange(_MAX_TERMS)
 
     # _TERM_BLOCK poles at a time as one (k, w) array over the elements
     # still summing: cumsum carries each running sum as a term-by-term
@@ -387,25 +383,42 @@ def _log_h_real(params, s, on_pole="zero"):
 
 
 def _contour_position(params, w):
-    """Line Re(s) = c for each scaled argument w (1-d): the strip
-    midpoint, at least 1e-3 from each pole family, or 0.5 left of the
-    right poles.  With left poles only (n = 0), the rung of a geometric
-    ladder right of them that minimizes the t = 0 integrand amplitude
-    |h(c)| w^{-c}, so exponentially small H values keep relative
-    accuracy.  A rung where h vanishes or the amplitude is nan is never
-    taken, ties go to the first rung, and with none usable c is the
-    first, left_max + 0.5."""
-    left_max, right_min = _strip(params)
-    if math.isinf(right_min):
-        c = left_max + 2.0 ** np.arange(-1, 10)   # rungs 0.5, 1, 2, ..., 512
-        f = _log_h_real(params, c)[0] - np.log(w)[:, None] * c   # inf where h = 0
-        return c[np.argmin(np.where(f < math.inf, f, math.inf), axis=1)]
-    if math.isinf(left_max):
-        return np.full_like(w, right_min - 0.5)
-    if right_min - left_max < 2e-3:
-        raise NoSeparatingContour(f"pole families leave no usable gap: left max "
-                                  f"{left_max}, right min {right_min}")
-    return np.full_like(w, 0.5 * (left_max + right_min))
+    """(c, passed, top) for each scaled argument w (1-d) of a block with
+    left poles: the rung c = left_max + 0.5, 1, 2, ..., 512 that minimizes
+    the larger of the t = 0 amplitude |h(c)| w^{-c} and the largest
+    residue at the right poles left of c; passed is the sum of those
+    residues and top the largest, the first terms of _swap(params)'s
+    series at 1/w.  A rung where h is 0, infinite or nan, or that passes
+    a double pole or the table's end, is never taken; ties go to the
+    first rung, which is also taken (with passed nan) when none is usable."""
+    c = _strip(params)[0] + 2.0 ** np.arange(-1, 10)
+    logh, logw, n, swapped = _log_h_real(params, c)[0], np.log(w), params.n, _swap(params)
+    # the table holds the poles left of the last rung where h is finite;
+    # none is passed at or beyond its first double pole or its end
+    cs, ds, _ = _factors(swapped)
+    reach = c[np.max(np.flatnonzero(logh < math.inf), initial=0)]
+    terms = min(_MAX_TERMS, max(0, math.floor(np.max(reach * ds[:n] - cs[:n], initial=-1)) + 1))
+    # per rung: the log of the largest residue passed and their sum, the
+    # running max and sum over the poles in order (row 0: none passed)
+    big, tot, limit = np.full((c.size, w.size), -np.inf), np.zeros((c.size, w.size)), math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        if terms:
+            power, logabs, sign, clash = _residues(swapped, terms)
+            limit = np.min((cs[:n] + clash) / ds[:n])
+            live = sign != 0.0   # a vanishing residue adds nothing
+            order = np.argsort(power[live], kind="stable")
+            count = np.searchsorted(power[live][order], c)   # poles left of each rung
+            power, logabs, sign = (np.append(v, a[live][order]) for v, a in
+                                   ((0.0, power), (-math.inf, logabs), (0.0, sign)))
+            cols = max(1, BLOCK // power.size)
+            for k in range(0, w.size, cols):
+                x = logabs[:, None] - power[:, None] * logw[k:k + cols]
+                big[:, k:k + cols] = np.maximum.accumulate(x)[count]
+                tot[:, k:k + cols] = np.cumsum(sign[:, None] * np.exp(x), axis=0)[count]
+        big[c >= limit], tot[c >= limit] = math.inf, math.nan
+        f = np.maximum(logh - logw[:, None] * c, big.T)   # inf where h = 0
+        best, at = np.argmin(np.where(f < math.inf, f, math.inf), axis=1), np.arange(w.size)
+        return c[best], tot[best, at], np.exp(big[best, at])
 
 
 def _log_h(params, s):
@@ -426,13 +439,18 @@ def _contour(params, w, quad):
     t_max is TAIL_CUTOFF e^-5 below its t = 0 value; h halves, at most 10
     times, until every argument on the line has |T_h - T_2h| <=
     max(abs_tol, rel_tol |T_h|) or is down to its own rounding term, which
-    no finer h improves (such an argument keeps err_est inf).
+    no finer h improves (such an argument keeps err_est inf).  The passed
+    residues are added back, with LANCZOS_REL_ACC times the largest in
+    err_est.  A block with no left poles (m = 0) is taken as _swap(params)
+    at 1/w, so every line lies right of the left poles of its own block.
     """
+    if params.m == 0:
+        return _contour(_swap(params), 1.0 / w, quad)
     _, d, e = _factors(params)
     delta = float(np.sum(e * np.abs(d)))
     if delta <= 0:
         raise QuadFailure(f"contour integrand does not decay (delta = {delta})")
-    logw, cpos = np.log(w), _contour_position(params, w)
+    (cpos, passed, top), logw = _contour_position(params, w), np.log(w)
     vals, errs = np.full_like(w, np.nan), np.full_like(w, np.inf)
     cut = math.log(TAIL_CUTOFF) - 5.0
     for c in sorted(set(cpos.tolist())):
@@ -468,7 +486,7 @@ def _contour(params, w, quad):
                 break
         vals[on] = amp * h * tot
         errs[on] = np.where(ok, diff + rounding, np.inf)
-    return vals, errs
+    return vals + passed, errs + LANCZOS_REL_ACC * top
 
 
 def eval_contour(params, z, quad=QuadSpec()):
@@ -486,17 +504,12 @@ def eval_contour(params, z, quad=QuadSpec()):
 
 def _evaluate(params, z, quad):
     """The one H-value dispatcher: (values, err_ests, from_series) at
-    finite positive z of any shape.
-
-    Each scaled argument w = arg_scale * z falls in one band: the direct
-    series serves w inside 0.8 of the series radius (_radius), the
-    inversion identity (the swapped block at 1/w) w beyond 1.25 of it,
-    and the borderline annulus between the two has no series.  In each
-    band the residue series goes first; its value stands when finite
-    with err_est <= max(5e-14, 1e-8 |value|).  The band's other elements
-    go to one _contour call on the band's own block.  Where the contour
-    did not settle or cannot be taken, a series value with a finite
-    err_est is kept; otherwise the failure is raised.
+    finite positive z of any shape.  The direct series serves scaled
+    arguments w = arg_scale * z inside 0.8 of the series radius
+    (_radius), the inversion identity (the swapped block at 1/w) those
+    beyond 1.25 of it; a series value stands when finite with err_est <=
+    max(5e-14, 1e-8 |value|).  Every other argument goes to one _contour
+    call, and one where the contour does not settle raises QuadFailure.
     """
     _require_valid(params)
     z = np.asarray(z, dtype=float)
@@ -506,33 +519,19 @@ def _evaluate(params, z, quad):
     w = params.arg_scale * z.reshape(-1)
     base = replace(params, arg_scale=1.0)
     radius = _radius(base)
-    direct, inverted = w <= 0.8 * radius, w >= 1.25 * radius
     vals, errs = np.full_like(w, np.nan), np.full_like(w, np.inf)
-    series = np.zeros(w.shape, dtype=bool)
-    for block, arg, band, summed in ((base, w, direct, True),
-                                     (_swap(base), 1.0 / w, inverted, True),
-                                     (base, w, ~direct & ~inverted, False)):
+    for block, arg, band in ((base, w, w <= 0.8 * radius),
+                             (_swap(base), 1.0 / w, w >= 1.25 * radius)):
         idx = np.flatnonzero(band)
-        if summed and idx.size:
+        if idx.size:
             vals[idx], errs[idx] = _series_core(block, arg[idx])
-            series[idx] = np.isfinite(vals[idx]) & (
-                errs[idx] <= np.maximum(5e-14, 1e-8 * np.abs(vals[idx])))
-        idx = idx[~series[idx]]
-        if not idx.size:
-            continue
-        keep = np.isfinite(vals[idx]) & np.isfinite(errs[idx])
-        try:
-            cv, ce = _contour(block, arg[idx], quad)
-        except (QuadFailure, NoSeparatingContour):
-            if not np.all(keep):
-                raise
-            cv = ce = np.full(idx.size, np.inf)
-        took = np.isfinite(ce)
-        lost = idx[~(took | keep)]
+    series = np.isfinite(vals) & (errs <= np.maximum(5e-14, 1e-8 * np.abs(vals)))
+    rest = np.flatnonzero(~series)
+    if rest.size:
+        vals[rest], errs[rest] = _contour(base, w[rest], quad)
+        lost = rest[~np.isfinite(errs[rest])]
         if lost.size:
-            raise QuadFailure(f"contour did not settle at w = {arg[lost[0]]:.6g}")
-        vals[idx[took]], errs[idx[took]] = cv[took], ce[took]
-        series[idx[~took]] = True
+            raise QuadFailure(f"contour did not settle at w = {w[lost[0]]:.6g}")
     return vals.reshape(z.shape), errs.reshape(z.shape), series.reshape(z.shape)
 
 

@@ -1,0 +1,88 @@
+"""Rewrite the golden CLI outputs in this directory.
+
+Usage, from the repository root:
+
+    PYTHONPATH=src python tests/golden/regen.py
+
+Each case of CASES is one `fracwell` command; its CSV output goes to
+<name>.csv here.  tests/test_golden.py runs the same commands and
+compares the parsed numbers with these files.  A change that moves an
+output on purpose reruns this script and lists the rows that moved.
+"""
+
+import contextlib
+import io
+import pathlib
+import sys
+
+from fracwell import cli
+from fracwell.deltawell import PotentialConfig, _profile_block
+
+HERE = pathlib.Path(__file__).resolve().parent
+
+Z = "0.05,0.3,0.9,1,1.3,4,7,10,15,20,30,45,200"
+
+
+def _spec(params):
+    """--hfox text of a parameter block, every float at full precision."""
+    def pairs(ps):
+        return ",".join(f"{a!r}:{b!r}" for a, b in ps)
+    return (f"{params.m},{params.n},{params.p},{params.q};"
+            f"{pairs(params.upper)};{pairs(params.lower)}")
+
+
+def _profile_spec(alpha, lam):
+    return _spec(_profile_block(PotentialConfig(alpha=alpha, lam=lam)))
+
+
+_HFOX = {
+    "exp": "1,0,0,1;;0:1",
+    "2exp_z2": "1,0,0,1;;0:0.5",
+    "rational": "1,1,1,1;0:1;0:1",
+    "shifted_rational": "1,1,1,1;0.25:1;0.25:1",
+    "mixed": "2,1,2,3;0.3:0.7,0.2:1.1;0.1:1,0.4:0.6,0.2:0.9",
+    "exp_inverse": "0,1,1,0;0:1;",   # e^(-1/z) / z, a block with no left poles
+    "profile_2_1": _profile_spec(2.0, 1.0),
+    "profile_1.05_1": _profile_spec(1.05, 1.0),
+}
+
+_WAVE = {
+    "1.5_0.8": ["--alpha", "1.5", "--lambda", "0.8"],
+    "1.2_0.3": ["--alpha", "1.2", "--lambda", "0.3"],
+    "1.9_1": ["--alpha", "1.9", "--lambda", "1"],
+    "2_1": ["--alpha", "2", "--lambda", "1"],
+    "2_1_gamma100": ["--alpha", "2", "--lambda", "1", "--gamma", "100",
+                     "--x-min", "0", "--x-max", "1", "--x-steps", "11"],
+    "1.05_1": ["--alpha", "1.05", "--lambda", "1", "--x-min", "0",
+               "--x-max", "2"],
+}
+
+# file name -> fracwell argv
+CASES = {
+    **{f"hfox_{k}": ["--mode", "hfox-eval", "--hfox", v, "--z", Z]
+       for k, v in _HFOX.items()},
+    **{f"wavefunction_{k}": ["--mode", "wavefunction", *v]
+       for k, v in _WAVE.items()},
+    "validate": ["--mode", "validate"],
+}
+
+
+def render(argv):
+    """(exit code, CSV text) of one fracwell command."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    return code, buf.getvalue()
+
+
+def main():
+    for name, argv in CASES.items():
+        code, text = render(argv)
+        if code != 0:
+            sys.exit(f"{name}: fracwell exited {code}")
+        (HERE / f"{name}.csv").write_text(text, encoding="utf-8")
+        print(f"wrote {name}.csv")
+
+
+if __name__ == "__main__":
+    main()

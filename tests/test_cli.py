@@ -111,7 +111,7 @@ def test_energy_kappa_out_of_double_range_exits_3(capsys):
 
 @pytest.mark.parametrize("cls", [
     quadrature.QuadFailure, quadrature.NonIntegrable, quadrature.NonDecaying,
-    quadrature.NoBracket, deltawell.BracketFailure, hfox.NoSeparatingContour,
+    quadrature.NoBracket, deltawell.BracketFailure,
 ], ids=lambda cls: cls.__name__)
 def test_convergence_failures_share_one_base(cls):
     # the CLI maps NumericalFailure to exit code 3
@@ -351,14 +351,67 @@ def test_hfox_eval_coinciding_poles_exits_2(capsys):
     assert "left pole -1.0 coincides with right pole -1.0" in err
 
 
-def test_hfox_eval_without_contour_gap_exits_3(capsys):
-    # the pole families sit 5e-4 apart, inside the contour's 2e-3 margin
+def test_hfox_eval_near_pole_collision_exits_0(capsys):
+    # the pole families sit 5e-4 apart: the line passes the right pole at
+    # 5e-4 and adds its residue back, Gamma(5e-4) 2^-5e-4 at z = 1
     code = cli.main(["--mode", "hfox-eval", "--hfox", "1,1,1,1;0.9995:1;0:1",
                      "--z", "1"])
-    assert code == 3
+    assert code == 0
     out, err = capsys.readouterr()
-    assert out == ""
-    assert "NoSeparatingContour" in err
+    assert err == ""
+    row = list(csv.DictReader(out.splitlines()))[0]
+    assert float(row["value"]) == pytest.approx(
+        math.gamma(5e-4) * 2.0 ** -5e-4, rel=1e-9)   # 1998.73045140
+
+
+def test_hfox_eval_near_pole_collision_profile_block(capsys):
+    # the wavefunction block at alpha = 1.5, lam = 1e-5: left pole 0 and
+    # right pole 1e-5; it printed -3.16e16 by a kept series value
+    spec = ("2,1,1,3;0.9999933333333333:0.6666666666666666;0:0.5,"
+            "0.9999933333333333:0.6666666666666666,0.5:0.5")
+    assert cli.main(["--mode", "hfox-eval", "--hfox", spec, "--z", "25"]) == 0
+    row = list(csv.DictReader(capsys.readouterr().out.splitlines()))[0]
+    value, err = float(row["value"]), float(row["err_est"])
+    assert value == pytest.approx(1.69249e5, rel=1e-5)
+    assert err < 1e-8 * value
+
+
+def test_hfox_eval_block_without_left_poles(capsys):
+    # H^{0,1}_{1,0}[z | (0, 1)] = e^(-1/z) / z, exponentially small here:
+    # the contour takes it as its swapped block at 1/z
+    z = (0.005, 0.01, 0.02)
+    assert cli.main(["--mode", "hfox-eval", "--hfox", "0,1,1,0;0:1;",
+                     "--z", ",".join(map(str, z))]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    for x, row in zip(z, rows):
+        assert float(row["value"]) == pytest.approx(math.exp(-1.0 / x) / x, rel=1e-10, abs=0.0)
+
+
+def test_wavefunction_hfox_route_far_tail_classical(tmp_path):
+    # gamma = 100: phi = sqrt(50) e^(-50 x), down to 1.4e-21 at x = 1,
+    # where the H route printed 7.8e-17
+    code, path = run(tmp_path, "--mode", "wavefunction", "--alpha", "2",
+                     "--lambda", "1", "--gamma", "100", "--x-min", "0",
+                     "--x-max", "1", "--x-steps", "11", out="w.csv")
+    assert code == 0
+    _, rows = read_csv(path)
+    assert len(rows) == 11
+    for row in rows:
+        x = float(row["x"])
+        assert float(row["phi_hfox"]) == pytest.approx(
+            math.sqrt(50.0) * math.exp(-50.0 * x), rel=1e-8, abs=0.0), x
+
+
+def test_wavefunction_hfox_route_positive_at_lam_one(tmp_path):
+    # (1.05, 1): kappa is 1.3e16, so x = 0.02 sits far in the algebraic
+    # tail, where the H route printed -9.95e-17
+    code, path = run(tmp_path, "--mode", "wavefunction", "--alpha", "1.05",
+                     "--lambda", "1", "--x-min", "0", "--x-max", "2", out="w.csv")
+    assert code == 0
+    _, rows = read_csv(path)
+    assert all(float(row["phi_hfox"]) > 0.0 for row in rows)
+    row = next(row for row in rows if float(row["x"]) == 0.02)
+    assert float(row["phi_hfox"]) == pytest.approx(1.913e-22, rel=1e-3, abs=0.0)
 
 
 # ----------------------------------------------------------- config files

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from fracwell import hfox as hf
 from fracwell.gammafn import LANCZOS_REL_ACC, gammaln_sign
 from fracwell.hfox import HFoxParams
-from fracwell.quadrature import QuadFailure, QuadSpec
+from fracwell.quadrature import NumericalFailure, QuadFailure, QuadSpec
 
 # the two workhorse instances: H[z] = e^{-z} and H[z] = 1/(1+z)
 EXP = HFoxParams(m=1, n=0, upper=(), lower=((0.0, 1.0),))
@@ -192,17 +192,51 @@ def test_contour_stops_refining_at_its_rounding(monkeypatch):
     assert np.all(errs == math.inf)
 
 
-def _saddle_reference(params, w, left_max):
-    # the ladder one rung at a time: skip a rung where h vanishes, keep
-    # the first of equal amplitudes
-    best_c, best_f = left_max + 0.5, math.inf
-    for step in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0):
+def _right_poles(params, reach):
+    # the right poles left of reach, one term at a time: pole k of a
+    # numerator Gamma(c_j + d_j s) with d_j < 0 sits at s_k = (c_j + k)/|d_j|,
+    # and a line right of it gains (-1)^k/(k! |d_j|) h_j(s_k) w^-s_k, h_j
+    # the other factors.  Rows (s_k, log|coefficient|, sign, usable): a
+    # double pole, or one beyond the residue table, is not usable
+    cf, df, ef = hf._factors(params)
+    poles = []
+    for j in np.flatnonzero((ef > 0) & (df < 0)):
+        for k in range(hf._MAX_TERMS + 1):
+            s = (cf[j] + k) / -df[j]
+            if s >= reach:
+                break
+            logabs, sign = -math.lgamma(k + 1) - math.log(-df[j]), (-1.0) ** k
+            usable = k < hf._MAX_TERMS
+            for i in range(len(cf)):
+                if i != j:
+                    la, sg = gammaln_sign(cf[i] + df[i] * s)
+                    usable &= not (sg == 0.0 and ef[i] > 0)
+                    logabs, sign = logabs + ef[i] * la, sign * sg
+            poles.append((s, logabs, sign, usable))
+    return poles
+
+
+RUNGS = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0)
+
+
+def _saddle_reference(params, w, left_max, poles):
+    # the ladder one rung at a time: skip a rung where h vanishes or that
+    # passes a double pole, keep the first of equal scores; (c, sum and
+    # largest of the passed residues)
+    best = (left_max + 0.5, math.inf, 0.0, 0.0)
+    for step in RUNGS:
         c = left_max + step
         logabs, sign = hf._log_h_real(params, c)
-        f = float(logabs) - c * math.log(w)
-        if sign != 0.0 and f < best_f:
-            best_c, best_f = c, f
-    return best_c
+        passed = [p for p in poles if p[0] < c]
+        if sign == 0.0 or not all(p[3] for p in passed):
+            continue
+        logs = [la - s * math.log(w) for s, la, sg, _ in passed if sg != 0.0]
+        f = max([float(logabs) - c * math.log(w)] + logs)
+        if f < best[1]:
+            terms = [sg * math.exp(la - s * math.log(w))
+                     for s, la, sg, _ in passed if sg != 0.0]
+            best = (c, f, math.fsum(terms), max(map(abs, terms), default=0.0))
+    return best[0], best[2], best[3]
 
 
 @pytest.mark.parametrize("params", [
@@ -214,15 +248,25 @@ def _saddle_reference(params, w, left_max):
     # Gamma(s)/Gamma(1-2s): every rung is a denominator pole
     HFoxParams(m=1, n=0, upper=(), lower=((0.0, 1.0), (0.0, 2.0))),
     HFoxParams(m=1, n=0, upper=((0.5, 1.0),), lower=((0.3, 0.7),)),
+    RAT, MIXED,
+    # the classical profile block: every passed residue is zero
+    pytest.param((2.0, 1.0), id="profile_2_1"),
+    pytest.param((1.2, 0.3), id="profile_1.2_0.3"),
 ])
 def test_saddle_ladder_matches_scalar_reference(params):
     # the whole grid in one (w x rung) argmin, out of order
+    if isinstance(params, tuple):
+        params = _profile(*params)
     left_max = hf._strip(params)[0]
     w = np.concatenate([[1e-3, 0.3, 1.0, 7.0, 45.0, 1e3],
                         np.geomspace(1e-3, 1e3, 34)[::-1]])
-    got = hf._contour_position(params, w)
-    assert got.shape == w.shape
-    assert list(got) == [_saddle_reference(params, x, left_max) for x in w]
+    got, passed, top = hf._contour_position(params, w)
+    assert got.shape == passed.shape == top.shape == w.shape
+    poles = _right_poles(params, left_max + RUNGS[-1])
+    want = np.array([_saddle_reference(params, x, left_max, poles) for x in w])
+    assert list(got) == list(want[:, 0])
+    assert_allclose(top, want[:, 2], rtol=1e-12)
+    assert np.all(np.abs(passed - want[:, 1]) <= 1e-13 * want[:, 2])
 
 
 def test_auto_dispatch():
@@ -267,22 +311,21 @@ def test_auto_does_not_certify_far_tail_as_zero():
     assert_allclose(grid[1], math.exp(-45.0), rtol=1e-7)
 
 
-def test_dispatcher_keeps_series_value_without_contour(monkeypatch):
+def test_dispatcher_raises_without_contour(monkeypatch):
     def no_contour(*args, **kwargs):
         raise QuadFailure("no contour")
 
     for fake in (no_contour, _unsettled_contour):
         monkeypatch.setattr(hf, "_contour", fake)
         # the series value of exp(-12) fails the acceptance rule; with no
-        # contour to take, it is still returned, as a series value
-        out = hf.eval_auto(EXP, 12.0)
-        assert out.method == "series"
-        assert_allclose(out.value, math.exp(-12.0), rtol=1e-2)
-        vals = hf._evaluate(EXP, np.array([[0.5], [12.0]]), QuadSpec())[0]
-        assert vals.shape == (2, 1) and vals[1, 0] == out.value
-        # in the annulus of 1/(1+z) there is no series value to keep
+        # contour to take, the failure is raised, alone and in a grid
+        with pytest.raises(QuadFailure):
+            hf.eval_auto(EXP, 12.0)
+        with pytest.raises(QuadFailure):
+            hf._evaluate(EXP, np.array([[0.5], [12.0]]), QuadSpec())
         with pytest.raises(QuadFailure):
             hf.eval_auto(RAT, 1.0)
+        assert hf.eval_auto(EXP, 0.5).method == "series"
 
 
 @pytest.mark.parametrize("params, z, exact", [
@@ -450,6 +493,58 @@ def test_series_err_est_covers_contour_profile_block(alpha, lam):
     for v, e, x in zip(vals[series], errs[series], z[series]):
         b = hf.eval_contour(params, x)
         assert abs(v - b.value) <= e + b.err_est, x
+
+
+@pytest.mark.parametrize("w", [5.0, 10.0, 20.0, 25.0, 40.0, 100.0, 300.0])
+def test_classical_profile_block_far_tail(w):
+    # the block at (2, 1) is 2 sqrt(pi) e^(-2w): the line moves right past
+    # the right poles, whose residues all vanish, so e^(-600) keeps its
+    # relative accuracy (the strip midpoint was off by 2.7e17 at w = 40)
+    params = _profile(2.0, 1.0)
+    vals, errs, _ = hf._evaluate(params, np.array([w]), QuadSpec())
+    assert_allclose(vals[0], 2.0 * math.sqrt(math.pi) * math.exp(-2.0 * w), rtol=1e-10)
+    assert errs[0] < 1e-9 * vals[0]
+
+
+def test_classical_profile_block_between_rungs():
+    # between the ladder's rungs the line loses digits, not all of them
+    w = np.geomspace(5.0, 300.0, 40)
+    vals, _, _ = hf._evaluate(_profile(2.0, 1.0), w, QuadSpec())
+    assert_allclose(vals, 2.0 * math.sqrt(math.pi) * np.exp(-2.0 * w), rtol=1e-6)
+
+
+@pytest.mark.parametrize("alpha, lam", [(1.05, 1.0), (1.5, 0.8), (1.2, 0.3)])
+def test_profile_block_algebraic_tail_leading_term(alpha, lam):
+    # far out, I(y) = sqrt(pi)/(2 alpha) H[y/2] is its leading right-pole
+    # term: Gamma(lam) cos(pi lam/2) y^-lam for lam < 1, and
+    # Gamma(1+alpha) sin(pi alpha/2) y^-(1+alpha) at lam = 1
+    y = np.geomspace(1e10, 1e14, 9)
+    vals, _, _ = hf._evaluate(_profile(alpha, lam), y / 2.0, QuadSpec())
+    if lam < 1.0:
+        lead = math.gamma(lam) * math.cos(math.pi * lam / 2.0) * y ** -lam
+    else:
+        lead = (math.gamma(1.0 + alpha) * math.sin(math.pi * alpha / 2.0)
+                * y ** -(1.0 + alpha))
+    assert_allclose(math.sqrt(math.pi) / (2.0 * alpha) * vals, lead, rtol=1e-10)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(alpha_gap=st.floats(-6.0, 0.0), lam=st.one_of(st.just(0.0), st.floats(-8.0, 0.0)),
+       y=st.floats(-8.0, 14.0))
+def test_profile_block_values_are_honest_or_raise(alpha_gap, lam, y):
+    # over 1 < alpha <= 2 down to 1 + 1e-6, lam in [1e-8, 1] and y in
+    # [1e-8, 1e14] (decimal exponents drawn), every value carries an
+    # err_est below its size, or is an underflowed 0 +- 0, or the call
+    # raises a typed failure; at lam = 1, I(y) > 0 is never negative
+    alpha, lam, y = 1.0 + 10.0 ** alpha_gap, 10.0 ** lam, 10.0 ** y
+    try:
+        vals, errs, _ = hf._evaluate(_profile(alpha, lam), np.array([y / 2.0]), QuadSpec())
+    except NumericalFailure:
+        return
+    v, e = vals[0], errs[0]
+    assert e < abs(v) or v == e == 0.0
+    if lam == 1.0:
+        assert v >= 0.0
 
 
 @pytest.mark.parametrize("name", ["check_hfox_cosine_transform",
