@@ -85,7 +85,6 @@ _SERIES_TOL = 1e-12   # a residue term under this times the sum is small
 _MAX_TERMS = 512      # residue series term budget
 # log k! over the term budget, shared by every residue series
 _LOG_FACT = np.array([math.lgamma(k + 1) for k in range(_MAX_TERMS)])
-_TERM_BLOCK = 16      # residue terms per (k, w) array: about 8 of them at 1984 w take 2 MB
 _POLE_CAP = 4096      # poles per family that validate's coincidence scan lists
 
 
@@ -274,12 +273,14 @@ def _swap(params):
 
 # --- residue series -------------------------------------------------------
 
-def _residues(params, terms=_MAX_TERMS):
+def _residues(params, terms):
     """(power, logabs, sign, clash) of the first `terms` poles of each left
     family (rows j < m of _factors): pole k of family j sits at s =
     -power[j, k], with residue sign * exp(logabs + power log w) of h(s)
     w^{-s}; sign = 0 where a reciprocal gamma vanishes.  clash[j] is the
-    first k where another numerator gamma has a pole too, or `terms`."""
+    first k where another numerator gamma has a pole too, or `terms`.
+    Each entry depends on k alone, so the horizons of _series_core (32,
+    64, ..., _MAX_TERMS terms) read heads of one table."""
     m = params.m
     c, d, e = _factors(params)
     ks = np.arange(terms)
@@ -299,6 +300,31 @@ def _residues(params, terms=_MAX_TERMS):
     return power, logabs, sign, clash
 
 
+def _partial_sums(power, logabs, sign, logw):
+    """One horizon of _series_core, a K-term residue table (K > 4) at the
+    log arguments logw (1-d) as one (k, w) array: (values, err_ests,
+    done), nan and inf where the stopping rule does not fire before K;
+    done also marks a sum that is not finite at K."""
+    term = np.zeros((power.shape[1], logw.size))
+    for j in range(len(power)):
+        x = sign[j, :, None] * np.exp(power[j, :, None] * logw + logabs[j, :, None])
+        term += np.where(sign[j, :, None] != 0.0, x, 0.0)   # a zero residue adds nothing
+    mag, run = np.abs(term), np.cumsum(term, axis=0)   # s_k = s_{k-1} + t_k
+    small = mag < _SERIES_TOL * np.maximum(1.0, np.abs(run))
+    # row i is term k = i + 4, under the stopping rule of _series_core
+    stop = np.isfinite(run[4:]) & small[4:] & small[3:-1] & small[2:-2]
+    prev = np.zeros(stop.shape)
+    for t in (mag[i:i + len(stop)] for i in range(5)):
+        stop &= ~((t > 0.0) & (prev > 0.0) & ~(t / prev < 0.9))
+        prev = np.where(t > 0.0, t, prev)
+    stopped, cols = stop.any(axis=0), np.arange(logw.size)
+    at = 4 + np.argmax(stop, axis=0)   # the term each one stops at
+    top = np.maximum.accumulate(mag, axis=0)[at, cols]
+    vals = np.where(stopped, run[at, cols], np.nan)
+    errs = np.where(stopped, mag[at, cols] * (0.9 / 0.1) + LANCZOS_REL_ACC * top, np.inf)
+    return vals, errs, stopped | ~np.isfinite(run[-1])
+
+
 def _series_core(params, w):
     """Left-pole residue series at scaled arguments w (positive ndarray):
     (values, err_ests), the terms read from _residues.  The series
@@ -309,59 +335,32 @@ def _series_core(params, w):
     positive one of its last five is under 0.9 times the positive one
     before.  err_est is 9 times that last term (the tail) plus
     LANCZOS_REL_ACC * max|term|, the gamma kernel's relative accuracy in
-    each term.  An element comes back nan with err_est inf when its sum
-    goes non-finite, reaches a clash of _residues or runs out of terms
-    before it stops, and every element does when m = 0.
+    each term.  The open elements are summed from k = 0 to a horizon of
+    32 terms, then afresh to 64, 128, 256 and _MAX_TERMS terms; nothing
+    is carried from one horizon to the next.  An element comes back nan
+    with err_est inf when its sum goes non-finite, reaches a clash of
+    _residues or runs out of terms before it stops, and every element
+    does when m = 0.
     """
-    m = params.m
     w = np.asarray(w, dtype=float)
     vals, errs = np.full_like(w, np.nan), np.full_like(w, np.inf)
-    if m == 0:
+    if params.m == 0:
         return vals, errs
-    power, logabs, sign, clash = _residues(params)
-    clash = int(clash.min())
-    ks = np.arange(_MAX_TERMS)
-
-    # _TERM_BLOCK poles at a time as one (k, w) array over the elements
-    # still summing: cumsum carries each running sum as a term-by-term
-    # loop would; the last four |term| and two small flags of each element
-    # carry its stopping rule from block to block
-    todo = np.arange(w.size)
-    logw, acc, max_mag = np.log(w), np.zeros_like(w), np.zeros_like(w)
-    last, small = np.zeros((4, w.size)), np.zeros((2, w.size), dtype=bool)
+    todo, logw = np.arange(w.size), np.log(w)
     with np.errstate(over="ignore", invalid="ignore", under="ignore", divide="ignore"):
-        for k0 in range(0, clash, _TERM_BLOCK):
-            kb = slice(k0, min(k0 + _TERM_BLOCK, clash))
-            term = np.zeros((len(ks[kb]), todo.size))
-            for j in range(m):
-                x = np.multiply(power[j, kb, None], logw)
-                x += logabs[j, kb, None]
-                np.exp(x, out=x)
-                x *= sign[j, kb, None]
-                x[sign[j, kb] == 0.0] = 0.0   # a vanishing residue adds nothing
-                term += x
-            mag = np.abs(term, out=x)
-            term[0] += acc
-            run = np.cumsum(term, axis=0)
-            bad = ~np.isfinite(run)   # a sum that went non-finite stays so
-            small = np.concatenate([small, mag < _SERIES_TOL * np.maximum(1.0, np.abs(run))])
-            stop = small[2:] & small[1:-1] & small[:-2] & ~bad & (ks[kb, None] >= 4)
-            last = np.concatenate([last, mag])
-            prev = np.zeros_like(mag)   # each window's last positive |term|
-            for t in (last[i:i + len(mag)] for i in range(5)):
-                stop &= ~((t > 0.0) & (prev > 0.0) & ~(t / prev < 0.9))
-                prev = np.where(t > 0.0, t, prev)
-            stopped = stop.any(axis=0)
-            took = np.flatnonzero(stopped)
-            at = np.argmax(stop[:, took], axis=0)   # the term each one stops at
-            top = np.maximum(max_mag[took], np.maximum.accumulate(mag, axis=0)[at, took])
-            vals[todo[took]] = run[at, took]
-            errs[todo[took]] = mag[at, took] * (0.9 / 0.1) + LANCZOS_REL_ACC * top
-            keep = ~(stopped | bad[-1])
-            todo, logw, acc = todo[keep], logw[keep], run[-1, keep]
-            max_mag = np.maximum(max_mag[keep], mag.max(axis=0)[keep])
-            last, small = last[-4:, keep], small[-2:, keep]
-            if not todo.size:
+        for horizon in (32, 64, 128, 256, _MAX_TERMS):
+            power, logabs, sign, clash = _residues(params, horizon)
+            terms = int(clash.min())
+            if terms <= 4:   # nothing stops before term 4
+                break
+            # (k, w) arrays of at most BLOCK elements
+            done, cols = np.zeros(todo.size, dtype=bool), BLOCK // terms
+            for k in range(0, todo.size, cols):
+                at = todo[k:k + cols]
+                vals[at], errs[at], done[k:k + cols] = _partial_sums(
+                    power[:, :terms], logabs[:, :terms], sign[:, :terms], logw[at])
+            todo = todo[~done]
+            if terms < horizon or not todo.size:
                 break
     return vals, errs
 

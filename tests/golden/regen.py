@@ -57,8 +57,21 @@ _WAVE = {
                "--x-max", "2"],
 }
 
+_ENERGY = {
+    "1.5_0.8": ["--alpha", "1.5", "--lambda", "0.8"],
+    "1.2_0.3": ["--alpha", "1.2", "--lambda", "0.3"],
+}
+
+# each sweep row is named by its alpha, unique in these grids
+_SWEEP = {
+    "alpha_0.8": ["--sweep-alpha", "1.2,1.5,1.8,2.0", "--lambda", "0.8"],
+    "alpha_1": ["--sweep-alpha", "1.2,1.5,1.8,2.0", "--lambda", "1"],
+}
+
 # file name -> fracwell argv
 CASES = {
+    **{f"energy_{k}": ["--mode", "energy", *v] for k, v in _ENERGY.items()},
+    **{f"sweep_{k}": ["--mode", "sweep", *v] for k, v in _SWEEP.items()},
     **{f"hfox_{k}": ["--mode", "hfox-eval", "--hfox", v, "--z", Z]
        for k, v in _HFOX.items()},
     **{f"wavefunction_{k}": ["--mode", "wavefunction", *v]

@@ -1,8 +1,9 @@
 """The CLI outputs in tests/golden/ against a fresh run of each command.
 
 Numbers are compared parsed, at rtol 1e-10, since the last printed digit
-is not portable across BLAS builds; err_est, rel_dev and measured cells
-have an absolute floor of 1e-12, as their tiny values are rounding.
+is not portable across BLAS builds; err_est, rel_dev, rel_deviation and
+measured cells have an absolute floor of 1e-12, as their tiny values are
+rounding.
 Every other cell must match as text.  tests/golden/regen.py rewrites
 the files.
 """
@@ -14,12 +15,14 @@ import pathlib
 
 import pytest
 
+from fracwell import cli
+
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 _spec = importlib.util.spec_from_file_location("golden_regen", GOLDEN / "regen.py")
 regen = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(regen)
 
-FLOORED = {"err_est", "rel_dev", "measured"}
+FLOORED = {"err_est", "rel_dev", "rel_deviation", "measured"}
 
 
 def _rows(text):
@@ -69,6 +72,11 @@ def test_cli_output_matches_golden(name):
     assert code == 0
     want = (GOLDEN / f"{name}.csv").read_text(encoding="utf-8")
     assert differences(want, text) == []
+
+
+def test_golden_cases_cover_every_mode():
+    modes = {argv[argv.index("--mode") + 1] for argv in regen.CASES.values()}
+    assert modes == set(cli._MODES)
 
 
 def test_differences_names_each_moved_row():

@@ -376,7 +376,7 @@ def test_contour_grid_matches_single_arguments(params):
 
 def _series_reference(params, w):
     # the residue series at one argument w, one term at a time: the loop
-    # each element of a blocked _series_core call must reproduce bit for bit
+    # each element of a grid _series_core call must reproduce bit for bit
     m = params.m
     if m == 0:
         return math.nan, math.inf
@@ -482,8 +482,15 @@ def test_series_err_est_covers_exact_error(name):
     assert np.all(np.abs(vals[series] - want) <= errs[series])
 
 
-@pytest.mark.parametrize("alpha, lam", [(1.5, 0.8), (1.2, 0.3), (2.0, 1.0),
-                                        (1.05, 1.0)])
+_NEAR_PAIRS = ("small-lam series error (ROADMAP item 8): accepted values lie "
+               "outside their err_est, likely where two left pole families nearly meet")
+
+
+@pytest.mark.parametrize("alpha, lam", [
+    (1.5, 0.8), (1.2, 0.3), (2.0, 1.0), (1.05, 1.0),
+    pytest.param(1.5, 0.02, marks=pytest.mark.xfail(strict=True, reason=_NEAR_PAIRS)),
+    pytest.param(1.2, 0.01, marks=pytest.mark.xfail(strict=True, reason=_NEAR_PAIRS)),
+])
 def test_series_err_est_covers_contour_profile_block(alpha, lam):
     # no exact values here: each series value lies within its err_est plus
     # the err_est of the one-argument contour
@@ -560,6 +567,19 @@ def test_hfox_checks_stay_small_in_memory(name):
     tracemalloc.start()
     try:
         assert getattr(checks, name)().passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
+def test_series_grid_stays_small_in_memory():
+    # each horizon sums its open arguments in (term x argument) blocks, so
+    # a large grid never becomes one large matrix
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        hf._series_core(EXP, np.geomspace(1e-3, 30.0, 20000))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
