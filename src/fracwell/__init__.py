@@ -28,7 +28,6 @@ from .quadrature import (
 from .hfox import (
     HFoxParams,
     EvalOutcome,
-    validate,
     eval_contour,
     eval_auto,
     mellin,
@@ -71,7 +70,7 @@ __all__ = [
     "NumericalFailure", "QuadSpec", "QuadFailure", "NonIntegrable",
     "NonDecaying", "NoBracket", "integrate_adaptive", "integrate_oscillatory",
     "root_itp",
-    "HFoxParams", "EvalOutcome", "validate", "eval_contour", "eval_auto",
+    "HFoxParams", "EvalOutcome", "eval_contour", "eval_auto",
     "mellin", "mellin_numeric_check", "rescale_power", "cancel_pairs",
     "cosine_transform", "cosine_transform_check",
     "MeasureDim", "DeltaFamily", "SingularPoint", "weight", "integrate",

@@ -23,9 +23,9 @@ from .hfox import (HFoxParams, eval_auto, mellin_numeric_check,
 from .measure import MeasureDim, DeltaFamily, integrate as measure_integrate, \
     delta_value, sift
 from .quadrature import QuadSpec
-from .deltawell import (PotentialConfig, DomainError, energy_closed_form,
-                        energy_oracle, normalize, _x0_identity,
-                        position_wavefunction_quadrature,
+from .deltawell import (SHAPE_TOL, PotentialConfig, DomainError,
+                        energy_closed_form, energy_oracle, normalize,
+                        _x0_identity, position_wavefunction_quadrature,
                         hfox_shape_check)
 
 # accuracy pinned for the whole suite; user overrides do not reach here
@@ -265,9 +265,8 @@ def check_hfox_shape_classical():
     cfg = PotentialConfig(alpha=2.0, lam=1.0)
     st = energy_closed_form(cfg)
     chk = hfox_shape_check(st, cfg, _QUAD)
-    return CheckResult(name="hfox_shape_classical", passed=chk.passed,
-                       measured=chk.max_rel_dev, tolerance=1e-4,
-                       detail="exact H route values vs cosine transform")
+    return _result("hfox_shape_classical", chk.max_rel_dev, SHAPE_TOL,
+                   "exact H route values vs cosine transform")
 
 
 def check_x0_identity_fractional():

@@ -28,7 +28,7 @@ transform, the position profile, has two routes with one prefactor and
 one amplitude: position_wavefunction_quadrature integrates it (the
 independent reference), position_wavefunction_hfox evaluates its exact
 Fox H-function form (_profile_block) and is `verified` when the two
-agree to 1e-4.  The source texts reduce that form to
+agree to SHAPE_TOL (1e-4).  The source texts reduce that form to
 H^{1,0}_{0,1}[kappa|x|] = exp(-kappa|x|), true only at alpha=2, lam=1;
 its shape is off by 0.80 at (alpha, lam) = (1.5, 0.8) and 0.96 at
 (1.2, 0.3), reported as hfox_shape_check's printed_dev.
@@ -50,6 +50,10 @@ from .hfox import HFoxParams, _evaluate
 from .measure import MeasureDim, integrate as measure_integrate
 from .quadrature import (NumericalFailure, QuadSpec, QuadFailure,
                          integrate_adaptive, integrate_oscillatory, root_itp)
+
+# largest relative gap between the two position routes on
+# hfox_shape_check's grid at which the H route counts as verified
+SHAPE_TOL = 1e-4
 
 
 class DomainError(Exception):
@@ -360,13 +364,13 @@ class ShapeCheck:
 def hfox_shape_check(state, cfg, spec=QuadSpec()):
     """Compare the H-function position route against the quadrature
     route on 16 points spanning [0.25, 4] decay lengths; passed when
-    the values agree to 1e-4."""
+    the values agree to SHAPE_TOL."""
     xs = np.linspace(0.25, 4.0, 16) / state.kappa
     hq = position_wavefunction_quadrature(state, cfg, xs, spec)
     hh = _hfox_profile(state, cfg, xs, spec)
     dev = float(np.max(np.abs(hh - hq) / np.abs(hq)))
     printed = hq[0] * np.exp(-state.kappa * (xs - xs[0])) / hq
-    return ShapeCheck(passed=dev <= 1e-4, max_rel_dev=dev,
+    return ShapeCheck(passed=dev <= SHAPE_TOL, max_rel_dev=dev,
                       xs=tuple(float(t) for t in xs),
                       printed_dev=float(np.max(np.abs(printed - 1.0))))
 
@@ -380,7 +384,7 @@ def position_wavefunction_hfox(state, cfg, x, spec=QuadSpec()):
     """Position profile via the exact H-function form (_profile_block).
 
     Returns (value, verified) for scalar or array x.  The flag is true
-    only if the two routes agree to 1e-4 on hfox_shape_check's grid; the
+    only if the two routes agree to SHAPE_TOL on hfox_shape_check's grid; the
     check is cached, so a configuration pays for it once.
     """
     key = replace(state, amplitude=1.0)   # the check is amplitude-free

@@ -2,6 +2,12 @@
 behind eval_auto), Mellin transform, and the parameter algebra (argument
 rescaling, pair cancellation, cosine transform).
 
+An H-function exists only for a valid parameter block: orders in range,
+every A_j, B_j > 0, and no left pole on a right pole (Kilbas & Saigo,
+H-Transforms, 2004, sec. 1.1).  HFoxParams checks that when it is made
+and raises ValueError otherwise, so every block the engine sees is
+valid, including those the parameter algebra derives.
+
 Conventions
 -----------
 The engine evaluates
@@ -55,20 +61,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .gammafn import LANCZOS_REL_ACC, gammaln_sign, loggamma
-from .quadrature import (BLOCK, TAIL_CUTOFF, QuadFailure,
-                         QuadSpec, integrate_adaptive, integrate_oscillatory)
+from .quadrature import (BLOCK, QuadFailure, QuadSpec, integrate_adaptive,
+                         integrate_oscillatory)
 
 __all__ = [
     "HFoxParams",
     "EvalOutcome",
-    "ValidationReport",
     "CosineTransform",
     "MellinCheck",
     "CosineTransformCheck",
     "OutOfStrip",
     "NoMatchingPair",
     "StripViolation",
-    "validate",
     "eval_contour",
     "eval_auto",
     "mellin",
@@ -85,7 +89,10 @@ _SERIES_TOL = 1e-12   # a residue term under this times the sum is small
 _MAX_TERMS = 512      # residue series term budget
 # log k! over the term budget, shared by every residue series
 _LOG_FACT = np.array([math.lgamma(k + 1) for k in range(_MAX_TERMS)])
-_POLE_CAP = 4096      # poles per family that validate's coincidence scan lists
+_POLE_CAP = 4096      # left poles per family that the coincidence scan tests
+# the contour cuts its semi-infinite line where the integrand has fallen
+# TAIL_CUTOFF e^-5 below its t = 0 value
+TAIL_CUTOFF = 1e-14
 
 
 class OutOfStrip(Exception):
@@ -108,6 +115,8 @@ class HFoxParams:
     pairs (length q); m and n are the leading-gamma counts.  The first
     m lower and first n upper pairs are numerator gammas; order inside
     each of the four groups is immaterial, order across groups is not.
+    A block that defines no H-function raises ValueError with every
+    reason _violations finds.
     """
 
     m: int
@@ -119,6 +128,9 @@ class HFoxParams:
     def __post_init__(self):
         object.__setattr__(self, "upper", tuple((float(a), float(A)) for a, A in self.upper))
         object.__setattr__(self, "lower", tuple((float(b), float(B)) for b, B in self.lower))
+        bad = _violations(self)
+        if bad:
+            raise ValueError("invalid H-function parameters: " + "; ".join(bad))
 
     @property
     def p(self):
@@ -127,12 +139,6 @@ class HFoxParams:
     @property
     def q(self):
         return len(self.lower)
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple
 
 
 @dataclass(frozen=True)
@@ -198,8 +204,14 @@ def _strip(params):
             float(right.min()) if right.size else math.inf)
 
 
-def validate(params):
-    """Structural validation; returns a report rather than raising."""
+def _violations(params):
+    """Why a block defines no H-function, as messages (none when it does):
+    orders out of range, a non-finite pair or arg_scale, a scale A_j or
+    B_j not positive, or a left pole on a right pole.  The coincidence
+    scan takes each left family's poles in [right_min, left_max], at most
+    _POLE_CAP of them, and finds the right families with a pole there by
+    one gammaln_sign call (sign 0, the test of _residues' clash); it
+    reports the first coincidence and the count for each family pair."""
     v = []
     m, n, p, q = params.m, params.n, params.p, params.q
     if not (0 <= n <= p):
@@ -216,38 +228,28 @@ def validate(params):
                 v.append(f"{sym} > 0 violated at {tag}[{i}]: got {scale}")
     if not (math.isfinite(params.arg_scale) and params.arg_scale > 0):
         v.append(f"arg_scale must be finite and positive, got {params.arg_scale}")
-    if not v and m > 0 and n > 0:
-        left_max, right_min = _strip(params)
-        if left_max >= right_min - COINCIDENCE_TOL:
-            c, d, _ = _factors(params)
-            lefts = [s for j in range(m)
-                     for s in _poles_beyond(c[j], d[j], right_min - 1e-9)]
-            rights = [s for j in range(m, m + n)
-                      for s in _poles_beyond(c[j], d[j], left_max + 1e-9)]
-            for l in lefts:
-                for r in rights:
-                    if abs(l - r) < COINCIDENCE_TOL * max(1.0, abs(l)):
-                        v.append(f"left pole {l} coincides with right pole {r}")
-    return ValidationReport(ok=not v, violations=tuple(v))
-
-
-def _require_valid(params):
-    rep = validate(params)
-    if not rep.ok:
-        raise ValueError("invalid H-function parameters: " + "; ".join(rep.violations))
-
-
-def _poles_beyond(c, d, bound):
-    """Poles s = -(c + k)/d of Gamma(c + d s) on the far side of bound:
-    s >= bound for a left family (d > 0), s <= bound for a right one;
-    at most the first _POLE_CAP of them."""
-    out = []
-    kmax = int(math.floor(-bound * d - c)) + 1
-    for k in range(0, max(0, min(kmax + 1, _POLE_CAP))):
-        s = -(c + k) / d
-        if (s >= bound) if d > 0 else (s <= bound):
-            out.append(s)
-    return out
+    if v or m == 0 or n == 0:
+        return v
+    left_max, right_min = _strip(params)
+    if left_max < right_min - COINCIDENCE_TOL:
+        return v
+    c, d, _ = _factors(params)
+    # poles k of left family fam[k] at s[k] >= right_min - 1e-9
+    ks = [np.arange(min(max(0, math.floor((1e-9 - right_min) * d[j] - c[j]) + 1),
+                        _POLE_CAP)) for j in range(m)]
+    fam = np.repeat(np.arange(m), [k.size for k in ks])
+    s = -(c[fam] + np.concatenate(ks)) / d[fam]
+    _, sign = gammaln_sign(c[m:m + n, None] + d[m:m + n, None] * s)
+    for j in range(m):
+        hits = [np.flatnonzero((fam == j) & (sign[i] == 0.0)) for i in range(n)]
+        # right families in the order of their first coincidence
+        for i in sorted((i for i in range(n) if hits[i].size), key=lambda i: hits[i][0]):
+            left = float(s[hits[i][0]])
+            k = -np.rint(c[m + i] + d[m + i] * left)   # the right pole's index
+            v.append(f"left pole {left} coincides with right pole "
+                     f"{float(-(c[m + i] + k) / d[m + i])} "
+                     f"(first of {hits[i].size} in lower[{j}] x upper[{i}])")
+    return v
 
 
 def _radius(params):
@@ -491,7 +493,6 @@ def _contour(params, w, quad):
 def eval_contour(params, z, quad=QuadSpec()):
     """Mellin-Barnes line integral of H[arg_scale * z] at scalar z > 0:
     _contour at one argument, QuadFailure where it does not settle."""
-    _require_valid(params)
     if not (math.isfinite(z) and z > 0):
         raise ValueError(f"argument must be finite and positive, got {z!r}")
     w = params.arg_scale * float(z)
@@ -510,7 +511,6 @@ def _evaluate(params, z, quad):
     max(5e-14, 1e-8 |value|).  Every other argument goes to one _contour
     call, and one where the contour does not settle raises QuadFailure.
     """
-    _require_valid(params)
     z = np.asarray(z, dtype=float)
     good = np.isfinite(z) & (z > 0)
     if not np.all(good):
@@ -549,7 +549,6 @@ def mellin(params, s):
     Equals a^{-s} h(s) inside the fundamental strip, which is fixed by
     positivity of every numerator gamma argument.
     """
-    _require_valid(params)
     s = float(s)
     lo, hi = _strip(params)
     if not (lo < s < hi):
@@ -613,7 +612,6 @@ def rescale_power(params, mu):
     Purely symbolic: every A_j and B_j is divided by mu and the scale is
     re-expressed; returns (new_params, multiplier).
     """
-    _require_valid(params)
     if not mu > 0:
         raise ValueError(f"power must be positive, got {mu!r}")
     new = HFoxParams(
@@ -655,7 +653,6 @@ def cancel_pairs(params):
     literal first/last slots.  One call does one cancellation; repeat to
     reduce fully.  Raises NoMatchingPair when nothing cancels.
     """
-    _require_valid(params)
     m, n = params.m, params.n
     upper, lower = list(params.upper), list(params.lower)
 
@@ -700,7 +697,6 @@ def cosine_transform(params, k, s, mu):
     verified=False until cosine_transform_check passes for the
     instance; the identity is applied per instance, never assumed.
     """
-    _require_valid(params)
     if not k > 0:
         raise ValueError(f"transform frequency must be positive, got {k!r}")
     if not mu > 0:

@@ -200,17 +200,11 @@ def integrate_adaptive(f, a, b, spec=QuadSpec()):
             u = np.maximum(1.0 - t, 1e-16)
             return f(a + t / u) / (u * u)
         return _adaptive_core(g, 0.0, 1.0, spec)
-    if a_inf:
-        def g(t):
-            u = np.maximum(1.0 - t, 1e-16)
-            return f(b - t / u) / (u * u)
-        return _adaptive_core(g, 0.0, 1.0, spec)
+    if a_inf:   # x -> -x; negation is exact, so this is the b_inf rule mirrored
+        return integrate_adaptive(lambda x: f(-x), -b, math.inf, spec)
     return _adaptive_core(f, a, b, spec, initial=4)
 
 
-# the contour in hfox cuts its semi-infinite line where the integrand has
-# fallen TAIL_CUTOFF e^-5 below its t = 0 value
-TAIL_CUTOFF = 1e-14
 # element budget of a (row x node) temporary, shared by the Ooura-Mori rule
 # here and hfox's contour: rows or nodes go in blocks of at most this many
 # elements (256 kB of floats), or one row or column when that is larger

@@ -311,6 +311,12 @@ def test_hfox_eval_rejects_invalid_params(capsys):
     code = cli.main(["--mode", "hfox-eval", "--hfox", "0,0,0,1;;0:1"])
     assert code == 2
     assert "invalid H-function parameters" in capsys.readouterr().err
+    # Gamma(1 + s) and Gamma(-2 - s) share the poles s = -1 and -2
+    code = cli.main(["--mode", "hfox-eval", "--hfox", "1,1,1,1;3:1;1:1",
+                     "--z", "1"])
+    assert code == 2
+    assert ("left pole -1.0 coincides with right pole -1.0"
+            in capsys.readouterr().err)
 
 
 def test_hfox_eval_rejects_nonpositive_z(capsys):

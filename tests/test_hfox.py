@@ -1,4 +1,6 @@
 import math
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,41 +26,92 @@ MIXED = HFoxParams(m=2, n=1, upper=((0.3, 0.7), (0.2, 1.1)),
 G2 = HFoxParams(m=1, n=0, upper=(), lower=((0.0, 0.5),))
 
 
-# --------------------------------------------------------------- validate
+# ----------------------------------------------- validation at construction
+# an invalid block cannot be made, so these tests pass constructor kwargs
+
+def _rejected(**kwargs):
+    """The violation messages of HFoxParams(**kwargs), which must raise."""
+    with pytest.raises(ValueError, match="^invalid H-function parameters: ") as info:
+        HFoxParams(**kwargs)
+    return str(info.value).split(": ", 1)[1].split("; ")
+
 
 def test_validate_accepts_canonical():
-    rep = hf.validate(EXP)
-    assert rep.ok and rep.violations == ()
+    for params in (EXP, RAT, MIXED, G2):
+        assert HFoxParams(params.m, params.n, params.upper, params.lower,
+                          params.arg_scale) == params
 
 
 def test_validate_rejects_zero_orders():
-    rep = hf.validate(HFoxParams(m=0, n=0, upper=(), lower=((0.0, 1.0),)))
-    assert not rep.ok
-    assert any("m" in v and "n" in v for v in rep.violations)
+    assert _rejected(m=0, n=0, upper=(), lower=((0.0, 1.0),)) == [
+        "m^2 + n^2 != 0 violated (no numerator gammas at all)"]
 
 
 def test_validate_rejects_negative_scale():
-    rep = hf.validate(HFoxParams(m=1, n=0, upper=(), lower=((0.0, -1.0),)))
-    assert not rep.ok
+    assert _rejected(m=1, n=0, upper=(), lower=((0.0, -1.0),)) == [
+        "B_j > 0 violated at lower[0]: got -1.0"]
+    assert _rejected(m=1, n=1, upper=((0.0, 0.0),), lower=((0.0, 1.0),)) == [
+        "A_j > 0 violated at upper[0]: got 0.0"]
 
 
 def test_validate_rejects_order_overflow():
     # m > q and n > p are structural nonsense
-    rep = hf.validate(HFoxParams(m=2, n=0, upper=(), lower=((0.0, 1.0),)))
-    assert not rep.ok
+    assert _rejected(m=2, n=0, upper=(), lower=((0.0, 1.0),)) == [
+        "need 0 <= m <= q, got m=2, q=1"]
+    assert _rejected(m=1, n=1, upper=(), lower=((0.0, 1.0),)) == [
+        "need 0 <= n <= p, got n=1, p=0"]
 
 
 @pytest.mark.parametrize("params", [
-    HFoxParams(m=1, n=0, upper=(), lower=((0.0, math.inf),)),
-    HFoxParams(m=1, n=0, upper=(), lower=((math.nan, 1.0),)),
-    HFoxParams(m=1, n=1, upper=((-math.inf, 1.0),), lower=((0.0, 1.0),)),
-    HFoxParams(m=1, n=0, upper=(), lower=((0.0, 1.0),), arg_scale=math.inf),
-    HFoxParams(m=1, n=0, upper=(), lower=((0.0, 1.0),), arg_scale=math.nan),
+    (dict(m=1, n=0, upper=(), lower=((0.0, math.inf),)),
+     "lower[0] must be finite, got (0.0, inf)"),
+    (dict(m=1, n=0, upper=(), lower=((math.nan, 1.0),)),
+     "lower[0] must be finite, got (nan, 1.0)"),
+    (dict(m=1, n=1, upper=((-math.inf, 1.0),), lower=((0.0, 1.0),)),
+     "upper[0] must be finite, got (-inf, 1.0)"),
+    (dict(m=1, n=0, upper=(), lower=((0.0, 1.0),), arg_scale=math.inf),
+     "arg_scale must be finite and positive, got inf"),
+    (dict(m=1, n=0, upper=(), lower=((0.0, 1.0),), arg_scale=math.nan),
+     "arg_scale must be finite and positive, got nan"),
 ])
 def test_validate_rejects_non_finite(params):
-    assert not hf.validate(params).ok
-    with pytest.raises(ValueError, match="invalid H-function parameters"):
-        hf.eval_auto(params, 1.0)
+    kwargs, message = params
+    assert _rejected(**kwargs) == [message]
+
+
+def test_validate_rejects_pole_coincidence():
+    # Gamma(1 + s) has poles at s = -1, -2, ...; Gamma(1 - 3 - s) at
+    # s = -2, -1, 0, ...: two shared poles, named by the first
+    assert _rejected(m=1, n=1, upper=((3.0, 1.0),), lower=((1.0, 1.0),)) == [
+        "left pole -1.0 coincides with right pole -1.0 "
+        "(first of 2 in lower[0] x upper[0])"]
+    # one message per family pair, each pair in the order of its first hit
+    assert _rejected(m=2, n=2, upper=((3.0, 1.0), (2.0, 1.0)),
+                     lower=((1.0, 1.0), (0.5, 1.0))) == [
+        "left pole -1.0 coincides with right pole -1.0 "
+        "(first of 2 in lower[0] x upper[0])",
+        "left pole -1.0 coincides with right pole -1.0 "
+        "(first of 1 in lower[0] x upper[1])"]
+
+
+def test_validate_coincidence_scan_is_fast_and_short():
+    # 5000 left poles right of the first right pole: the scan tests at
+    # most _POLE_CAP of them in one kernel call
+    t0 = time.perf_counter()
+    HFoxParams(m=1, n=1, upper=((0.5, 1.0),), lower=((-5000.0, 1.0),))
+    assert time.perf_counter() - t0 < 0.5
+    # thousands of coincidences make one message, not one each
+    bad = _rejected(m=1, n=1, upper=((0.0, 1.0),), lower=((-5000.0, 1.0),))
+    assert bad == ["left pole 5000.0 coincides with right pole 5000.0 "
+                   f"(first of {hf._POLE_CAP} in lower[0] x upper[0])"]
+    assert len("; ".join(bad)) < 1000
+
+
+def test_replace_checks_the_new_block():
+    with pytest.raises(ValueError, match="A_j > 0 violated"):
+        replace(RAT, upper=((0.0, -1.0),))
+    with pytest.raises(ValueError, match="left pole -1.0 coincides"):
+        replace(RAT, upper=((3.0, 1.0),), lower=((1.0, 1.0),))
 
 
 @pytest.mark.parametrize("z", [math.inf, math.nan, 0.0, -1.0])

@@ -56,6 +56,7 @@ def test_adaptive_error_estimate_is_honest():
         (lambda x: np.sin(x), 0.0, math.pi, 2.0),
         (lambda x: np.exp(-x), 0.0, np.inf, 1.0),
         (lambda x: 1.0 / (1.0 + x * x), 0.0, np.inf, math.pi / 2.0),
+        (lambda x: np.exp(x), -np.inf, 1.0, math.e),
     ]
     for f, a, b, truth in cases:
         v, e = integrate_adaptive(f, a, b)
@@ -286,27 +287,27 @@ def _itp(g, lo, hi, **kw):
     return root_itp(g, lo, hi, g(lo), g(hi), **kw)
 
 
-def test_root_bisect_cosine():
+def test_root_itp_cosine():
     r = _itp(math.cos, 0.0, 2.0)
     assert abs(r - math.pi / 2.0) < 1e-11
 
 
-def test_root_bisect_endpoint_hit():
+def test_root_itp_endpoint_hit():
     assert _itp(lambda x: x, 0.0, 1.0) == 0.0
     assert _itp(lambda x: x - 1.0, 0.0, 1.0) == 1.0
 
 
-def test_root_bisect_no_bracket():
+def test_root_itp_no_bracket():
     with pytest.raises(NoBracket):
         _itp(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
-def test_root_bisect_bad_interval():
+def test_root_itp_bad_interval():
     with pytest.raises(ValueError):
         _itp(math.cos, 2.0, 0.0)
 
 
-def test_root_bisect_monotone_decreasing():
+def test_root_itp_monotone_decreasing():
     # the spectral condition is strictly decreasing; same orientation here
     g = lambda x: 1.0 - x * x
     r = _itp(g, 0.5, 3.0, tol=1e-13)
