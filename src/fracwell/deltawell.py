@@ -203,10 +203,18 @@ def energy_oracle(cfg, spec=QuadSpec()):
     (2 pi^(lam/2)/Gamma(lam/2)) int_0^inf p^(lam-1)/(D p^alpha + |E|) dp
     = (2 pi hbar)^lam / gamma.  With t = log|E| it reads
     h(t) = log(lhs) - log(rhs) = 0, where h is strictly decreasing and
-    close to linear.  The root is bracketed by steps of 1, 2, 4, ... in
-    t from t = 0 and then refined by ITP to a bracket 1e-12 wide in t,
-    i.e. 1e-12 relative precision in |E|.  BracketFailure means the
-    root lies beyond the double range of |E|.
+    close to linear.  The search for a bracket starts with a unit step
+    from t = 0.  From then on it holds two points on the same side of
+    the root and steps to the root of their secant, overshot in the
+    search direction by 1e-6 step, where step = 2, 4, 8, ... doubles
+    each round; where the secant would not move forward (h not finite
+    or not decreasing between the two points) it takes the step itself.
+    On a linear h the first secant point lies just past the root, so
+    the search ends after three h evaluations at most; the doubling
+    overshoot bounds the rounds on any h.  ITP then refines the bracket
+    to 1e-12 wide in t, i.e. 1e-12 relative precision in |E|.
+    BracketFailure means the root lies beyond the double range of |E|
+    or of |E|/D.
     """
     # log(rhs / nm), taken term by term so no power over- or underflows
     log_target = (cfg.lam * math.log(2.0 * math.pi * cfg.hbar)
@@ -219,15 +227,27 @@ def energy_oracle(cfg, spec=QuadSpec()):
 
     t, ht = 0.0, h(0.0)
     rising = ht > 0          # lhs still too large: the root lies above t
-    edge = _LOG_E_MAX if rising else _LOG_E_MIN
+    # the search stays where |E| and |E|/D are normal doubles: beyond,
+    # the knee (|E|/D)^(1/alpha) of _radial_integral over- or underflows
+    # and h changes sign where there is no root
+    log_d = math.log(cfg.d_alpha)
+    edge = (min(_LOG_E_MAX, _LOG_E_MAX + log_d) if rising
+            else max(_LOG_E_MIN, _LOG_E_MIN + log_d))
+    sign = 1.0 if rising else -1.0
     step = 1.0
     prev_t, prev_h = t, ht
     while ht != 0.0 and (ht > 0) == rising:
         if t == edge:
             raise BracketFailure(
                 f"spectral condition keeps one sign out to |E| = e^{edge:g}")
+        slope = (ht - prev_h) / (t - prev_t) if t != prev_t else math.nan
         prev_t, prev_h = t, ht
-        t = min(t + step, edge) if rising else max(t - step, edge)
+        if slope < 0 and math.isfinite(slope):
+            # the secant's root lies ahead: step just past it
+            t = t - ht / slope + sign * 1e-6 * step
+        else:
+            t = t + sign * step
+        t = min(t, edge) if rising else max(t, edge)
         ht = h(t)
         step *= 2.0
     if ht == 0.0:

@@ -4,10 +4,11 @@ Usage, from the repository root:
 
     PYTHONPATH=src python tests/golden/regen.py
 
-Each case of CASES is one `fracwell` command; its CSV output goes to
-<name>.csv here.  tests/test_golden.py runs the same commands and
-compares the parsed numbers with these files.  A change that moves an
-output on purpose reruns this script and lists the rows that moved.
+Each case of CASES is one `fracwell` command; its output goes to
+<name>.csv here, or <name>.json for a `--format json` command.
+tests/test_golden.py runs the same commands and compares the parsed
+numbers with these files.  A change that moves an output on purpose
+reruns this script and lists the rows that moved.
 """
 
 import contextlib
@@ -71,6 +72,9 @@ _SWEEP = {
 # file name -> fracwell argv
 CASES = {
     **{f"energy_{k}": ["--mode", "energy", *v] for k, v in _ENERGY.items()},
+    # the form in which the benchmark's spectrum workload asks for energies
+    **{f"energy_json_{k}": ["--mode", "energy", "--format", "json", *v]
+       for k, v in _ENERGY.items()},
     **{f"sweep_{k}": ["--mode", "sweep", *v] for k, v in _SWEEP.items()},
     **{f"hfox_{k}": ["--mode", "hfox-eval", "--hfox", v, "--z", Z]
        for k, v in _HFOX.items()},
@@ -80,8 +84,15 @@ CASES = {
 }
 
 
+def filename(name):
+    """The golden file of a case: .json for a JSON command, else .csv."""
+    argv = CASES[name]
+    json_out = "--format" in argv and argv[argv.index("--format") + 1] == "json"
+    return f"{name}.json" if json_out else f"{name}.csv"
+
+
 def render(argv):
-    """(exit code, CSV text) of one fracwell command."""
+    """(exit code, output text) of one fracwell command."""
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = cli.main(argv)
@@ -93,8 +104,8 @@ def main():
         code, text = render(argv)
         if code != 0:
             sys.exit(f"{name}: fracwell exited {code}")
-        (HERE / f"{name}.csv").write_text(text, encoding="utf-8")
-        print(f"wrote {name}.csv")
+        (HERE / filename(name)).write_text(text, encoding="utf-8")
+        print(f"wrote {filename(name)}")
 
 
 if __name__ == "__main__":

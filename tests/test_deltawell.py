@@ -77,8 +77,8 @@ def test_energy_oracle_bracket_adapts_to_tiny_coupling():
 
 
 def test_energy_oracle_work_is_pinned(monkeypatch):
-    # a few bracket steps in log|E| plus the ITP steps: about a dozen
-    # spectral integrals per energy
+    # a unit step, a secant step past the root and two ITP steps: about
+    # five spectral integrals per energy
     calls = [0]
     radial = dw._radial_integral
 
@@ -91,20 +91,21 @@ def test_energy_oracle_work_is_pinned(monkeypatch):
     for alpha, lam in ((1.2, 0.5), (1.5, 0.8), (1.8, 0.3), (2.0, 1.0)):
         calls[0] = 0
         dw.energy_oracle(PotentialConfig(alpha=alpha, lam=lam), spec)
-        assert calls[0] <= 16, (alpha, lam, calls[0])
+        assert calls[0] <= 6, (alpha, lam, calls[0])
 
 
 # (alpha, lam, gamma, D) -> most spectral integrals (h evaluations) and
 # integrand calls one oracle call may take at the CLI's default QuadSpec
 _ORACLE_WORK = {
-    (2.0, 1.0, 1.0, 1.0): (8, 16),
-    (1.5, 0.8, 1.0, 1.0): (7, 14),
-    (1.05, 1.0, 1.0, 1.0): (12, 48),
-    (1.2, 0.3, 1.0, 1.0): (8, 24),
-    (1.9, 1.0, 1.0, 1.0): (9, 18),
-    (1.8, 0.3, 1.0, 1.0): (8, 32),
-    (1.3, 0.6, 5.0, 0.2): (9, 18),
-    (1.6, 0.05, 0.2, 8.0): (8, 24),
+    (2.0, 1.0, 1.0, 1.0): (5, 10),
+    (1.5, 0.8, 1.0, 1.0): (4, 8),
+    (1.05, 1.0, 1.0, 1.0): (5, 20),
+    (1.2, 0.3, 1.0, 1.0): (4, 12),
+    (1.9, 1.0, 1.0, 1.0): (5, 10),
+    (1.8, 0.3, 1.0, 1.0): (4, 16),
+    (1.3, 0.6, 5.0, 0.2): (5, 10),
+    (1.6, 0.05, 0.2, 8.0): (4, 12),
+    (1.03, 1.0, 10.0, 0.1): (5, 15),   # |E| ~ 8e102: one secant step away
 }
 
 
@@ -131,6 +132,37 @@ def test_energy_oracle_work_counters(monkeypatch):
         dw.energy_oracle(PotentialConfig(alpha=alpha, lam=lam,
                                          gamma_strength=gamma, d_alpha=d))
         assert calls["h"] <= h_max and calls["f"] <= f_max, (alpha, lam, calls)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(alpha_gap=st.floats(-3.0, 0.0), lam=st.floats(-3.0, 0.0),
+       gamma=st.floats(-1.0, 1.0), d=st.floats(-1.0, 1.0))
+def test_energy_oracle_agrees_in_few_integrals(alpha_gap, lam, gamma, d):
+    # alpha - 1 and lam in [1e-3, 1], gamma and D in [0.1, 10] (decimal
+    # exponents drawn): the oracle meets the closed form to 1e-9 within
+    # ten spectral integrals, or both find |E| beyond the double range
+    cfg = PotentialConfig(alpha=1.0 + 10.0 ** alpha_gap, lam=10.0 ** lam,
+                          gamma_strength=10.0 ** gamma, d_alpha=10.0 ** d)
+    calls = [0]
+    radial = dw._radial_integral
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return radial(*args, **kwargs)
+
+    try:
+        ec = dw.energy_closed_form(cfg).energy
+    except OverflowError:
+        ec = None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dw, "_radial_integral", counted)
+        if ec is None:
+            with pytest.raises((dw.BracketFailure, OverflowError)):
+                dw.energy_oracle(cfg)
+        else:
+            eo = dw.energy_oracle(cfg).energy
+            assert abs(eo - ec) <= 1e-9 * abs(ec)
+    assert calls[0] <= 10
 
 
 def test_validate_contour_work_counter(monkeypatch):
@@ -163,6 +195,20 @@ def test_energy_oracle_beyond_two_to_the_200():
 def test_energy_oracle_root_beyond_double_range():
     with pytest.raises(dw.BracketFailure):
         dw.energy_oracle(PotentialConfig(alpha=1.001, lam=1.0))
+
+
+@pytest.mark.parametrize("alpha, gamma, d", [(1.03, 9089367.28, 0.1),
+                                             (1.0031622776601684, 1.0, 0.1),
+                                             (2.0, 1.0, 1e300)])
+def test_energy_oracle_stops_where_the_knee_leaves_double_range(alpha, gamma, d):
+    # the radial integral's knee (|E|/D)^(1/alpha) is inf once |E|/D
+    # overflows (from |E| = e^706.7 at D = 0.1), where h turns negative
+    # with no root, and 0 once it underflows; the closed |E| is e^708,
+    # e^2191 and 2.5e-301
+    cfg = PotentialConfig(alpha=alpha, lam=1.0, gamma_strength=gamma,
+                          d_alpha=d)
+    with pytest.raises(dw.BracketFailure):
+        dw.energy_oracle(cfg)
 
 
 # ----------------------------------------------------------------- domain

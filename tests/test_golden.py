@@ -4,12 +4,14 @@ Numbers are compared parsed, at rtol 1e-10, since the last printed digit
 is not portable across BLAS builds; err_est, rel_dev, rel_deviation and
 measured cells have an absolute floor of 1e-12, as their tiny values are
 rounding.
-Every other cell must match as text.  tests/golden/regen.py rewrites
-the files.
+Every other cell must match as text.  A JSON output is compared the
+same way: each meta key is a row, each row of "rows" is named by its
+first value.  tests/golden/regen.py rewrites the files.
 """
 
 import csv
 import importlib.util
+import json
 import math
 import pathlib
 
@@ -25,9 +27,24 @@ _spec.loader.exec_module(regen)
 FLOORED = {"err_est", "rel_dev", "rel_deviation", "measured"}
 
 
+def _json_rows(text):
+    """_rows of a JSON output, each value as the text json gives it."""
+    def cell(v):
+        return v if isinstance(v, str) else json.dumps(v)
+
+    obj = json.loads(text)
+    out = {k: {"value": cell(v)} for k, v in obj["meta"].items()}
+    for row in obj["rows"]:
+        cells = {k: cell(v) for k, v in row.items()}
+        out[next(iter(cells.values()))] = cells
+    return out
+
+
 def _rows(text):
     """{row name: {column: cell}}: each '# key = value' line is a row of
     its own, a table row is named by its first cell."""
+    if text.startswith("{"):
+        return _json_rows(text)
     lines = text.splitlines()
     out = {}
     for line in lines:
@@ -70,7 +87,7 @@ def differences(want_text, got_text):
 def test_cli_output_matches_golden(name):
     code, text = regen.render(regen.CASES[name])
     assert code == 0
-    want = (GOLDEN / f"{name}.csv").read_text(encoding="utf-8")
+    want = (GOLDEN / regen.filename(name)).read_text(encoding="utf-8")
     assert differences(want, text) == []
 
 
@@ -87,3 +104,15 @@ def test_differences_names_each_moved_row():
     assert differences(want, want) == []
     assert differences(want, got) == ["row 0.5: phi ['2.0'] -> ['2.0000001']",
                                       "row 1.0 missing", "row 2.0 added"]
+
+
+def test_differences_reads_json_outputs():
+    want = ('{"meta": {"mode": "energy", "alpha": 1.5}, "rows": '
+            '[{"E": -0.45, "rel_deviation": 2e-13, "ok": true}]}')
+    got = ('{"meta": {"mode": "energy", "alpha": 1.5}, "rows": '
+           '[{"E": -0.45, "rel_deviation": 9e-13, "ok": false}]}')
+    moved = ('{"meta": {"mode": "energy", "alpha": 1.6}, "rows": '
+             '[{"E": -0.45, "rel_deviation": 2e-13, "ok": true}]}')
+    assert differences(want, want) == []
+    assert differences(want, got) == ["row -0.45: ok ['true'] -> ['false']"]
+    assert differences(want, moved) == ["row alpha: value ['1.5'] -> ['1.6']"]

@@ -329,6 +329,51 @@ def test_root_itp_never_evaluates_endpoints():
         assert all(lo < x < hi for x in seen)
 
 
+def test_root_itp_linear_closes_in_two_steps():
+    # regula falsi lands on the root and the minimum step closes the
+    # bracket from the other side
+    tol = 1e-12
+    seen = []
+
+    def g(x):
+        seen.append(x)
+        return 0.7 - x
+
+    r = root_itp(g, 0.0, 1.0, 0.7, -0.3, tol=tol)
+    assert len(seen) <= 2
+    # the bracket the points leave: the largest below the root, the
+    # smallest above it
+    below = max([0.0] + [x for x in seen if x < 0.7])
+    above = min([1.0] + [x for x in seen if x > 0.7])
+    assert above - below <= tol or 0.7 in seen
+    assert abs(r - 0.7) <= tol
+
+
+# evaluations root_itp takes at tol 1e-12 on curved g, pinned so that a
+# change to its nudge or step rule shows its cost; x^9 - 1e-3 and
+# exp(x) - 1e6 stall regula falsi and sit on the bisection-plus-one bound
+_CURVED_WORK = {
+    "cos": (math.cos, 0.0, 2.0, 6),
+    "1-x^2": (lambda x: 1.0 - x * x, 0.5, 3.0, 12),
+    "x^9-1e-3": (lambda x: x ** 9 - 1e-3, 0.0, 1.0, 41),
+    "exp-1e6": (lambda x: math.exp(x) - 1e6, -5.0, 40.0, 47),
+}
+
+
+@pytest.mark.parametrize("name", list(_CURVED_WORK))
+def test_root_itp_curved_work_is_pinned(name):
+    g, lo, hi, work = _CURVED_WORK[name]
+    seen = []
+
+    def traced(x):
+        seen.append(x)
+        return g(x)
+
+    r = root_itp(traced, lo, hi, g(lo), g(hi))
+    assert len(seen) == work
+    assert abs(g(r)) <= 1e-9 * max(abs(g(lo)), abs(g(hi)))
+
+
 @pytest.mark.parametrize("jump", [0.1, 1.0 / 3.0, 0.7071067811865476, 0.999])
 @pytest.mark.parametrize("low", [-1.0, -1000.0])
 def test_root_itp_worst_case_step_bound(jump, low):
