@@ -184,6 +184,12 @@ def _radial_integral(cfg, abs_e, spec):
     """
     a, lam, d = cfg.alpha, cfg.lam, cfg.d_alpha
     p0 = (abs_e / d) ** (1.0 / a)
+    # the pieces end at p0^lam and p0^(lam-alpha); a power that overflows
+    # raises OverflowError itself
+    ends = (p0 ** lam, p0 ** (lam - a)) if 0.0 < p0 < math.inf else (0.0,)
+    if not min(ends) > 0.0:
+        raise OverflowError(
+            f"radial integral knee out of double range: (|E|/D)^(1/alpha) = {p0:.6g}")
 
     def head(u):
         return 1.0 / (d * np.power(u, a / lam) + abs_e)
@@ -191,8 +197,8 @@ def _radial_integral(cfg, abs_e, spec):
     def tail(v):
         return 1.0 / (d + abs_e * np.power(v, a / (a - lam)))
 
-    i1, e1 = integrate_adaptive(head, 0.0, p0 ** lam, spec)
-    i2, e2 = integrate_adaptive(tail, 0.0, p0 ** (lam - a), spec)
+    i1, e1 = integrate_adaptive(head, 0.0, ends[0], spec)
+    i2, e2 = integrate_adaptive(tail, 0.0, ends[1], spec)
     return i1 / lam + i2 / (a - lam), e1 / lam + e2 / (a - lam)
 
 

@@ -60,7 +60,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gammafn import LANCZOS_REL_ACC, gammaln_sign, loggamma
+from .gammafn import _POLE_TOL, LANCZOS_REL_ACC, gammaln_sign, loggamma
 from .quadrature import (BLOCK, QuadFailure, QuadSpec, integrate_adaptive,
                          integrate_oscillatory)
 
@@ -369,14 +369,12 @@ def _series_core(params, w):
 
 # --- contour --------------------------------------------------------------
 
-def _log_h_real(params, s, on_pole="zero"):
+def _log_h_real(params, s):
     """(log|h(s)|, sign of h(s)) at real s (scalar or 1-d), one
     gammaln_sign call over the factor table.  Where any gamma argument
-    sits on a pole the pair is (inf, 0.0) (on_pole="zero"), or GammaPole
-    is raised (on_pole="raise")."""
+    sits on a pole the pair is (inf, 0.0)."""
     c, d, e = _factors(params)
-    la, sg = gammaln_sign(c + d * np.asarray(s, dtype=float)[..., None],
-                          on_pole=on_pole)
+    la, sg = gammaln_sign(c + d * np.asarray(s, dtype=float)[..., None])
     sign = np.prod(sg, axis=-1)
     with np.errstate(invalid="ignore"):
         logabs = np.sum(np.where(e > 0, la, -la), axis=-1)
@@ -546,16 +544,18 @@ def eval_auto(params, z, quad=QuadSpec()):
 def mellin(params, s):
     """Closed-form Mellin transform: integral_0^inf z^{s-1} H[a z] dz.
 
-    Equals a^{-s} h(s) inside the fundamental strip, which is fixed by
-    positivity of every numerator gamma argument.
+    Equals a^{-s} h(s) inside the fundamental strip, where every
+    numerator gamma argument is positive (by more than the gamma kernel's
+    pole tolerance), so h(s) is finite there and 0 where a reciprocal
+    gamma vanishes.
     """
     s = float(s)
-    lo, hi = _strip(params)
-    if not (lo < s < hi):
-        raise OutOfStrip(f"s = {s} outside the fundamental strip ({lo}, {hi})")
-    # on_pole="raise": any gamma argument at a non-positive integer is a
-    # GammaPole error here, denominator or not
-    logabs, sign = _log_h_real(params, s, on_pole="raise")
+    c, d, e = _factors(params)
+    if not np.min(c[e > 0] + d[e > 0] * s) >= _POLE_TOL:
+        raise OutOfStrip(f"s = {s} outside the fundamental strip {_strip(params)}")
+    logabs, sign = _log_h_real(params, s)
+    if sign == 0.0:
+        return 0.0
     return float(sign) * math.exp(float(logabs) - s * math.log(params.arg_scale))
 
 
@@ -563,41 +563,29 @@ def mellin_numeric_check(params, s, quad=QuadSpec()):
     """Quadrature cross-check of the closed-form Mellin transform.
 
     Integrates z^{s-1} H[a z] with H supplied by the evaluation engine,
-    so this exercises the whole chain.  The integral is split at z = 1
-    and each half is substituted into resolvable form: the head takes
-    u = z^s to absorb the endpoint power (s < 1), the tail takes
-    v = z^{s-r} with r the leading right-pole exponent whenever the
-    decay is algebraic (n > 0), which turns z^{s-1} H ~ z^{s-1-r} into
-    a bounded integrand on (0, 1].  Exponential-type tails (n = 0) are
-    integrated directly; the mapped mesh resolves them unaided.
+    so this exercises the whole chain.  The integral is split at z = 1,
+    and each half takes v = z^g onto (0, 1], where it reads
+    (1/|g|) v^{s/g-1} H[v^{1/g}].  H ~ z^{-left_max} at 0 and
+    z^{-right_min} at inf, so g = min(1, s - left_max) on the head and
+    g = s - right_min on the tail leave a bounded integrand for any s in
+    the strip.  A block with no right family decays exponentially, and
+    its tail is integrated in z (g = 1) over [1, inf).
     """
     analytic = mellin(params, s)   # raises OutOfStrip outside the strip
-    _, r = _strip(params)
+    left_max, right_min = _strip(params)
 
-    def direct(z):
-        return z ** (s - 1.0) * _evaluate(params, z, quad)[0]
+    def half(g):
+        def f(v):
+            with np.errstate(over="ignore", divide="ignore"):
+                z, pref = np.power(v, 1.0 / g), np.power(v, s / g - 1.0)
+            return pref * (_evaluate(params, z, quad)[0] / abs(g))
+        return f
 
-    if s >= 1.0:
-        i1, e1 = integrate_adaptive(direct, 0.0, 1.0, quad)
+    i1, e1 = integrate_adaptive(half(min(1.0, s - left_max)), 0.0, 1.0, quad)
+    if math.isinf(right_min):
+        i2, e2 = integrate_adaptive(half(1.0), 1.0, math.inf, quad)
     else:
-        def head(u):
-            with np.errstate(divide="ignore"):
-                zz = np.power(u, 1.0 / s)
-            return _evaluate(params, zz, quad)[0] / s
-        i1, e1 = integrate_adaptive(head, 0.0, 1.0, quad)
-
-    if math.isinf(r):   # no right family (n = 0): exponential-type tail
-        i2, e2 = integrate_adaptive(direct, 1.0, np.inf, quad)
-    else:
-        g = r - s   # > 0 inside the strip
-
-        def tail(v):
-            with np.errstate(over="ignore"):
-                zz = np.power(v, -1.0 / g)
-                pref = np.power(v, -r / g) / g
-            return pref * _evaluate(params, zz, quad)[0]
-        i2, e2 = integrate_adaptive(tail, 0.0, 1.0, quad)
-
+        i2, e2 = integrate_adaptive(half(s - right_min), 0.0, 1.0, quad)
     numeric = i1 + i2
     rel = abs(numeric - analytic) / max(abs(analytic), 1e-300)
     return MellinCheck(analytic=analytic, numeric=numeric, rel_err=rel,

@@ -80,7 +80,11 @@ CASES = {
        for k, v in _HFOX.items()},
     **{f"wavefunction_{k}": ["--mode", "wavefunction", *v]
        for k, v in _WAVE.items()},
+    # the JSON forms of one anchor block and of the check report
+    "hfox_json_rational": ["--mode", "hfox-eval", "--format", "json",
+                           "--hfox", _HFOX["rational"], "--z", Z],
     "validate": ["--mode", "validate"],
+    "validate_json": ["--mode", "validate", "--format", "json"],
 }
 
 

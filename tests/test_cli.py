@@ -174,6 +174,22 @@ def test_wavefunction_large_kappa_rows(tmp_path):
     assert mid > 0 and mid == pytest.approx(root * math.exp(-25.0), rel=1e-3)
 
 
+@pytest.mark.parametrize("extra", [
+    ["--d-alpha", "1e300", "--x-steps", "3"],
+    ["--d-alpha", "1e-200", "--x-min=-2e-200", "--x-max=2e-200", "--x-steps", "5"],
+], ids=["knee_underflows", "knee_overflows"])
+def test_wavefunction_knee_out_of_double_range_exits_3(capsys, extra):
+    # |E|/D = 2.5e-601 and 2.5e399: the state is finite, but the x = 0 row's
+    # radial integral has no representable knee (|E|/D)^(1/alpha)
+    code = cli.main(["--mode", "wavefunction", "--alpha", "2", "--lambda", "1"]
+                    + extra)
+    assert code == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "OverflowError" in err and "knee" in err
+    assert "Traceback" not in err
+
+
 def test_wavefunction_byte_deterministic(tmp_path):
     args = ["--mode", "wavefunction", "--alpha", "1.8", "--lambda", "0.5",
             "--x-min", "0", "--x-max", "4", "--x-steps", "6",

@@ -24,6 +24,11 @@ MIXED = HFoxParams(m=2, n=1, upper=((0.3, 0.7), (0.2, 1.1)),
                    lower=((0.1, 1.0), (0.4, 0.6), (0.2, 0.9)))
 # H[z] = 2 exp(-z^2)
 G2 = HFoxParams(m=1, n=0, upper=(), lower=((0.0, 0.5),))
+# two strips that reach left of 0: z e^-z, transform Gamma(1+s) on
+# (-1, inf), and transform Gamma(1/2+s) Gamma(1/2-s) = pi/cos(pi s) on
+# (-1/2, 1/2)
+ZEXP = HFoxParams(m=1, n=0, upper=(), lower=((1.0, 1.0),))
+HALF_RAT = HFoxParams(m=1, n=1, upper=((0.5, 1.0),), lower=((0.5, 1.0),))
 
 
 # ----------------------------------------------- validation at construction
@@ -662,17 +667,39 @@ def test_mellin_gamma_products():
     want = (G(0.1 + s) * G(0.4 + 0.6 * s) * G(1.0 - 0.3 - 0.7 * s)
             / (G(1.0 - 0.2 - 0.9 * s) * G(0.2 + 1.1 * s)))
     assert_allclose(hf.mellin(MIXED, s), want, rtol=1e-13)
+    assert_allclose(hf.mellin(ZEXP, -0.5), math.sqrt(math.pi), rtol=1e-13)
+    assert_allclose(hf.mellin(ZEXP, 0.0), 1.0, rtol=1e-13)
+    assert_allclose(hf.mellin(HALF_RAT, -0.3), math.pi / math.cos(0.3 * math.pi),
+                    rtol=1e-13)
+    assert_allclose(hf.mellin(HALF_RAT, 0.0), math.pi, rtol=1e-13)
 
 
 def test_mellin_outside_strip():
     # int z^{s-1}/(1+z) diverges for s >= 1
     with pytest.raises(hf.OutOfStrip):
         hf.mellin(RAT, 1.5)
+    # Gamma(s) at s = 1e-14 is within the gamma kernel's pole tolerance
+    with pytest.raises(hf.OutOfStrip):
+        hf.mellin(EXP, 1e-14)
+
+
+def test_mellin_zero_of_a_reciprocal_gamma():
+    # Gamma(s) Gamma(1-s) / (Gamma(1/2-s) Gamma(1/2+s)) = cot(pi s) on the
+    # strip (0, 1); at s = 1/2 the denominator Gamma(1/2-s) has its pole
+    cot = HFoxParams(m=1, n=1, upper=((0.0, 1.0), (0.5, 1.0)),
+                     lower=((0.0, 1.0), (0.5, 1.0)))
+    assert hf.mellin(cot, 0.5) == 0.0
+    assert_allclose(hf.mellin(cot, 0.25), 1.0, rtol=1e-13)
+    assert_allclose(hf.mellin(cot, 0.75), -1.0, rtol=1e-13)
 
 
 @pytest.mark.parametrize("params, s", [
     (EXP, 2.0),
     (RAT, 0.5),
+    (ZEXP, -0.5),
+    (ZEXP, 0.0),
+    (HALF_RAT, -0.3),
+    (HALF_RAT, 0.0),
 ])
 def test_mellin_numeric_check_anchors(params, s):
     chk = hf.mellin_numeric_check(params, s)
