@@ -31,18 +31,20 @@ def main():
     print(f"\nnormalized amplitude: {st.amplitude:.12f}")
     print(f"{'x':>5} {'phi (quadrature)':>18} {'sqrt(k) e^(-kx)':>18}")
     for x in (0.0, 0.5, 1.0, 2.0, 4.0):
-        ph = position_wavefunction_quadrature(st, cfg, x)
+        ph, _ = position_wavefunction_quadrature(st, cfg, x)
         text = math.sqrt(st.kappa) * math.exp(-st.kappa * x)
         print(f"{x:5.1f} {ph:18.12f} {text:18.12f}")
 
     # the H-function route evaluates the same transform exactly, with the
     # same prefactor and amplitude, so its values match the quadrature's
-    print(f"\n{'x':>5} {'phi (H form)':>18} {'phi (quadrature)':>18}")
+    # within the two routes' summed error estimates
+    print(f"\n{'x':>5} {'phi (H form)':>18} {'phi (quadrature)':>18} "
+          f"{'|gap|':>9} {'err sum':>9}")
     xs = (0.5, 1.0, 2.0, 4.0)
-    hv, ok = position_wavefunction_hfox(st, cfg, xs)
-    for x, h, q in zip(xs, hv, position_wavefunction_quadrature(st, cfg, xs)):
-        print(f"{x:5.1f} {h:18.12f} {q:18.12f}")
-    print(f"H form verified against quadrature here: {ok}")
+    hv, herr = position_wavefunction_hfox(st, cfg, xs)
+    qv, qerr = position_wavefunction_quadrature(st, cfg, xs)
+    for x, h, q, e in zip(xs, hv, qv, herr + qerr):
+        print(f"{x:5.1f} {h:18.12f} {q:18.12f} {abs(h - q):9.2e} {e:9.2e}")
 
 
 if __name__ == "__main__":

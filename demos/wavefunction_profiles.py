@@ -23,7 +23,7 @@ def main(out=sys.stdout):
     for a, lam in PAIRS:
         cfg = PotentialConfig(alpha=a, lam=lam)
         st = energy_closed_form(cfg)
-        phi = position_wavefunction_quadrature(st, cfg, xs)
+        phi, _ = position_wavefunction_quadrature(st, cfg, xs)
         cols[f"a{a}_l{lam}"] = phi / phi[0]
         # quick tail diagnostic: log-slope between the last two octaves
         i, j = 20, 39

@@ -9,7 +9,7 @@ The package has four numerical layers plus a command line front end:
   engine (residue series with a Mellin-Barnes contour fallback behind
   eval_auto, Mellin transform, parameter algebra).
 - ``measure``: the fractional measure d^lam(x), its delta family,
-  Fourier transforms and convolution.
+  Fourier transforms.
 - ``deltawell``: the spectral problem itself; closed-form energy, an
   independent quadrature oracle, and the wavefunction routes.
 """
@@ -40,27 +40,22 @@ from .hfox import (
 from .measure import (
     MeasureDim,
     DeltaFamily,
-    SingularPoint,
-    weight,
     integrate,
     delta_value,
     sift,
     fourier_forward,
     fourier_inverse,
-    convolve,
 )
 from .deltawell import (
     DomainError,
     BracketFailure,
     PotentialConfig,
     BoundState,
-    ShapeCheck,
     energy_closed_form,
     energy_oracle,
     momentum_wavefunction,
     position_wavefunction_quadrature,
     position_wavefunction_hfox,
-    hfox_shape_check,
     normalize,
 )
 
@@ -73,12 +68,11 @@ __all__ = [
     "HFoxParams", "EvalOutcome", "eval_contour", "eval_auto",
     "mellin", "mellin_numeric_check", "rescale_power", "cancel_pairs",
     "cosine_transform", "cosine_transform_check",
-    "MeasureDim", "DeltaFamily", "SingularPoint", "weight", "integrate",
-    "delta_value", "sift", "fourier_forward", "fourier_inverse", "convolve",
+    "MeasureDim", "DeltaFamily", "integrate",
+    "delta_value", "sift", "fourier_forward", "fourier_inverse",
     "DomainError", "BracketFailure", "PotentialConfig", "BoundState",
-    "ShapeCheck", "energy_closed_form",
-    "energy_oracle", "momentum_wavefunction",
+    "energy_closed_form", "energy_oracle", "momentum_wavefunction",
     "position_wavefunction_quadrature", "position_wavefunction_hfox",
-    "hfox_shape_check", "normalize",
+    "normalize",
     "__version__",
 ]

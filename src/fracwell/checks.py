@@ -26,7 +26,7 @@ from .quadrature import QuadSpec
 from .deltawell import (SHAPE_TOL, PotentialConfig, DomainError,
                         energy_closed_form, energy_oracle, normalize,
                         _x0_identity, position_wavefunction_quadrature,
-                        hfox_shape_check)
+                        position_wavefunction_hfox)
 
 # accuracy pinned for the whole suite; user overrides do not reach here
 _QUAD = QuadSpec(abs_tol=1e-12, rel_tol=1e-10)
@@ -254,7 +254,7 @@ def check_wavefunction_classical():
     kap = st.kappa
     worst = 0.0
     for x in (0.1, 0.8, 2.0, 3.5, 5.0):
-        got = position_wavefunction_quadrature(st, cfg, x, _QUAD)
+        got = position_wavefunction_quadrature(st, cfg, x, _QUAD)[0]
         want = math.sqrt(kap) * math.exp(-kap * x)
         worst = max(worst, abs(got - want) / want)
     return _result("wavefunction_classical_profile", worst, 1e-6,
@@ -264,9 +264,11 @@ def check_wavefunction_classical():
 def check_hfox_shape_classical():
     cfg = PotentialConfig(alpha=2.0, lam=1.0)
     st = energy_closed_form(cfg)
-    chk = hfox_shape_check(st, cfg, _QUAD)
-    return _result("hfox_shape_classical", chk.max_rel_dev, SHAPE_TOL,
-                   "exact H route values vs cosine transform")
+    xs = np.linspace(0.25, 4.0, 16) / st.kappa
+    hq = position_wavefunction_quadrature(st, cfg, xs, _QUAD)[0]
+    hh = position_wavefunction_hfox(st, cfg, xs, _QUAD)[0]
+    return _result("hfox_shape_classical", np.max(np.abs(hh - hq) / np.abs(hq)),
+                   SHAPE_TOL, "exact H route values vs cosine transform")
 
 
 def check_x0_identity_fractional():

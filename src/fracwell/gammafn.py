@@ -104,12 +104,11 @@ def _near_nonpositive_int(x):
     return (r <= 0.0) & (np.abs(x - r) < _POLE_TOL * np.maximum(1.0, np.abs(x)))
 
 
-def gammaln_sign(x, on_pole="zero"):
+def gammaln_sign(x):
     """(log|Gamma(x)|, sign) for real x, elementwise.
 
-    At a pole the pair is (+inf, 0.0) when ``on_pole="zero"`` (so a
-    reciprocal factor collapses to zero), or GammaPole is raised when
-    ``on_pole="raise"``.
+    At a pole the pair is (+inf, 0.0), so a reciprocal factor collapses
+    to zero.
     """
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
@@ -119,8 +118,6 @@ def gammaln_sign(x, on_pole="zero"):
 
     pole = _near_nonpositive_int(x)
     if np.any(pole):
-        if on_pole == "raise":
-            raise GammaPole(f"gamma pole at argument {x[pole][0]!r}")
         logabs[pole] = np.inf
         sign[pole] = 0.0
 
@@ -144,5 +141,7 @@ def gammaln_sign(x, on_pole="zero"):
 
 def gamma_real(x):
     """Gamma(x) for real x, with sign, via the log form; raises GammaPole."""
-    logabs, sign = gammaln_sign(x, on_pole="raise")
+    logabs, sign = gammaln_sign(x)
+    if (sign == 0.0).any():
+        raise GammaPole(f"gamma pole in argument {x!r}")
     return sign * np.exp(logabs)

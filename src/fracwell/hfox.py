@@ -517,11 +517,12 @@ def _evaluate(params, z, quad):
     base = replace(params, arg_scale=1.0)
     radius = _radius(base)
     vals, errs = np.full_like(w, np.nan), np.full_like(w, np.inf)
-    for block, arg, band in ((base, w, w <= 0.8 * radius),
-                             (_swap(base), 1.0 / w, w >= 1.25 * radius)):
+    for block, inverse, band in ((base, False, w <= 0.8 * radius),
+                                 (_swap(base), True, w >= 1.25 * radius)):
         idx = np.flatnonzero(band)
         if idx.size:
-            vals[idx], errs[idx] = _series_core(block, arg[idx])
+            arg = 1.0 / w[idx] if inverse else w[idx]
+            vals[idx], errs[idx] = _series_core(block, arg)
     series = np.isfinite(vals) & (errs <= np.maximum(5e-14, 1e-8 * np.abs(vals)))
     rest = np.flatnonzero(~series)
     if rest.size:
@@ -569,23 +570,32 @@ def mellin_numeric_check(params, s, quad=QuadSpec()):
     z^{-right_min} at inf, so g = min(1, s - left_max) on the head and
     g = s - right_min on the tail leave a bounded integrand for any s in
     the strip.  A block with no right family decays exponentially, and
-    its tail is integrated in z (g = 1) over [1, inf).
+    its tail is integrated in z (g = 1) over [1, inf).  So close to a
+    strip edge that v^{1/g} leaves the double range, it raises
+    QuadFailure.
     """
     analytic = mellin(params, s)   # raises OutOfStrip outside the strip
     left_max, right_min = _strip(params)
 
-    def half(g):
+    def half(g, side):
         def f(v):
             with np.errstate(over="ignore", divide="ignore"):
                 z, pref = np.power(v, 1.0 / g), np.power(v, s / g - 1.0)
+            if not np.all((z > 0.0) & (z < math.inf)):
+                raise QuadFailure(
+                    f"s = {s} lies too close to the {side} edge of the strip "
+                    f"{(left_max, right_min)}: the mapped argument v^(1/g), "
+                    f"g = {g:.3g}, leaves (0, inf)")
             return pref * (_evaluate(params, z, quad)[0] / abs(g))
         return f
 
-    i1, e1 = integrate_adaptive(half(min(1.0, s - left_max)), 0.0, 1.0, quad)
+    i1, e1 = integrate_adaptive(half(min(1.0, s - left_max), "left"),
+                                0.0, 1.0, quad)
     if math.isinf(right_min):
-        i2, e2 = integrate_adaptive(half(1.0), 1.0, math.inf, quad)
+        i2, e2 = integrate_adaptive(half(1.0, "right"), 1.0, math.inf, quad)
     else:
-        i2, e2 = integrate_adaptive(half(s - right_min), 0.0, 1.0, quad)
+        i2, e2 = integrate_adaptive(half(s - right_min, "right"),
+                                    0.0, 1.0, quad)
     numeric = i1 + i2
     rel = abs(numeric - analytic) / max(abs(analytic), 1e-300)
     return MellinCheck(analytic=analytic, numeric=numeric, rel_err=rel,

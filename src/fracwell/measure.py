@@ -27,23 +27,12 @@ from .quadrature import QuadSpec, integrate_adaptive, integrate_oscillatory
 __all__ = [
     "MeasureDim",
     "DeltaFamily",
-    "SingularPoint",
-    "weight",
     "integrate",
     "delta_value",
     "sift",
     "fourier_forward",
     "fourier_inverse",
-    "convolve",
 ]
-
-
-class SingularPoint(Exception):
-    """Weight sampled at its x = 0 singularity (lam < 1).
-
-    The singularity is integrable; callers integrate through it via the
-    u = |x|^lam substitution and never sample the point itself.
-    """
 
 
 @dataclass(frozen=True)
@@ -72,17 +61,6 @@ class DeltaFamily:
     def __post_init__(self):
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-
-
-def weight(dim, x):
-    """Measure density pi^{lam/2}|x|^{lam-1}/Gamma(lam/2) at x."""
-    x = np.asarray(x, dtype=float)
-    if dim.lam < 1.0 and np.any(x == 0.0):
-        raise SingularPoint(
-            "weight is singular at x = 0 for lam < 1; integrate through it "
-            "with the u = |x|^lam substitution instead of sampling it")
-    out = dim.weight_norm * np.abs(x) ** (dim.lam - 1.0)
-    return float(out) if out.ndim == 0 else out
 
 
 def integrate(dim, f, domain=(-np.inf, np.inf), quad=QuadSpec()):
@@ -196,14 +174,3 @@ def fourier_inverse(dim, g, x, quad=QuadSpec()):
     scale = (2.0 * math.pi) ** (-dim.lam)
     val, err = fourier_forward(dim, g, -x, quad)
     return scale * val, scale * err
-
-
-def convolve(dim, h, phi, x, quad=QuadSpec()):
-    """Weighted convolution integral of h(x - y) phi(y) d^lam(y).
-
-    Returns (value, err_est).
-    """
-    def integrand(y):
-        return h(x - y) * phi(y)
-
-    return integrate(dim, integrand, (-np.inf, np.inf), quad)

@@ -80,9 +80,15 @@ CASES = {
        for k, v in _HFOX.items()},
     **{f"wavefunction_{k}": ["--mode", "wavefunction", *v]
        for k, v in _WAVE.items()},
-    # the JSON forms of one anchor block and of the check report
+    # the JSON forms of one anchor block, one wavefunction, one sweep and
+    # of the check report
     "hfox_json_rational": ["--mode", "hfox-eval", "--format", "json",
                            "--hfox", _HFOX["rational"], "--z", Z],
+    "wavefunction_json_2_1_gamma100": ["--mode", "wavefunction",
+                                       "--format", "json",
+                                       *_WAVE["2_1_gamma100"]],
+    "sweep_json_alpha_1": ["--mode", "sweep", "--format", "json",
+                           *_SWEEP["alpha_1"]],
     "validate": ["--mode", "validate"],
     "validate_json": ["--mode", "validate", "--format", "json"],
 }

@@ -171,7 +171,7 @@ def test_criterion_7_wavefunction_ground_truth():
     assert abs(kap - math.sqrt(-st.energy / cfg.d_alpha) / cfg.hbar) < 1e-14
 
     xs = np.linspace(0.1, 5.0, 25)
-    phi = np.array([dw.position_wavefunction_quadrature(st, cfg, x)
+    phi = np.array([dw.position_wavefunction_quadrature(st, cfg, x)[0]
                     for x in xs])
     model = phi[0] * np.exp(-kap * (xs - xs[0]))
     worst = float(np.max(np.abs(phi - model) / model))
@@ -180,7 +180,7 @@ def test_criterion_7_wavefunction_ground_truth():
     stn = dw.normalize(st, cfg)
     worst_n = 0.0
     for x in (0.0, 0.5, 2.0, 4.0):
-        got = dw.position_wavefunction_quadrature(stn, cfg, x)
+        got, _ = dw.position_wavefunction_quadrature(stn, cfg, x)
         want = math.sqrt(kap) * math.exp(-kap * abs(x))
         worst_n = max(worst_n, abs(got - want) / want)
     assert worst_n <= 1e-6
@@ -198,14 +198,19 @@ def test_criterion_8_verification_report():
             state = dw.energy_closed_form(cfg)
             val, want = dw._x0_identity(cfg, state, QuadSpec())
             x0_rel_err = abs(val - want) / abs(want)
-            shape = dw.hfox_shape_check(state, cfg)
+            xs = np.linspace(0.25, 4.0, 16) / state.kappa
+            hq, _ = dw.position_wavefunction_quadrature(state, cfg, xs)
+            hh, _ = dw.position_wavefunction_hfox(state, cfg, xs)
+            shape_dev = np.max(np.abs(hh - hq) / np.abs(hq))
+            printed = hq[0] * np.exp(-state.kappa * (xs - xs[0])) / hq
+            printed_dev = np.max(np.abs(printed - 1.0))
             assert x0_rel_err <= 1e-8, (alpha, lam, x0_rel_err)
-            assert shape.passed, (alpha, lam, shape.max_rel_dev)
-            assert np.isfinite(shape.printed_dev), (alpha, lam)
+            assert shape_dev <= dw.SHAPE_TOL, (alpha, lam, shape_dev)
+            assert np.isfinite(printed_dev), (alpha, lam)
             print(f"criterion 8: a={alpha} lam={lam} x0 rel "
                   f"{x0_rel_err:.2e} shape dev "
-                  f"{shape.max_rel_dev:.3g} printed reduction dev "
-                  f"{shape.printed_dev:.3g}")
+                  f"{shape_dev:.3g} printed reduction dev "
+                  f"{printed_dev:.3g}")
 
 
 def test_criterion_9_cli_determinism(tmp_path):

@@ -150,6 +150,25 @@ def test_wavefunction_json_fractional_verified(tmp_path):
         assert row["phi_quadrature"] > 0
 
 
+def test_wavefunction_verified_reads_the_printed_rows(tmp_path, monkeypatch):
+    # a stand-in engine defect: the H route 1e-3 high past z = 2.5, i.e.
+    # kappa x = 5, which the rows out to x = 12 reach
+    evaluate = deltawell._evaluate
+
+    def skewed(params, z, quad):
+        v, e, series = evaluate(params, z, quad)
+        return np.where(np.asarray(z) > 2.5, v * (1.0 + 1e-3), v), e, series
+
+    monkeypatch.setattr(deltawell, "_evaluate", skewed)
+    code, path = run(tmp_path, "--mode", "wavefunction", "--alpha", "1.5",
+                     "--lambda", "0.8", "--x-min", "0", "--x-max", "12",
+                     "--x-steps", "7", out="w.csv")
+    assert code == 0
+    comments, rows = read_csv(path)
+    assert "# hfox_verified = false" in comments
+    assert max(float(r["rel_dev"]) for r in rows) > 5e-4
+
+
 def test_wavefunction_large_kappa_rows(tmp_path):
     # alpha=2, lam=1, gamma=100: phi(x) = sqrt(50) e^(-50 x) with
     # amplitude 2 pi sqrt(50); rows past x = 0.5 sit below the rule's

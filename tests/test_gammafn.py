@@ -52,8 +52,6 @@ def test_gammaln_sign_pole_modes():
     assert logabs == np.inf and sign == 0.0
     logabs, sign = gf.gammaln_sign(-3.0)
     assert logabs == np.inf and sign == 0.0
-    with pytest.raises(gf.GammaPole):
-        gf.gammaln_sign(-2.0, on_pole="raise")
 
 
 def test_gammaln_sign_alternates_between_poles():

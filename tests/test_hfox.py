@@ -713,6 +713,20 @@ def test_mellin_numeric_check_strip_scan():
         assert hf.mellin_numeric_check(RAT, s).rel_err <= 1e-6
 
 
+@pytest.mark.parametrize("params, s, side", [(RAT, 0.99, "right"),
+                                             (EXP, 0.001, "left")])
+def test_mellin_numeric_check_too_close_to_a_strip_edge(params, s, side):
+    # g = s - edge -> 0 sends the mapped argument v^(1/g) out of (0, inf)
+    with pytest.raises(QuadFailure, match=f"s = {s} .* {side} edge"):
+        hf.mellin_numeric_check(params, s)
+
+
+def test_mellin_numeric_check_near_the_left_edge_of_exp():
+    # z = v^100 reaches 1e-300 and below, where 1/z overflows: the
+    # inversion band alone takes that reciprocal, so no warning escapes
+    assert hf.mellin_numeric_check(EXP, 0.01).rel_err <= 1e-12
+
+
 def test_mellin_against_direct_quadrature():
     # independent cross-check, not through the package quadrature
     want, _ = si.quad(lambda z: z ** 0.5 * math.exp(-z), 0.0, 60.0)

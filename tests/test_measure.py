@@ -4,36 +4,24 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from fracwell import deltawell as dw
 from fracwell import measure as ms
-from fracwell.measure import DeltaFamily, MeasureDim, SingularPoint
+from fracwell.measure import DeltaFamily, MeasureDim
 
 
-# ----------------------------------------------------------------- weight
+# ------------------------------------------------------------ weight norm
 
 def test_weight_classical_is_unity():
     # pi^{1/2}/Gamma(1/2) goes through the Lanczos sum, so unity only
     # up to roundoff
-    d1 = MeasureDim(lam=1.0)
-    assert_allclose(ms.weight(d1, 7.0), 1.0, rtol=1e-14)
-    assert_allclose(ms.weight(d1, 0.0), 1.0, rtol=1e-14)   # finite at lam=1
+    assert_allclose(MeasureDim(lam=1.0).weight_norm, 1.0, rtol=1e-14)
 
 
 def test_weight_half_order():
     # pi^{1/4} / Gamma(1/4), evaluated by the package gamma itself and
     # cross-frozen against scipy
-    dh = MeasureDim(lam=0.5)
-    assert_allclose(ms.weight(dh, 1.0), 0.3672031458159025, rtol=1e-12)
-
-
-def test_weight_is_even():
-    dh = MeasureDim(lam=0.5)
-    assert ms.weight(dh, -1.0) == ms.weight(dh, 1.0)
-
-
-def test_weight_singular_at_origin():
-    dh = MeasureDim(lam=0.5)
-    with pytest.raises(SingularPoint):
-        ms.weight(dh, 0.0)
+    assert_allclose(MeasureDim(lam=0.5).weight_norm, 0.3672031458159025,
+                    rtol=1e-12)
 
 
 def test_order_window_enforced():
@@ -167,24 +155,16 @@ def test_fourier_inverse_round_trip_classical():
         assert abs(v.real - math.exp(-x0 * x0 / 2.0)) <= 1e-6
 
 
-# --------------------------------------------------------------- convolve
-
-def test_convolve_classical_gaussians():
-    d1 = MeasureDim(lam=1.0)
-    v, e = ms.convolve(d1, lambda x: np.exp(-x * x), lambda x: np.exp(-x * x), 0.0)
-    assert abs(v - math.sqrt(math.pi / 2.0)) <= max(e, 1e-9)
-
-
-def test_convolve_with_delta_family_sifts():
-    d9 = MeasureDim(lam=0.9)
-    fam = DeltaFamily(dim=d9, epsilon=16.0)
-    h = lambda x: np.cos(0.5 * x)
-    v, _ = ms.convolve(d9, h, lambda y: ms.delta_value(fam, y), 0.4)
-    assert abs(v - h(0.4)) < 5e-3
-
-
-def test_convolve_zero_function():
-    d9 = MeasureDim(lam=0.9)
-    v, _ = ms.convolve(d9, lambda x: np.zeros_like(np.asarray(x, float)),
-                       lambda y: np.exp(-y * y), 0.3)
-    assert v == 0.0
+@pytest.mark.parametrize("alpha,lam", [(1.5, 0.8), (1.2, 0.3), (2.0, 1.0)])
+def test_position_profile_is_inverse_transform_of_momentum_profile(alpha, lam):
+    # the paper's transform pair: the position solution is the inverse
+    # lam-transform of the momentum one, here against the quadrature route
+    cfg = dw.PotentialConfig(alpha=alpha, lam=lam)
+    st = dw.energy_closed_form(cfg)
+    for x in (0.3, 1.0, 2.5):
+        v, _ = ms.fourier_inverse(cfg.dim,
+                                  lambda p: dw.momentum_wavefunction(st, cfg, p),
+                                  x)
+        want, _ = dw.position_wavefunction_quadrature(st, cfg, x)
+        assert v.imag == 0.0
+        assert abs(v.real - want) <= 1e-13 * abs(want), x
