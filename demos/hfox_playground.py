@@ -37,8 +37,7 @@ def main():
     print("\nMellin transforms: gamma products vs direct quadrature")
     for params, name, pts in ((EXP, "exp", (0.5, 1.0, 2.5)),
                               (RAT, "rational", (0.25, 0.5, 0.75))):
-        for s in pts:
-            chk = mellin_numeric_check(params, s)
+        for s, chk in zip(pts, mellin_numeric_check(params, pts)):
             print(f"  {name:8s} s={s:4.2f}: analytic={chk.analytic:.10f} "
                   f"numeric={chk.numeric:.10f} rel={chk.rel_err:.1e}")
 

@@ -110,7 +110,7 @@ def check_hfox_rational():
 
 
 def _mellin_family(name, params, svals):
-    worst = max(mellin_numeric_check(params, s, _QUAD).rel_err for s in svals)
+    worst = max(chk.rel_err for chk in mellin_numeric_check(params, svals, _QUAD))
     return _result(name, worst, 1e-6,
                    f"transform vs quadrature at s in {list(svals)}")
 

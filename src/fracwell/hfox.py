@@ -61,8 +61,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .gammafn import _POLE_TOL, LANCZOS_REL_ACC, gammaln_sign, loggamma
-from .quadrature import (BLOCK, QuadFailure, QuadSpec, integrate_adaptive,
-                         integrate_oscillatory)
+from .quadrature import BLOCK, QuadFailure, QuadSpec, integrate_oscillatory
 
 __all__ = [
     "HFoxParams",
@@ -93,6 +92,9 @@ _POLE_CAP = 4096      # left poles per family that the coincidence scan tests
 # the contour cuts its semi-infinite line where the integrand has fallen
 # TAIL_CUTOFF e^-5 below its t = 0 value
 TAIL_CUTOFF = 1e-14
+# the Mellin check's log-z node spacing, and the log of the relative size
+# of the term it drops at each end of its grid
+_MELLIN_STEP, _MELLIN_CUT = 0.125, math.log(1e-17)
 
 
 class OutOfStrip(Exception):
@@ -560,46 +562,69 @@ def mellin(params, s):
     return float(sign) * math.exp(float(logabs) - s * math.log(params.arg_scale))
 
 
-def mellin_numeric_check(params, s, quad=QuadSpec()):
-    """Quadrature cross-check of the closed-form Mellin transform.
+def _grid_end(params, s, side):
+    """(t, lead, rate) at the w -> 0 end of mellin_numeric_check's grid
+    (block with arg_scale 1, s 1-d): beyond t = log w the integrand is lead
+    e^(rate t).  With left poles, t is where the second pole's term is
+    e^_MELLIN_CUT of the first's, lead the first residue (a pole that is
+    not simple raises QuadFailure) and rate = s - left_max.  With none, H(w)
+    is _swap(params) at w' = 1/w, under Braaksma's bound w'^theta exp(-mu
+    (w'/rho)^(1/mu)), rho = prod B^B / prod A^A (Kilbas & Saigo,
+    H-Transforms, 2004, ch. 1); t is where that times w^s is under
+    e^(_MELLIN_CUT - 10), the margin for its constant factor, and lead 0."""
+    if params.m:
+        power, logabs, sign, clash = _residues(params, 2)
+        j = int(np.argmin(power[:, 0]))
+        if clash[j] == 0:
+            raise QuadFailure(f"s = {s.tolist()}: the pole at the {side} edge "
+                              f"{-power[j, 0] + 0.0:.6g} of the strip is not simple")
+        gap = np.partition(power.ravel(), 1)[1] - power[j, 0]
+        return _MELLIN_CUT / gap, sign[j, 0] * math.exp(logabs[j, 0]), s + power[j, 0]
+    sw = _swap(params)
+    _, d, e = _factors(sw)
+    mu, log_rho = float(np.sum(e * d)), float(np.sum(e * d * np.log(np.abs(d))))
+    if not mu > 0:
+        raise QuadFailure(f"no {side} pole family and no exponential decay (mu = {mu})")
+    sig = ((sum(b for b, _ in sw.lower) - sum(a for a, _ in sw.upper)
+            + (sw.p - sw.q + 1) / 2.0) / mu - float(np.min(s)))   # theta + max(-s)
+    t = max(0.0, mu * math.log(sig) + log_rho) if sig > 0 else 0.0   # the bound's peak
+    while sig * t - mu * math.exp((t - log_rho) / mu) > _MELLIN_CUT - 10.0:
+        t += _MELLIN_STEP
+    return -t, 0.0, s
 
-    Integrates z^{s-1} H[a z] with H supplied by the evaluation engine,
-    so this exercises the whole chain.  The integral is split at z = 1,
-    and each half takes v = z^g onto (0, 1], where it reads
-    (1/|g|) v^{s/g-1} H[v^{1/g}].  H ~ z^{-left_max} at 0 and
-    z^{-right_min} at inf, so g = min(1, s - left_max) on the head and
-    g = s - right_min on the tail leave a bounded integrand for any s in
-    the strip.  A block with no right family decays exponentially, and
-    its tail is integrated in z (g = 1) over [1, inf).  So close to a
-    strip edge that v^{1/g} leaves the double range, it raises
-    QuadFailure.
+
+def mellin_numeric_check(params, svals, quad=QuadSpec()):
+    """Quadrature cross-check of the closed-form Mellin transform: one
+    MellinCheck per s in svals.
+
+    int_0^inf z^(s-1) H[a z] dz = a^-s int e^(s t) H(e^t) dt by the
+    trapezoid rule on t = k _MELLIN_STEP, with H for every s from one
+    _evaluate call, so this exercises the whole engine.  Beyond each end
+    of the grid (_grid_end; the right end on _swap(params)) the sum is a
+    geometric series in the leading residue, taken in closed form, so the
+    grid does not depend on how close s is to a strip edge.  quad_err is
+    |T_h - T_2h| plus the engine's err_est summed by the rule.
     """
-    analytic = mellin(params, s)   # raises OutOfStrip outside the strip
-    left_max, right_min = _strip(params)
-
-    def half(g, side):
-        def f(v):
-            with np.errstate(over="ignore", divide="ignore"):
-                z, pref = np.power(v, 1.0 / g), np.power(v, s / g - 1.0)
-            if not np.all((z > 0.0) & (z < math.inf)):
-                raise QuadFailure(
-                    f"s = {s} lies too close to the {side} edge of the strip "
-                    f"{(left_max, right_min)}: the mapped argument v^(1/g), "
-                    f"g = {g:.3g}, leaves (0, inf)")
-            return pref * (_evaluate(params, z, quad)[0] / abs(g))
-        return f
-
-    i1, e1 = integrate_adaptive(half(min(1.0, s - left_max), "left"),
-                                0.0, 1.0, quad)
-    if math.isinf(right_min):
-        i2, e2 = integrate_adaptive(half(1.0, "right"), 1.0, math.inf, quad)
-    else:
-        i2, e2 = integrate_adaptive(half(s - right_min, "right"),
-                                    0.0, 1.0, quad)
-    numeric = i1 + i2
-    rel = abs(numeric - analytic) / max(abs(analytic), 1e-300)
-    return MellinCheck(analytic=analytic, numeric=numeric, rel_err=rel,
-                       quad_err=e1 + e2)
+    s = np.array(svals, dtype=float).reshape(-1)
+    analytic = [mellin(params, x) for x in s]   # raises OutOfStrip outside the strip
+    base, h = replace(params, arg_scale=1.0), _MELLIN_STEP
+    ends = (_grid_end(base, s, "left"), _grid_end(_swap(base), -s, "right"))
+    lo, hi = ends[0][0], -ends[1][0]
+    if not max(-lo, hi) < 700.0:
+        raise QuadFailure(f"s = {s.tolist()}: the grid [{lo:.6g}, {hi:.6g}] in log w "
+                          "leaves the double range")
+    # both ends on even k, so the T_2h nodes are every other node
+    t = h * np.arange(2 * math.floor(lo / (2 * h)), 2 * math.ceil(hi / (2 * h)) + 1)
+    vals, errs, _ = _evaluate(base, np.exp(t), quad)
+    y, sums = np.exp(np.outer(s, t)), []
+    for k in (1, 2):   # T_h and T_2h, each with its closed-form tails
+        tails = [lead * np.exp(rate * end) / np.expm1(rate * k * h)
+                 for (_, lead, rate), end in zip(ends, (t[0], -t[-1])) if lead]
+        sums.append(k * h * (y[:, ::k] @ vals[::k] + sum(tails)))
+    scale = params.arg_scale ** -s
+    numeric, quad_err = scale * sums[0], scale * (np.abs(sums[0] - sums[1]) + h * (y @ errs))
+    return [MellinCheck(analytic=a, numeric=float(v), rel_err=abs(v - a) / max(abs(a), 1e-300),
+                        quad_err=float(q)) for a, v, q in zip(analytic, numeric, quad_err)]
 
 
 # --- parameter algebra ----------------------------------------------------

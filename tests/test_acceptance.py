@@ -131,11 +131,10 @@ def test_criterion_6_hfox_identity_suite():
                     * (1.0 + z) for z in (0.3, 1.26, 3.0))
     assert worst_rat <= 1e-10
 
-    worst_mel = 0.0
-    for s in (0.3, 0.5, 1.0, 2.5, 5.0):
-        worst_mel = max(worst_mel, hf.mellin_numeric_check(EXP, s).rel_err)
-    for s in (0.1, 0.3, 0.5, 0.7, 0.9):
-        worst_mel = max(worst_mel, hf.mellin_numeric_check(RAT, s).rel_err)
+    worst_mel = max(chk.rel_err
+                    for params, svals in ((EXP, (0.3, 0.5, 1.0, 2.5, 5.0)),
+                                          (RAT, (0.1, 0.3, 0.5, 0.7, 0.9)))
+                    for chk in hf.mellin_numeric_check(params, svals))
     assert worst_mel <= 1e-6
 
     # rescale consistency on the classical momentum-kernel instance

@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -702,29 +703,72 @@ def test_mellin_zero_of_a_reciprocal_gamma():
     (HALF_RAT, 0.0),
 ])
 def test_mellin_numeric_check_anchors(params, s):
-    chk = hf.mellin_numeric_check(params, s)
+    chk, = hf.mellin_numeric_check(params, [s])
     assert chk.rel_err <= 1e-6
 
 
 def test_mellin_numeric_check_strip_scan():
-    for s in (0.5, 1.0, 3.5):
-        assert hf.mellin_numeric_check(EXP, s).rel_err <= 1e-6
-    for s in (0.1, 0.5, 0.9):
-        assert hf.mellin_numeric_check(RAT, s).rel_err <= 1e-6
+    for block, svals in ((EXP, (0.5, 1.0, 3.5)), (RAT, (0.1, 0.5, 0.9))):
+        checks = hf.mellin_numeric_check(block, svals)
+        assert len(checks) == len(svals)
+        assert all(chk.rel_err <= 1e-6 for chk in checks)
 
 
-@pytest.mark.parametrize("params, s, side", [(RAT, 0.99, "right"),
-                                             (EXP, 0.001, "left")])
-def test_mellin_numeric_check_too_close_to_a_strip_edge(params, s, side):
-    # g = s - edge -> 0 sends the mapped argument v^(1/g) out of (0, inf)
-    with pytest.raises(QuadFailure, match=f"s = {s} .* {side} edge"):
-        hf.mellin_numeric_check(params, s)
+@pytest.mark.parametrize("params, s", [(RAT, 0.99), (RAT, 0.999), (EXP, 0.001)])
+def test_mellin_numeric_check_close_to_a_strip_edge(params, s):
+    # the sum past each grid end is taken in closed form from the leading
+    # residue, so the grid does not depend on how close s is to an edge
+    chk, = hf.mellin_numeric_check(params, [s])
+    assert chk.rel_err <= 1e-12
 
 
 def test_mellin_numeric_check_near_the_left_edge_of_exp():
-    # z = v^100 reaches 1e-300 and below, where 1/z overflows: the
-    # inversion band alone takes that reciprocal, so no warning escapes
-    assert hf.mellin_numeric_check(EXP, 0.01).rel_err <= 1e-12
+    assert hf.mellin_numeric_check(EXP, [0.01])[0].rel_err <= 1e-12
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0])
+def test_mellin_numeric_check_refuses_a_double_pole_at_the_edge(s):
+    # Gamma(s)^2 is the transform of 2 K0(2 sqrt z): a double pole at s = 0
+    # makes the integrand ~ log z there, not a residue power
+    k0 = HFoxParams(m=2, n=0, upper=(), lower=((0.0, 1.0), (0.0, 1.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadFailure, match=rf"s = \[{s}\]: .* left edge 0 .* not simple"):
+            hf.mellin_numeric_check(k0, [s])
+
+
+@pytest.mark.parametrize("params, svals", [
+    (EXP, (0.3, 0.5, 1.0, 2.5, 5.0)),   # the validate suite's s values
+    (RAT, (0.1, 0.3, 0.5, 0.7, 0.9)),
+    (EXP, (2.0,)), (RAT, (0.5,)), (ZEXP, (-0.5, 0.0)), (HALF_RAT, (-0.3, 0.0)),
+])
+def test_mellin_numeric_check_quad_err_covers_the_error(params, svals):
+    for chk in hf.mellin_numeric_check(params, svals):
+        assert abs(chk.numeric - chk.analytic) <= chk.quad_err
+
+
+def test_mellin_checks_take_one_engine_call_per_block(monkeypatch):
+    # each check reads its whole grid in one _evaluate call, and the grid
+    # reaches every route of the engine that its block has: the series and
+    # the contour for e^-z, and the direct series, the inversion band and
+    # the contour for 1/(1+z), on fewer than 1000 nodes
+    from fracwell import checks
+    calls, real = [], hf._evaluate
+
+    def counting(params, z, quad):
+        vals, errs, series = real(params, z, quad)
+        w, radius = params.arg_scale * np.asarray(z), hf._radius(params)
+        calls.append({"direct": np.sum(series & (w <= 0.8 * radius)),
+                      "inversion": np.sum(series & (w >= 1.25 * radius)),
+                      "contour": np.sum(~series)})
+        return vals, errs, series
+
+    monkeypatch.setattr(hf, "_evaluate", counting)
+    assert checks.check_hfox_mellin_exp().passed
+    assert len(calls) == 1 and calls[0]["direct"] > 0 and calls[0]["contour"] > 0
+    assert checks.check_hfox_mellin_rational().passed
+    assert len(calls) == 2 and all(calls[1][k] > 0 for k in calls[1])
+    assert all(sum(call.values()) < 1000 for call in calls)
 
 
 def test_mellin_against_direct_quadrature():
