@@ -8,7 +8,7 @@ corner and prints each quantity next to its textbook value.
 
 import math
 
-from fracwell import (
+from fracwell.deltawell import (
     PotentialConfig,
     energy_closed_form,
     normalize,

@@ -8,7 +8,7 @@ while the sifting error decays like 1/eps^2.
 
 import numpy as np
 
-from fracwell import DeltaFamily, MeasureDim, delta_value, integrate, sift
+from fracwell.measure import DeltaFamily, MeasureDim, delta_value, integrate, sift
 
 
 def main():

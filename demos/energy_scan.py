@@ -8,7 +8,7 @@ the grid is the main evidence that the closed form is transcribed correctly.
 
 import numpy as np
 
-from fracwell import PotentialConfig, energy_closed_form, energy_oracle
+from fracwell.deltawell import PotentialConfig, energy_closed_form, energy_oracle
 
 alphas = (1.2, 1.5, 1.8, 2.0)
 lams = (0.3, 0.5, 0.8, 1.0)

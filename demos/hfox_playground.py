@@ -9,7 +9,7 @@ against direct quadrature.
 
 import math
 
-from fracwell import HFoxParams, eval_auto, eval_contour, mellin, mellin_numeric_check
+from fracwell.hfox import HFoxParams, eval_auto, eval_contour, mellin, mellin_numeric_check
 
 EXP = HFoxParams(m=1, n=0, upper=(), lower=((0.0, 1.0),))
 RAT = HFoxParams(m=1, n=1, upper=((0.0, 1.0),), lower=((0.0, 1.0),))

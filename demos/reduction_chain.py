@@ -14,8 +14,8 @@ is not trusted symbolically.
 
 import math
 
-from fracwell import HFoxParams, eval_auto, eval_contour
 from fracwell import hfox as hf
+from fracwell.hfox import HFoxParams, eval_auto, eval_contour
 
 
 def show(tag, params):

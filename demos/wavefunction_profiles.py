@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from fracwell import PotentialConfig, energy_closed_form, position_wavefunction_quadrature
+from fracwell.deltawell import PotentialConfig, energy_closed_form, position_wavefunction_quadrature
 
 PAIRS = ((2.0, 1.0), (1.8, 1.0), (1.5, 0.8), (1.5, 0.5))
 

@@ -12,67 +12,8 @@ The package has four numerical layers plus a command line front end:
   Fourier transforms.
 - ``deltawell``: the spectral problem itself; closed-form energy, an
   independent quadrature oracle, and the wavefunction routes.
+
+Import each name from its module; the package exports only __version__.
 """
 
-from .quadrature import (
-    NumericalFailure,
-    QuadSpec,
-    QuadFailure,
-    NonIntegrable,
-    NonDecaying,
-    NoBracket,
-    integrate_adaptive,
-    integrate_oscillatory,
-    root_itp,
-)
-from .hfox import (
-    HFoxParams,
-    EvalOutcome,
-    eval_contour,
-    eval_auto,
-    mellin,
-    mellin_numeric_check,
-    rescale_power,
-    cancel_pairs,
-    cosine_transform,
-    cosine_transform_check,
-)
-from .measure import (
-    MeasureDim,
-    DeltaFamily,
-    integrate,
-    delta_value,
-    sift,
-    fourier_forward,
-    fourier_inverse,
-)
-from .deltawell import (
-    DomainError,
-    BracketFailure,
-    PotentialConfig,
-    BoundState,
-    energy_closed_form,
-    energy_oracle,
-    momentum_wavefunction,
-    position_wavefunction_quadrature,
-    position_wavefunction_hfox,
-    normalize,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "NumericalFailure", "QuadSpec", "QuadFailure", "NonIntegrable",
-    "NonDecaying", "NoBracket", "integrate_adaptive", "integrate_oscillatory",
-    "root_itp",
-    "HFoxParams", "EvalOutcome", "eval_contour", "eval_auto",
-    "mellin", "mellin_numeric_check", "rescale_power", "cancel_pairs",
-    "cosine_transform", "cosine_transform_check",
-    "MeasureDim", "DeltaFamily", "integrate",
-    "delta_value", "sift", "fourier_forward", "fourier_inverse",
-    "DomainError", "BracketFailure", "PotentialConfig", "BoundState",
-    "energy_closed_form", "energy_oracle", "momentum_wavefunction",
-    "position_wavefunction_quadrature", "position_wavefunction_hfox",
-    "normalize",
-    "__version__",
-]

@@ -16,8 +16,9 @@ Output contract, kept byte-deterministic for identical inputs:
     insertion order.
 
 Config files are plain 'key = value' lines with '#' comments; keys are
-the long flag names without the leading dashes; explicit flags always
-override file values.
+the long flag names without the leading dashes.  Each line goes to the
+flag parser as '--key=value', ahead of the command line, so a file
+value meets the flags' checks and an explicit flag overrides it.
 
 Exit codes: 0 success, 1 validation-suite failure, 2 domain or usage
 error, 3 numerical-convergence failure (a NumericalFailure, or a result
@@ -174,6 +175,8 @@ def _parse_grid(spec, flag):
             if count > 1 and stop < start:
                 raise ValueError("stop must not be below start")
             return [float(v) for v in np.linspace(start, stop, count)]
+        if spec.replace(",", "").strip() == "":
+            raise ValueError("no values")
         return [float(v) for v in spec.split(",") if v.strip() != ""]
     except ValueError as e:
         raise ValueError(f"bad {flag} grid {spec!r}: {e}") from None
@@ -265,7 +268,7 @@ def run_hfox_eval(rc):
     if rc["hfox"] is None:
         raise ValueError("hfox-eval mode needs --hfox \"m,n,p,q;a:A,...;b:B,...\"")
     params = _parse_hfox(rc["hfox"])
-    zs = [float(v) for v in (rc["z"] or "1.0").split(",")]
+    zs = [float(v) for v in rc["z"].split(",")]
     quad = _quad(rc)
     rows = []
     for z in zs:
@@ -282,8 +285,7 @@ _MODES = {"energy": run_energy, "wavefunction": run_wavefunction,
           "sweep": run_sweep, "validate": run_validate,
           "hfox-eval": run_hfox_eval}
 
-# flag name, also the config file key -> (argparse dest, converter, hard
-# default, --help metavar); the parser and the config reader share it
+# flag name and config key -> (argparse dest, type, default, --help metavar)
 _OPTIONS = {
     "mode": ("mode", str, None, None),
     "alpha": ("alpha", float, 2.0, None),
@@ -304,10 +306,10 @@ _OPTIONS = {
     "quad-abs-tol": ("quad_abs_tol", float, 1e-10, None),
     "max-subdivisions": ("max_subdivisions", int, 2000, None),
     "hfox": ("hfox", str, None, "SPEC"),
-    "z": ("z", str, None, "Z1,Z2,..."),
+    "z": ("z", str, "1.0", "Z1,Z2,..."),
 }
 
-# the options with a fixed set of values, from a flag or a config file
+# the options with a fixed set of values
 _CHOICES = {"mode": sorted(_MODES), "format": ["csv", "json"]}
 
 
@@ -322,9 +324,9 @@ def _build_parser():
                "--z 1.0 evaluates exp(-z) at z=1. Config files hold "
                "'key = value' lines ('#' comments) keyed by these flag "
                "names without dashes; explicit flags win.")
-    for key, (dest, conv, _, metavar) in _OPTIONS.items():
-        p.add_argument("--" + key, dest=dest, type=conv, metavar=metavar,
-                       choices=_CHOICES.get(key))
+    for key, (dest, conv, default, metavar) in _OPTIONS.items():
+        p.add_argument("--" + key, dest=dest, type=conv, default=default,
+                       metavar=metavar, choices=_CHOICES.get(key))
         if key == "mode":   # --help lists --config second
             p.add_argument("--config", metavar="FILE")
     return p
@@ -335,7 +337,8 @@ _PARSER = _build_parser()
 
 
 def _read_config(path):
-    out = {}
+    """The file's 'key = value' lines as '--key=value' tokens."""
+    tokens = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -347,44 +350,28 @@ def _read_config(path):
             key = key.strip().lower().replace("_", "-")
             if key not in _OPTIONS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = val.strip()
-    return out
+            tokens.append(f"--{key}={val.strip()}")
+    return tokens
 
 
-def _resolve(args):
-    file_vals = {}
+def _parse(argv):
+    """The run settings: the config file's tokens, then the flags, through
+    _PARSER, so a flag overrides the file and both meet the same checks."""
+    args = _PARSER.parse_args(argv)
     if args.config is not None:
-        file_vals = _read_config(args.config)
-    rc = {}
-    for key, (dest, conv, default, _) in _OPTIONS.items():
-        cli_val = getattr(args, dest)
-        if cli_val is not None:
-            rc[dest] = cli_val
-        elif key in file_vals:
-            try:
-                rc[dest] = conv(file_vals[key])
-            except ValueError:
-                raise ValueError(
-                    f"config value for {key!r} is not a valid "
-                    f"{conv.__name__}: {file_vals[key]!r}") from None
-        else:
-            rc[dest] = default
-    if rc["mode"] is None:
+        args = _PARSER.parse_args(_read_config(args.config) + argv)
+    if args.mode is None:
         raise ValueError("no --mode given (and none in the config file)")
-    for key, allowed in _CHOICES.items():
-        if rc[key] not in allowed:
-            raise ValueError(f"unknown {key} {rc[key]!r}")
-    return rc
+    return vars(args)
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _PARSER.parse_args(argv)
+        rc = _parse(argv)
+        return _MODES[rc["mode"]](rc)
     except SystemExit as e:         # argparse already printed the message
         return int(e.code or 0)
-    try:
-        rc = _resolve(args)
-        return _MODES[rc["mode"]](rc)
     except (ValueError, OSError, DomainError) as e:
         print(f"fracwell: error: {e}", file=sys.stderr)
         return 2

@@ -35,10 +35,12 @@ the left set, the ascending expansion; where it converges only inside
 
     H^{m,n}_{p,q}[w | (a,A); (b,B)] = H^{n,m}_{q,p}[1/w | (1-b,B); (1-a,A)].
 
-Each argument's series stops on its own terms (_series_core), so an H
-value never depends on the rest of its grid.  What the series cannot
-sum or does not pass goes to one contour call (see _evaluate);
-eval_contour is the contour alone.
+Each argument's series stops on its own terms (_series_core), so a
+series value does not depend on the rest of its grid.  What the series
+cannot sum or does not pass goes to one contour call (see _evaluate);
+eval_contour is the contour alone.  Arguments on one contour line share
+its t_max, first step and halvings, sized by the largest |log w| among
+them, so a contour value's last digits and err_est depend on the others.
 
 The contour takes H(w) = (1/pi) int_0^inf Re[h(c + it) w^{-c-it}] dt on
 a line Re s = c right of the left poles (_contour_position) and adds back
@@ -515,12 +517,12 @@ def _evaluate(params, z, quad):
     good = np.isfinite(z) & (z > 0)
     if not np.all(good):
         raise ValueError(f"arguments must be finite and positive, got {z[~good][0]}")
+    # the scale is in w: nothing below reads params.arg_scale
     w = params.arg_scale * z.reshape(-1)
-    base = replace(params, arg_scale=1.0)
-    radius = _radius(base)
+    radius = _radius(params)
     vals, errs = np.full_like(w, np.nan), np.full_like(w, np.inf)
-    for block, inverse, band in ((base, False, w <= 0.8 * radius),
-                                 (_swap(base), True, w >= 1.25 * radius)):
+    for block, inverse, band in ((params, False, w <= 0.8 * radius),
+                                 (_swap(params), True, w >= 1.25 * radius)):
         idx = np.flatnonzero(band)
         if idx.size:
             arg = 1.0 / w[idx] if inverse else w[idx]
@@ -528,7 +530,7 @@ def _evaluate(params, z, quad):
     series = np.isfinite(vals) & (errs <= np.maximum(5e-14, 1e-8 * np.abs(vals)))
     rest = np.flatnonzero(~series)
     if rest.size:
-        vals[rest], errs[rest] = _contour(base, w[rest], quad)
+        vals[rest], errs[rest] = _contour(params, w[rest], quad)
         lost = rest[~np.isfinite(errs[rest])]
         if lost.size:
             raise QuadFailure(f"contour did not settle at w = {w[lost[0]]:.6g}")

@@ -6,8 +6,9 @@ import re
 import numpy as np
 import pytest
 
-from fracwell import NumericalFailure, cli, deltawell, hfox, quadrature
+from fracwell import cli, deltawell, quadrature
 from fracwell import gammafn as gf
+from fracwell.quadrature import NumericalFailure
 
 SCI = re.compile(r"-?\d\.\d{11}e[+-]\d{2}$")
 
@@ -490,9 +491,10 @@ def test_mode_required(capsys):
 @pytest.mark.parametrize("text, message", [
     ("mode = energy\nalpha 1.5\n", ":2: expected 'key = value'"),
     ("mode = energy\nalpha = abc\n",
-     "config value for 'alpha' is not a valid float: 'abc'"),
-    ("mode = bogus\n", "unknown mode 'bogus'"),
-    ("mode = energy\nformat = xml\n", "unknown format 'xml'"),
+     "argument --alpha: invalid float value: 'abc'"),
+    ("mode = bogus\n", "argument --mode: invalid choice: 'bogus'"),
+    ("mode = energy\nformat = xml\n",
+     "argument --format: invalid choice: 'xml'"),
 ], ids=["no-equals", "bad-float", "bad-mode", "bad-format"])
 def test_config_file_errors_exit_2(tmp_path, capsys, text, message):
     cfgfile = tmp_path / "bad.cfg"
@@ -501,6 +503,39 @@ def test_config_file_errors_exit_2(tmp_path, capsys, text, message):
     out, err = capsys.readouterr()
     assert out == ""
     assert message in err
+
+
+# every option with a type or a fixed set of values
+_CHECKED = [key for key, (_, conv, _, _) in cli._OPTIONS.items()
+            if conv is not str or key in cli._CHOICES]
+
+
+@pytest.mark.parametrize("key", _CHECKED)
+def test_bad_value_same_error_from_file_and_flag(tmp_path, capsys, key):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(("" if key == "mode" else "mode = energy\n")
+                       + f"{key} = abc\n")
+    assert cli.main(["--config", str(cfgfile)]) == 2
+    from_file = capsys.readouterr()
+    mode = [] if key == "mode" else ["--mode", "energy"]
+    assert cli.main(mode + ["--" + key, "abc"]) == 2
+    from_flag = capsys.readouterr()
+    assert from_file == from_flag
+    assert from_file.out == ""
+    assert f"argument --{key}: invalid " in from_file.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--mode", "sweep", "--sweep-alpha", ","], "bad --sweep-alpha grid ',': no values"),
+    (["--mode", "sweep", "--sweep-alpha", ""], "bad --sweep-alpha grid '': no values"),
+    (["--mode", "hfox-eval", "--hfox", "1,0,0,1;;0:1", "--z", ""],
+     "could not convert string to float: ''"),
+], ids=["sweep-comma", "sweep-empty", "z-empty"])
+def test_empty_list_exits_2(capsys, argv, message):
+    # only a missing list takes its default; an empty one is a usage error
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
 
 
 # a config value and a different flag value for every option
@@ -516,11 +551,9 @@ def test_every_option_from_config_and_flag(tmp_path, key):
     cfgfile = tmp_path / "all.cfg"
     cfgfile.write_text(("" if key == "mode" else "mode = energy\n")
                        + f"{key} = {in_file}\n")
-    parser = cli._build_parser()
-    rc = cli._resolve(parser.parse_args(["--config", str(cfgfile)]))
+    rc = cli._parse(["--config", str(cfgfile)])
     assert rc[dest] == conv(in_file)
-    rc = cli._resolve(parser.parse_args(["--config", str(cfgfile),
-                                         "--" + key, on_flag]))
+    rc = cli._parse(["--config", str(cfgfile), "--" + key, on_flag])
     assert rc[dest] == conv(on_flag)
 
 

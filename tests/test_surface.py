@@ -1,0 +1,25 @@
+"""The public surface: each name has one import path, its module."""
+
+import importlib
+import types
+
+import pytest
+
+import fracwell
+
+
+@pytest.mark.parametrize("module", ["quadrature", "gammafn", "hfox", "measure"])
+def test_every_all_entry_resolves(module):
+    mod = importlib.import_module(f"fracwell.{module}")
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert missing == []
+    assert len(set(mod.__all__)) == len(mod.__all__)
+
+
+def test_package_exports_only_its_version():
+    names = [name for name, value in vars(fracwell).items()
+             if not name.startswith("_")
+             and not isinstance(value, types.ModuleType)]
+    assert names == []
+    assert getattr(fracwell, "__all__", ["__version__"]) == ["__version__"]
+    assert isinstance(fracwell.__version__, str)
