@@ -131,6 +131,8 @@ class BoundState:
 # log range in which |E| (and kappa) is a normal double
 _LOG_E_MIN = -708.0
 _LOG_E_MAX = 709.0
+# width in log|E| to which energy_oracle's ITP step closes its bracket
+_LOG_E_TOL = 1e-12
 
 
 def _kappa(cfg, abs_e):
@@ -213,13 +215,19 @@ def energy_oracle(cfg, spec=QuadSpec()):
     close to linear.  The search for a bracket starts with a unit step
     from t = 0.  From then on it holds two points on the same side of
     the root and steps to the root of their secant, overshot in the
-    search direction by 1e-6 step, where step = 2, 4, 8, ... doubles
-    each round; where the secant would not move forward (h not finite
-    or not decreasing between the two points) it takes the step itself.
-    On a linear h the first secant point lies just past the root, so
-    the search ends after three h evaluations at most; the doubling
-    overshoot bounds the rounds on any h.  ITP then refines the bracket
-    to 1e-12 wide in t, i.e. 1e-12 relative precision in |E|.
+    search direction by tol/8 step, where tol = 1e-12 is ITP's bracket
+    width and step = 2, 4, 8, ... doubles each round; where the secant
+    would not move forward (h not finite or not decreasing between the
+    two points) it takes the step itself.  On a linear h the first
+    secant point lies tol/4 past the root, within ITP's minimum step
+    tol/2 of the new bracket end, so ITP's first point crosses the root
+    and closes the bracket: three h evaluations for the search and one
+    for ITP.  A root that rounding in h puts beyond the overshoot costs
+    one more round, whose two points are about tol apart.  A wider
+    overshoot would leave the root that close to one end of a wide
+    bracket instead, where ITP's first point can fall short of it.  The
+    doubling overshoot bounds the rounds on any h.  ITP refines the
+    bracket to tol wide in t, i.e. 1e-12 relative precision in |E|.
     BracketFailure means the root lies beyond the double range of |E|
     or of |E|/D.
     """
@@ -251,7 +259,7 @@ def energy_oracle(cfg, spec=QuadSpec()):
         prev_t, prev_h = t, ht
         if slope < 0 and math.isfinite(slope):
             # the secant's root lies ahead: step just past it
-            t = t - ht / slope + sign * 1e-6 * step
+            t = t - ht / slope + sign * 0.125 * _LOG_E_TOL * step
         else:
             t = t + sign * step
         t = min(t, edge) if rising else max(t, edge)
@@ -260,9 +268,9 @@ def energy_oracle(cfg, spec=QuadSpec()):
     if ht == 0.0:
         log_e = t
     elif rising:
-        log_e = root_itp(h, prev_t, t, prev_h, ht, tol=1e-12)
+        log_e = root_itp(h, prev_t, t, prev_h, ht, tol=_LOG_E_TOL)
     else:
-        log_e = root_itp(h, t, prev_t, ht, prev_h, tol=1e-12)
+        log_e = root_itp(h, t, prev_t, ht, prev_h, tol=_LOG_E_TOL)
     abs_e = math.exp(log_e)
     return BoundState(energy=-abs_e, kappa=_kappa(cfg, abs_e),
                       provenance="oracle")

@@ -2,14 +2,19 @@
 
 Lanczos rational approximation (g = 7, nine coefficients) with the
 reflection formula for arguments left of Re(z) = 1/2.  Everything works
-on scalars and numpy arrays.  The log-space variants carry an explicit
-sign factor so callers can assemble products of many gammas without
-overflow; a reciprocal gamma at a pole is represented by (logabs=+inf,
-sign=0), which multiplies through to an exact zero.
+on scalars and numpy arrays.  One kernel, _core_loggamma, serves real
+and complex input: its eight partial fractions are one broadcast
+division and one sum, in the argument's own dtype, so a real argument
+stays real and gammaln_sign never touches complex arithmetic.  The
+reflection is an np.where over the whole array, and the pole test runs
+only when some argument lies left of 1/2.  The log-space variants carry
+an explicit sign factor so callers can assemble products of many gammas
+without overflow; a reciprocal gamma at a pole is represented by
+(logabs=+inf, sign=0), which multiplies through to an exact zero.
 
-The coefficient table is module-level state on purpose: the validation
-suite corrupts it to prove the downstream Mellin checks actually depend
-on it.
+The coefficient table is module-level state on purpose, and the kernel
+reads it at each call: the validation suite corrupts it to prove the
+downstream Mellin checks actually depend on it.
 """
 
 from __future__ import annotations
@@ -50,15 +55,17 @@ LANCZOS_REL_ACC = 1e-13
 
 _HALF_LOG_TWO_PI = 0.91893853320467274178  # log(2*pi)/2
 _POLE_TOL = 5e-13
+# the offsets 1..8 of the partial fractions, one per coefficient after the first
+_LANCZOS_K = np.arange(1.0, len(LANCZOS_COEFFS))
 
 
 def _core_loggamma(z):
-    """Lanczos sum, valid for Re(z) >= 0.5."""
+    """Lanczos sum, valid for Re(z) >= 0.5: the eight partial fractions
+    as one broadcast division summed over the last axis, in the dtype of
+    z (a real argument stays real)."""
     coeffs = LANCZOS_COEFFS
     w = z - 1.0
-    acc = np.full_like(np.asarray(z, dtype=complex), coeffs[0])
-    for i in range(1, len(coeffs)):
-        acc = acc + coeffs[i] / (w + i)
+    acc = coeffs[0] + np.sum(coeffs[1:] / (w[..., None] + _LANCZOS_K), axis=-1)
     t = w + LANCZOS_G + 0.5
     return _HALF_LOG_TWO_PI + (w + 0.5) * np.log(t) - t + np.log(acc)
 
@@ -86,57 +93,38 @@ def loggamma(z):
     to keep a continuous branch, which the engine never needs.
     """
     z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    out = np.empty_like(z)
-    right = z.real >= 0.5
-    if np.any(right):
-        out[right] = _core_loggamma(z[right])
-    if np.any(~right):
-        zl = z[~right]
-        # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z)
-        out[~right] = np.log(np.pi) - _log_sin_pi(zl) - _core_loggamma(1.0 - zl)
-    return out[0] if scalar else out
-
-
-def _near_nonpositive_int(x):
-    r = np.rint(x)
-    return (r <= 0.0) & (np.abs(x - r) < _POLE_TOL * np.maximum(1.0, np.abs(x)))
+    left = ~(z.real >= 0.5)   # nan takes the reflection, as it always has
+    if not left.any():
+        return _core_loggamma(z)[()]
+    # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z)
+    core = _core_loggamma(np.where(left, 1.0 - z, z))
+    return np.where(left, np.log(np.pi) - _log_sin_pi(z) - core, core)[()]
 
 
 def gammaln_sign(x):
-    """(log|Gamma(x)|, sign) for real x, elementwise.
+    """(log|Gamma(x)|, sign) for real x, elementwise, in real arithmetic.
 
     At a pole the pair is (+inf, 0.0), so a reciprocal factor collapses
-    to zero.
+    to zero.  A 0-d argument gives two floats, an array two arrays of its
+    shape.
     """
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    logabs = np.empty_like(x)
-    sign = np.ones_like(x)
-
-    pole = _near_nonpositive_int(x)
-    if np.any(pole):
-        logabs[pole] = np.inf
-        sign[pole] = 0.0
-
-    right = (x >= 0.5) & ~pole
-    if np.any(right):
-        logabs[right] = _core_loggamma(x[right].astype(complex)).real
-
-    left = ~right & ~pole
-    if np.any(left):
-        xl = x[left]
-        s = np.sin(np.pi * xl)
+    left = ~(x >= 0.5)   # nan takes the reflection, as it always has
+    if not left.any():
+        return _core_loggamma(x)[()], np.ones_like(x)[()]
+    # sin(pi x) = (-1)^n sin(pi r) with n = rint(x): r = x - n is exact, so
+    # the sine keeps its relative accuracy next to a pole, where
+    # sin(pi * x) loses it to the rounding of pi * x
+    n = np.rint(x)
+    r = x - n
+    pole = (n <= 0.0) & (np.abs(r) < _POLE_TOL * np.maximum(1.0, np.abs(x)))
+    core = _core_loggamma(np.where(left, 1.0 - x, x))
+    with np.errstate(divide="ignore"):
         # |Gamma(x)| = pi / (|sin(pi x)| Gamma(1-x)) for x < 0.5
-        logabs[left] = np.log(np.pi) - np.log(np.abs(s)) \
-            - _core_loggamma((1.0 - xl).astype(complex)).real
-        sign[left] = np.sign(s)
-
-    if scalar:
-        return logabs[0], sign[0]
-    return logabs, sign
+        logabs = np.where(left, np.log(np.pi / np.abs(np.sin(np.pi * r))) - core, core)
+    logabs = np.where(pole, np.inf, logabs)
+    sign = np.where(pole, 0.0, np.where(left, np.sign(r) * (1.0 - 2.0 * (n % 2.0)), 1.0))
+    return logabs[()], sign[()]
 
 
 def gamma_real(x):

@@ -91,6 +91,7 @@ _MAX_TERMS = 512      # residue series term budget
 # log k! over the term budget, shared by every residue series
 _LOG_FACT = np.array([math.lgamma(k + 1) for k in range(_MAX_TERMS)])
 _POLE_CAP = 4096      # left poles per family that the coincidence scan tests
+_LADDER_TERMS = 8     # right poles per family in _contour_position's first table
 # the contour cuts its semi-infinite line where the integrand has fallen
 # TAIL_CUTOFF e^-5 below its t = 0 value
 TAIL_CUTOFF = 1e-14
@@ -393,35 +394,72 @@ def _contour_position(params, w):
     residues and top the largest, the first terms of _swap(params)'s
     series at 1/w.  A rung where h is 0, infinite or nan, or that passes
     a double pole or the table's end, is never taken; ties go to the
-    first rung, which is also taken (with passed nan) when none is usable."""
+    first rung, which is also taken (with passed nan) when none is usable.
+
+    The residue table may hold the poles up to the last rung where h is
+    finite, but it starts at _LADDER_TERMS poles per family and doubles
+    only while some argument's best rung so far could still lose to a
+    rung the table does not answer.  Such a rung lies past the table's
+    end and passes at least the table's poles left of that end, so its
+    score is at least the larger of its own amplitude and their largest
+    residue; once that is no smaller than the best rung's score for
+    every argument, the table stops.  A rung inside the table reads the
+    same poles in the same order at any size, so the choice and both
+    sums are those of the whole table, bit for bit."""
     c = _strip(params)[0] + 2.0 ** np.arange(-1, 10)
     logh, logw, n, swapped = _log_h_real(params, c)[0], np.log(w), params.n, _swap(params)
-    # the table holds the poles left of the last rung where h is finite;
-    # none is passed at or beyond its first double pole or its end
+    # the whole table holds the poles left of the last rung where h is
+    # finite; none is passed at or beyond its first double pole or its end
     cs, ds, _ = _factors(swapped)
     reach = c[np.max(np.flatnonzero(logh < math.inf), initial=0)]
-    terms = min(_MAX_TERMS, max(0, math.floor(np.max(reach * ds[:n] - cs[:n], initial=-1)) + 1))
-    # per rung: the log of the largest residue passed and their sum, the
-    # running max and sum over the poles in order (row 0: none passed)
-    big, tot, limit = np.full((c.size, w.size), -np.inf), np.zeros((c.size, w.size)), math.inf
+    whole = min(_MAX_TERMS, max(0, math.floor(np.max(reach * ds[:n] - cs[:n], initial=-1)) + 1))
+    at, terms = np.arange(w.size), min(whole, _LADDER_TERMS)
     with np.errstate(over="ignore", invalid="ignore"):
-        if terms:
-            power, logabs, sign, clash = _residues(swapped, terms)
-            limit = np.min((cs[:n] + clash) / ds[:n])
-            live = sign != 0.0   # a vanishing residue adds nothing
-            order = np.argsort(power[live], kind="stable")
-            count = np.searchsorted(power[live][order], c)   # poles left of each rung
-            power, logabs, sign = (np.append(v, a[live][order]) for v, a in
-                                   ((0.0, power), (-math.inf, logabs), (0.0, sign)))
-            cols = max(1, BLOCK // power.size)
-            for k in range(0, w.size, cols):
-                x = logabs[:, None] - power[:, None] * logw[k:k + cols]
-                big[:, k:k + cols] = np.maximum.accumulate(x)[count]
-                tot[:, k:k + cols] = np.cumsum(sign[:, None] * np.exp(x), axis=0)[count]
-        big[c >= limit], tot[c >= limit] = math.inf, math.nan
-        f = np.maximum(logh - logw[:, None] * c, big.T)   # inf where h = 0
-        best, at = np.argmin(np.where(f < math.inf, f, math.inf), axis=1), np.arange(w.size)
-        return c[best], tot[best, at], np.exp(big[best, at])
+        amp = logh - logw[:, None] * c   # inf where h = 0
+        while True:
+            big, tot, beyond, limit = _passed_residues(swapped, terms, c, logw)
+            f = np.maximum(amp, big.T)
+            f = np.where(f < math.inf, f, math.inf)   # nan: never taken
+            best = np.argmin(f, axis=1)
+            bound = f[at, best]
+            # the least score a rung past the table's limit can have
+            least = np.min(np.maximum(amp[:, c >= limit], beyond[:, None]), axis=1,
+                           initial=math.inf)
+            if terms == whole or np.all((bound < math.inf) & (least >= bound)):
+                return c[best], tot[best, at], np.exp(big[best, at])
+            terms = min(whole, 2 * terms)
+
+
+def _passed_residues(swapped, terms, c, logw):
+    """The right poles of _contour_position from the first `terms` poles
+    of each left family of swapped: (big, tot, beyond, limit), big and tot
+    (rung x argument) the log of the largest residue each rung passes and
+    their sum (inf and nan for a rung at or past limit, the table's first
+    double pole or end), beyond the log of the largest residue left of
+    the table's end, which every rung past that end passes too (-inf
+    without a table)."""
+    n = swapped.m
+    big, tot = np.full((c.size, logw.size), -np.inf), np.zeros((c.size, logw.size))
+    beyond, limit = np.full(logw.size, -np.inf), math.inf
+    if terms:
+        cs, ds, _ = _factors(swapped)
+        power, logabs, sign, clash = _residues(swapped, terms)
+        limit = np.min((cs[:n] + clash) / ds[:n])
+        live = sign != 0.0   # a vanishing residue adds nothing
+        order = np.argsort(power[live], kind="stable")
+        # poles left of each rung, and left of the table's end
+        count = np.searchsorted(power[live][order], np.append(c, np.min((cs[:n] + terms) / ds[:n])))
+        # the running max and sum over the poles in order (row 0: none passed)
+        power, logabs, sign = (np.append(v, a[live][order]) for v, a in
+                               ((0.0, power), (-math.inf, logabs), (0.0, sign)))
+        cols = max(1, BLOCK // power.size)
+        for k in range(0, logw.size, cols):
+            x = logabs[:, None] - power[:, None] * logw[k:k + cols]
+            run = np.maximum.accumulate(x)[count]
+            big[:, k:k + cols], beyond[k:k + cols] = run[:-1], run[-1]
+            tot[:, k:k + cols] = np.cumsum(sign[:, None] * np.exp(x), axis=0)[count[:-1]]
+    big[c >= limit], tot[c >= limit] = math.inf, math.nan
+    return big, tot, beyond, limit
 
 
 def _log_h(params, s):

@@ -2,16 +2,21 @@
 
 Usage, from the repository root:
 
-    PYTHONPATH=src python tests/golden/regen.py
+    PYTHONPATH=src python tests/golden/regen.py [--diff]
 
 Each case of CASES is one `fracwell` command; its output goes to
 <name>.csv here, or <name>.json for a `--format json` command.
 tests/test_golden.py runs the same commands and compares the parsed
 numbers with these files.  A change that moves an output on purpose
-reruns this script and lists the rows that moved.
+reruns this script and lists the rows that moved.  With --diff it
+writes nothing: it prints each moved row as `file: row R: columns
+[old] -> [new]`, as test_golden.differences names it, and exits 1 when
+any moved, 0 when none did.
 """
 
+import argparse
 import contextlib
+import importlib.util
 import io
 import pathlib
 import sys
@@ -109,14 +114,40 @@ def render(argv):
     return code, buf.getvalue()
 
 
-def main():
-    for name, argv in CASES.items():
-        code, text = render(argv)
+def _differences():
+    """test_golden.differences, loaded from its file beside this
+    directory (tests/ is not a package)."""
+    spec = importlib.util.spec_from_file_location(
+        "test_golden", HERE.parent / "test_golden.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.differences
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Rewrite, or with --diff "
+                                     "compare, the golden CLI outputs.")
+    parser.add_argument("--diff", action="store_true",
+                        help="print the moved rows and write nothing")
+    diff = parser.parse_args(argv).diff
+    differences = _differences() if diff else None
+    moved = False
+    for name, argv_ in CASES.items():
+        code, text = render(argv_)
         if code != 0:
             sys.exit(f"{name}: fracwell exited {code}")
-        (HERE / filename(name)).write_text(text, encoding="utf-8")
-        print(f"wrote {filename(name)}")
+        path = HERE / filename(name)
+        if not diff:
+            path.write_text(text, encoding="utf-8")
+            print(f"wrote {filename(name)}")
+            continue
+        lines = (differences(path.read_text(encoding="utf-8"), text)
+                 if path.exists() else ["file missing"])
+        for line in lines:
+            print(f"{filename(name)}: {line}")
+            moved = True
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

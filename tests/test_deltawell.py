@@ -77,8 +77,8 @@ def test_energy_oracle_bracket_adapts_to_tiny_coupling():
 
 
 def test_energy_oracle_work_is_pinned(monkeypatch):
-    # a unit step, a secant step past the root and two ITP steps: about
-    # five spectral integrals per energy
+    # a unit step, a secant step just past the root and one ITP step:
+    # four spectral integrals per energy
     calls = [0]
     radial = dw._radial_integral
 
@@ -91,19 +91,19 @@ def test_energy_oracle_work_is_pinned(monkeypatch):
     for alpha, lam in ((1.2, 0.5), (1.5, 0.8), (1.8, 0.3), (2.0, 1.0)):
         calls[0] = 0
         dw.energy_oracle(PotentialConfig(alpha=alpha, lam=lam), spec)
-        assert calls[0] <= 6, (alpha, lam, calls[0])
+        assert calls[0] <= 4, (alpha, lam, calls[0])
 
 
 # (alpha, lam, gamma, D) -> most spectral integrals (h evaluations) and
 # integrand calls one oracle call may take at the CLI's default QuadSpec
 _ORACLE_WORK = {
-    (2.0, 1.0, 1.0, 1.0): (5, 10),
+    (2.0, 1.0, 1.0, 1.0): (4, 8),
     (1.5, 0.8, 1.0, 1.0): (4, 8),
-    (1.05, 1.0, 1.0, 1.0): (5, 20),
+    (1.05, 1.0, 1.0, 1.0): (4, 16),
     (1.2, 0.3, 1.0, 1.0): (4, 12),
-    (1.9, 1.0, 1.0, 1.0): (5, 10),
+    (1.9, 1.0, 1.0, 1.0): (4, 8),
     (1.8, 0.3, 1.0, 1.0): (4, 16),
-    (1.3, 0.6, 5.0, 0.2): (5, 10),
+    (1.3, 0.6, 5.0, 0.2): (4, 8),
     (1.6, 0.05, 0.2, 8.0): (4, 12),
     (1.03, 1.0, 10.0, 0.1): (5, 15),   # |E| ~ 8e102: one secant step away
 }
@@ -140,7 +140,7 @@ def test_energy_oracle_work_counters(monkeypatch):
 def test_energy_oracle_agrees_in_few_integrals(alpha_gap, lam, gamma, d):
     # alpha - 1 and lam in [1e-3, 1], gamma and D in [0.1, 10] (decimal
     # exponents drawn): the oracle meets the closed form to 1e-9 within
-    # ten spectral integrals, or both find |E| beyond the double range
+    # five spectral integrals, or both find |E| beyond the double range
     cfg = PotentialConfig(alpha=1.0 + 10.0 ** alpha_gap, lam=10.0 ** lam,
                           gamma_strength=10.0 ** gamma, d_alpha=10.0 ** d)
     calls = [0]
@@ -162,7 +162,7 @@ def test_energy_oracle_agrees_in_few_integrals(alpha_gap, lam, gamma, d):
         else:
             eo = dw.energy_oracle(cfg).energy
             assert abs(eo - ec) <= 1e-9 * abs(ec)
-    assert calls[0] <= 10
+    assert calls[0] <= 5
 
 
 def test_validate_contour_work_counter(monkeypatch):

@@ -116,3 +116,22 @@ def test_differences_reads_json_outputs():
     assert differences(want, want) == []
     assert differences(want, got) == ["row -0.45: ok ['true'] -> ['false']"]
     assert differences(want, moved) == ["row alpha: value ['1.5'] -> ['1.6']"]
+
+
+def test_regen_diff_prints_the_moved_cells_and_writes_nothing(capsys, monkeypatch):
+    # regen.py --diff compares fresh outputs with the files and writes
+    # nothing; on the committed files it has nothing to say
+    stamps = {p: p.stat().st_mtime_ns for p in GOLDEN.iterdir()}
+    assert regen.main(["--diff"]) == 0
+    assert capsys.readouterr().out == ""
+    # a moved cell is named by file, row and column, old -> new
+    name = "energy_1.5_0.8"
+    text = (GOLDEN / f"{name}.csv").read_text(encoding="utf-8")
+    monkeypatch.setattr(regen, "CASES", {name: regen.CASES[name]})
+    monkeypatch.setattr(regen, "render", lambda argv: (
+        0, text.replace("5.88451621303e-01", "5.9e-01")))
+    assert regen.main(["--diff"]) == 1
+    assert capsys.readouterr().out == (
+        f"{name}.csv: row -4.51404771739e-01: kappa "
+        f"['5.88451621303e-01'] -> ['5.9e-01']\n")
+    assert {p: p.stat().st_mtime_ns for p in GOLDEN.iterdir()} == stamps

@@ -328,6 +328,45 @@ def test_saddle_ladder_matches_scalar_reference(params):
     assert np.all(np.abs(passed - want[:, 1]) <= 1e-13 * want[:, 2])
 
 
+@pytest.mark.parametrize("params", [
+    EXP, G2, RAT, MIXED,
+    HFoxParams(m=1, n=1, upper=((0.25, 1.0),), lower=((0.25, 1.0),)),
+    # e^(-1/z) / z has no left poles: its contour runs on the swapped block
+    hf._swap(HFoxParams(m=0, n=1, upper=((0.0, 1.0),), lower=())),
+    pytest.param((2.0, 1.0), id="profile_2_1"),
+    pytest.param((1.05, 1.0), id="profile_1.05_1"),
+    pytest.param("chain", id="cancellation_chain"),
+])
+def test_ladder_table_stops_with_the_whole_tables_answer(params, monkeypatch):
+    # the golden hfox-eval blocks and the validation suite's cancellation
+    # chain: the residue table grows from _LADDER_TERMS poles per family by
+    # doubling and stops early, yet rung, passed sum and top equal, bit for
+    # bit, those of the whole table, its one size before
+    chain = params == "chain"
+    if chain:
+        from fracwell import checks
+        params = checks._classical_chain()[1].params
+    elif isinstance(params, tuple):
+        params = _profile(*params)
+    w = np.concatenate([np.geomspace(1e-8, 1e8, 161), [0.25, 0.7]])
+    sizes = []
+    residues = hf._residues
+
+    def recorded(block, terms):
+        sizes.append(terms)
+        return residues(block, terms)
+
+    monkeypatch.setattr(hf, "_residues", recorded)
+    if chain:   # one argument of the check read 512 poles; the first 8 do
+        hf._contour_position(params, np.array([0.25]))
+        assert sizes == [8]
+    got = hf._contour_position(params, w)
+    monkeypatch.setattr(hf, "_LADDER_TERMS", hf._MAX_TERMS)
+    want = hf._contour_position(params, w)
+    for g, h in zip(got, want):
+        assert np.array_equal(g, h, equal_nan=True)
+
+
 def test_auto_dispatch():
     out = hf.eval_auto(RAT, 1.0)        # series refuses z=1, contour takes over
     assert out.method == "contour"

@@ -349,6 +349,27 @@ def test_root_itp_linear_closes_in_two_steps():
     assert abs(r - 0.7) <= tol
 
 
+def test_root_itp_lopsided_bracket_closes_in_two_steps():
+    # a linear g with 1e-13 of rounding, its root 2e-6 from the low end of
+    # a bracket whose width/tol sits just under a power of two, so the
+    # projection has almost no slack: a first point that falls short of
+    # the root used to leave the bracket as wide and force bisections
+    # (6 evaluations on 19 of these 40 roots)
+    for k in range(40):
+        root = 0.7 + k * 1.37e-7
+        seen = []
+
+        def g(x):
+            seen.append(x)
+            return (root - x) + 1e-13 * math.sin(1e9 * x)
+
+        lo = root - 2e-6
+        hi = lo + 0.2494
+        r = root_itp(g, lo, hi, root - lo, root - hi)
+        assert len(seen) <= 2, (k, len(seen))
+        assert abs(r - root) <= 1e-12
+
+
 # evaluations root_itp takes at tol 1e-12 on curved g, pinned so that a
 # change to its nudge or step rule shows its cost; x^9 - 1e-3 and
 # exp(x) - 1e6 stall regula falsi and sit on the bisection-plus-one bound
