@@ -24,10 +24,11 @@ so it is the one implemented.  The discrepancy is documented here
 rather than silently absorbed.
 
 The momentum profile is an explicit rational expression.  Its cosine
-transform, the position profile, has two routes with one prefactor and
-one amplitude, each returning (value, err_est):
-position_wavefunction_quadrature integrates it (the independent
-reference), position_wavefunction_hfox evaluates its exact Fox
+transform, the position profile, is phi(x) = P I(kappa|x|), with
+I(y) = int_0^inf cos(qy) q^(lam-1) / (1 + q^alpha) dq and one prefactor
+P holding the amplitude.  I has two routes, each a function of y >= 0
+returning (value, err_est): _profile_quadrature integrates it (the
+independent reference), _profile_hfox evaluates its exact Fox
 H-function form (_profile_block).  The wavefunction command calls the H
 route verified when every row it prints agrees within SHAPE_TOL plus
 both err_ests.  The source texts reduce that form to
@@ -51,6 +52,11 @@ from .hfox import HFoxParams, _evaluate
 from .measure import MeasureDim, integrate as measure_integrate
 from .quadrature import (NumericalFailure, QuadSpec, QuadFailure,
                          integrate_adaptive, integrate_oscillatory, root_itp)
+
+__all__ = ["SHAPE_TOL", "DomainError", "BracketFailure", "PotentialConfig",
+           "BoundState", "energy_closed_form", "energy_oracle",
+           "momentum_wavefunction", "position_wavefunction_quadrature",
+           "position_wavefunction_hfox", "normalize"]
 
 # largest relative gap between the two position routes, beyond their
 # summed err_est, at which a printed row counts the H route as verified
@@ -290,72 +296,35 @@ def momentum_wavefunction(state, cfg, p):
     return float(out) if out.ndim == 0 else out
 
 
-def _position_prefactor(state, cfg):
-    # gamma/(2 pi hbar)^(2 lam) times the measure surface factor; the
-    # 2 lam power follows the transform convention whose constant is
-    # absorbed into the amplitude anyway
+def _profile_amplitude(state, cfg):
+    """P of phi(x) = P I(kappa|x|): amplitude gamma/(2 pi hbar)^(2 lam)
+    measure_norm (kappa hbar)^lam/|E|, the 2 lam power from a transform
+    convention whose constant the amplitude absorbs anyway."""
     return (state.amplitude * cfg.gamma_strength
-            / (2.0 * math.pi * cfg.hbar) ** (2.0 * cfg.lam)
-            * cfg.measure_norm)
+            / (2.0 * math.pi * cfg.hbar) ** (2.0 * cfg.lam) * cfg.measure_norm
+            * (state.kappa * cfg.hbar) ** cfg.lam / -state.energy)
 
 
-def cosine_profile_integral(state, cfg, x, spec=QuadSpec()):
-    """int_0^inf cos(p|x|/hbar) p^(lam-1) / (D p^alpha + |E|) dp for a
-    float x or an array of them; returns (value, err_est) alike.
-
-    At x = 0 this reduces to the radial integral of the energy
-    condition, whose value at the bound energy must equal
-    (2 pi hbar)^lam Gamma(lam/2) / (gamma 2 pi^(lam/2)); the identity
-    is measured, not substituted.  Elsewhere q = p/p0, with the knee
-    p0 = kappa hbar, makes it p0^lam/|E| I(kappa|x|) with
-    I(y) = int_0^inf cos(qy) q^(lam-1) / (1 + q^alpha) dq, taken by
-    one integrate_oscillatory call over every nonzero kappa|x|.
-    """
+def _profile_quadrature(state, cfg, y, spec):
+    """(I(y), err_est) by quadrature on a 1-d array y >= 0: one
+    integrate_oscillatory call over every y > 0.  I(0) is the energy
+    condition's radial integral over (kappa hbar)^lam/|E|, so the x = 0
+    identity is measured, not substituted."""
     lam, a = cfg.lam, cfg.alpha
-    y = state.kappa * np.abs(np.asarray(x, dtype=float))
     value = np.empty(y.shape)
     err = np.empty(y.shape)
     zero = y == 0.0
     if zero.any():
-        value[zero], err[zero] = _radial_integral(cfg, -state.energy, spec)
+        scale = (state.kappa * cfg.hbar) ** lam / -state.energy
+        j0, e0 = _radial_integral(cfg, -state.energy, spec)
+        value[zero], err[zero] = j0 / scale, e0 / scale
     if not zero.all():
         def envelope(q):
             return np.power(q, lam - 1.0) / (np.power(q, a) + 1.0)
 
-        scale = (state.kappa * cfg.hbar) ** lam / -state.energy
-        v, e = integrate_oscillatory(envelope, y[~zero],
-                                     singularity_power=lam - 1.0)
-        value[~zero] = scale * v
-        err[~zero] = scale * e
-    if y.ndim == 0:
-        return float(value), float(err)
+        value[~zero], err[~zero] = integrate_oscillatory(
+            envelope, y[~zero], singularity_power=lam - 1.0)
     return value, err
-
-
-def _even_profile(x, profile):
-    """profile(ax) -> (value, err_est) over the distinct |x| (sorted, each
-    once), both laid back out over the shape of x: both position routes
-    are even in x."""
-    x = np.asarray(x, dtype=float)
-    ax, inverse = np.unique(np.abs(x).ravel(), return_inverse=True)
-    out = tuple(v[inverse].reshape(x.shape) for v in profile(ax))
-    return tuple(float(v) for v in out) if x.ndim == 0 else out
-
-
-def position_wavefunction_quadrature(state, cfg, x, spec=QuadSpec()):
-    """Position profile by direct cosine transform of the momentum one.
-
-    Real, even, positive at 0.  This is the reference route: it makes
-    no use of the H-function.  Returns (value, err_est) for scalar or
-    array x; the distinct |x| go through one cosine_profile_integral call.
-    """
-    pref = _position_prefactor(state, cfg)
-
-    def profile(ax):
-        v, e = cosine_profile_integral(state, cfg, ax, spec)
-        return pref * v, pref * e
-
-    return _even_profile(x, profile)
 
 
 def _profile_block(cfg):
@@ -368,27 +337,43 @@ def _profile_block(cfg):
                       lower=((0.0, 0.5), (r, e), (0.5, 0.5)))
 
 
-def position_wavefunction_hfox(state, cfg, x, spec=QuadSpec()):
-    """Position profile via the exact H-function form (_profile_block):
-    _position_prefactor * (kappa hbar)^lam / |E| * I(kappa|x|), from one
-    engine call on the distinct kappa|x| > 0 and the closed I(0) at
-    x = 0.  Returns (value, err_est) for scalar or array x.
-    """
+def _profile_hfox(state, cfg, y, spec):
+    """(I(y), err_est) from the exact H form (_profile_block) at each
+    y >= 0 of a 1-d array: the closed I(0) = pi / (alpha sin(pi lam/alpha))
+    and one engine call on every y/2 > 0."""
     a, lam = cfg.alpha, cfg.lam
-    pref = (_position_prefactor(state, cfg)
-            * (state.kappa * cfg.hbar) ** lam / -state.energy)
+    value = np.full_like(y, math.pi / (a * math.sin(math.pi * lam / a)))
+    err = np.zeros_like(y)
+    pos = y > 0
+    h, e, _ = _evaluate(_profile_block(cfg), y[pos] / 2.0, spec)
+    c = math.sqrt(math.pi) / (2.0 * a)
+    value[pos], err[pos] = c * h, c * e
+    return value, err
 
-    def profile(ax):
-        y = state.kappa * ax
-        i = np.full_like(y, math.pi / (a * math.sin(math.pi * lam / a)))  # I(0)
-        err = np.zeros_like(y)
-        pos = y > 0
-        h, e, _ = _evaluate(_profile_block(cfg), y[pos] / 2.0, spec)
-        c = math.sqrt(math.pi) / (2.0 * a)
-        i[pos], err[pos] = c * h, c * e
-        return pref * i, pref * err
 
-    return _even_profile(x, profile)
+def _position(route, state, cfg, x, spec):
+    """phi(x) = P I(kappa|x|) with its err_est, I from route on the
+    distinct kappa|x| (sorted, each once), both laid back out over the
+    shape of x: phi is even in x."""
+    x = np.asarray(x, dtype=float)
+    ax, inverse = np.unique(np.abs(x).ravel(), return_inverse=True)
+    p = _profile_amplitude(state, cfg)
+    out = tuple((p * v)[inverse].reshape(x.shape)
+                for v in route(state, cfg, state.kappa * ax, spec))
+    return tuple(float(v) for v in out) if x.ndim == 0 else out
+
+
+def position_wavefunction_quadrature(state, cfg, x, spec=QuadSpec()):
+    """Position profile by direct cosine transform of the momentum one,
+    the reference route: no use of the H-function.  Real, even, positive
+    at 0; returns (value, err_est) for scalar or array x."""
+    return _position(_profile_quadrature, state, cfg, x, spec)
+
+
+def position_wavefunction_hfox(state, cfg, x, spec=QuadSpec()):
+    """Position profile from the exact H form of I; returns (value,
+    err_est) for scalar or array x."""
+    return _position(_profile_hfox, state, cfg, x, spec)
 
 
 def _x0_identity(cfg, state, spec):
@@ -402,20 +387,18 @@ def _x0_identity(cfg, state, spec):
 def normalize(state, cfg, spec=QuadSpec()):
     """Fix the amplitude so that int |phi(x)|^2 d^lam x = 1.
 
-    The norm is computed on the quadrature route from a unit-amplitude
-    copy, so the operation is idempotent by construction.  phi is even,
-    hence twice the half-line integral, taken in y = kappa x (d^lam x =
-    kappa^-lam d^lam y) so that the panels meet the profile's decay
-    length at any kappa.
+    phi = P I(kappa|x|) is even, so the norm is 2 P^2 kappa^-lam times
+    int_0^inf I(y)^2 d^lam y, taken on the quadrature route: its
+    integrand is O(I(0)^2) whatever gamma, D and kappa are.  P is formed
+    at unit amplitude, so the operation is idempotent by construction.
     """
-    base = replace(state, amplitude=1.0)
+    def f(y):
+        return _profile_quadrature(state, cfg, y, spec)[0] ** 2
 
-    def f(ys):
-        return position_wavefunction_quadrature(base, cfg, ys / state.kappa,
-                                                spec)[0] ** 2
-
-    half, err = measure_integrate(cfg.dim, f, (0.0, np.inf), spec)
-    nrm2 = 2.0 * half / state.kappa ** cfg.lam
-    if not (nrm2 > 0 and np.isfinite(nrm2)):
-        raise QuadFailure(f"norm integral came out {nrm2}")
-    return replace(state, amplitude=1.0 / math.sqrt(nrm2))
+    half, _ = measure_integrate(cfg.dim, f, (0.0, np.inf), spec)
+    # the square root first, so no power of P or kappa over- or underflows
+    nrm = (_profile_amplitude(replace(state, amplitude=1.0), cfg)
+           * math.sqrt(2.0 * half) * state.kappa ** (-0.5 * cfg.lam))
+    if not (nrm > 0 and math.isfinite(nrm)):
+        raise QuadFailure(f"norm came out {nrm} (half-line integral {half})")
+    return replace(state, amplitude=1.0 / nrm)

@@ -71,18 +71,24 @@ def _core_loggamma(z):
 
 
 def _log_sin_pi(z):
-    """log(sin(pi z)), stable for large |Im z|.
+    """log(sin(pi z)), stable for large |Im z| and next to a pole.
 
-    Uses sin(pi z) = (e^{pi |y|}/2) [sin(pi x)(1 + q) +/- i cos(pi x)(1 - q)]
-    with q = e^{-2 pi |y|}, which never overflows.  Branch choice is
-    irrelevant for callers that only exponentiate sums of logs.
+    Uses sin(pi z) = (-1)^n (e^{pi |y|}/2) [sin(pi r)(1 + q) +/- i cos(pi r)(1 - q)]
+    with q = e^{-2 pi |y|}, which never overflows, n = rint(x) and the
+    exact r = x - n, so the sine keeps its relative accuracy where
+    sin(pi * x) would lose it to the rounding of pi * x; 1 - q is taken
+    as -expm1(-2 pi |y|), which does not cancel at small |y|.  Branch
+    choice is irrelevant for callers that only exponentiate sums of logs.
     """
     z = np.asarray(z, dtype=complex)
     x = z.real
     y = z.imag
     ay = np.abs(y)
-    q = np.exp(-2.0 * np.pi * ay)
-    bracket = np.sin(np.pi * x) * (1.0 + q) + 1j * np.sign(y) * np.cos(np.pi * x) * (1.0 - q)
+    n = np.rint(x)
+    r = x - n
+    qm1 = np.expm1(-2.0 * np.pi * ay)   # q - 1
+    bracket = (1.0 - 2.0 * (n % 2.0)) * (
+        np.sin(np.pi * r) * (2.0 + qm1) - 1j * np.sign(y) * np.cos(np.pi * r) * qm1)
     return np.pi * ay - np.log(2.0) + np.log(bracket)
 
 

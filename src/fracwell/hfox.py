@@ -257,17 +257,22 @@ def _violations(params):
     return v
 
 
-def _radius(params):
-    """Where the left residue series converges: inf when mu = sum(B) -
-    sum(A) > 0, 0.0 when mu < 0, prod B^B / prod A^A when mu == 0."""
+def _mu_log_rho(params):
+    """(mu, log rho): mu = sum(B) - sum(A) and rho = prod B^B / prod A^A,
+    each row of _factors adding e d and e d log|d|."""
     _, d, e = _factors(params)
-    mu = float(np.sum(e * d))   # sum(B) - sum(A)
+    return float(np.sum(e * d)), float(np.sum(e * d * np.log(np.abs(d))))
+
+
+def _radius(params):
+    """Where the left residue series converges: inf when mu > 0, 0.0
+    when mu < 0, rho when mu == 0 (_mu_log_rho)."""
+    mu, log_rho = _mu_log_rho(params)
     if mu > COINCIDENCE_TOL:
         return math.inf
     if mu < -COINCIDENCE_TOL:
         return 0.0
-    return math.exp(sum(B * math.log(B) for _, B in params.lower)
-                    - sum(A * math.log(A) for _, A in params.upper))
+    return math.exp(log_rho)
 
 
 def _swap(params):
@@ -621,8 +626,7 @@ def _grid_end(params, s, side):
         gap = np.partition(power.ravel(), 1)[1] - power[j, 0]
         return _MELLIN_CUT / gap, sign[j, 0] * math.exp(logabs[j, 0]), s + power[j, 0]
     sw = _swap(params)
-    _, d, e = _factors(sw)
-    mu, log_rho = float(np.sum(e * d)), float(np.sum(e * d * np.log(np.abs(d))))
+    mu, log_rho = _mu_log_rho(sw)
     if not mu > 0:
         raise QuadFailure(f"no {side} pole family and no exponential decay (mu = {mu})")
     sig = ((sum(b for b, _ in sw.lower) - sum(a for a, _ in sw.upper)

@@ -280,14 +280,17 @@ def test_momentum_wavefunction_even_and_decaying():
 
 
 def test_bound_state_condition_via_profile_integral():
-    """gamma/(2 pi hbar)^lam * N * J(0) = 1 at the bound energy; this is
-    the defining spectral condition, checked through public calls only."""
+    """gamma/(2 pi hbar)^lam * N * J(0) = 1 at the bound energy, J(0) the
+    radial integral; this is the defining spectral condition, checked
+    through public calls only.  At unit amplitude phi(0) is
+    gamma/(2 pi hbar)^(2 lam) * N * J(0), so the condition reads
+    (2 pi hbar)^lam phi(0) = 1."""
     for alpha, lam in ((2.0, 1.0), (1.5, 0.8), (1.8, 0.3)):
         cfg = PotentialConfig(alpha=alpha, lam=lam)
         st = dw.energy_closed_form(cfg)
-        j0, _ = dw.cosine_profile_integral(st, cfg, 0.0)
-        fp = (cfg.gamma_strength / (2.0 * math.pi * cfg.hbar) ** lam) \
-            * cfg.measure_norm * j0
+        assert st.amplitude == 1.0
+        phi0, _ = dw.position_wavefunction_quadrature(st, cfg, 0.0)
+        fp = (2.0 * math.pi * cfg.hbar) ** lam * phi0
         assert abs(fp - 1.0) <= 1e-8
 
 
@@ -296,8 +299,8 @@ def test_bound_state_condition_via_profile_integral():
 def test_classical_profile_integral_at_origin():
     cfg = PotentialConfig(alpha=2.0, lam=1.0)
     st = dw.energy_closed_form(cfg)
-    j0, _ = dw.cosine_profile_integral(st, cfg, 0.0)
-    assert_allclose(j0, math.pi, rtol=1e-9)     # pi e^{-kappa 0} with kappa=1/2
+    i0, _ = dw._profile_quadrature(st, cfg, np.zeros(1), QuadSpec())
+    assert_allclose(i0, math.pi / 2, rtol=1e-9)     # (pi/2) e^{-y} at y = 0
 
 
 def test_classical_position_profile_is_exponential():
@@ -327,24 +330,25 @@ def test_position_wavefunction_quadrature_on_arrays(monkeypatch):
             for row in xs]
     assert all(isinstance(v, float) for row in want for p in row for v in p)
     calls = []
-    integral = dw.cosine_profile_integral
-    monkeypatch.setattr(dw, "cosine_profile_integral",
-                        lambda *a: calls.append(a[2]) or integral(*a))
+    integral = dw.integrate_oscillatory
+    monkeypatch.setattr(dw, "integrate_oscillatory",
+                        lambda f, y, **kw: calls.append(y) or integral(f, y, **kw))
     got, err = dw.position_wavefunction_quadrature(st, cfg, xs)
     assert got.shape == err.shape == xs.shape
     assert np.array_equal(np.stack([got, err], axis=-1), want)
-    # one call on the distinct |x|, each integrated once
-    assert len(calls) == 1 and np.array_equal(calls[0], [0.0, 0.5, 1.0])
+    # one oscillatory call on the distinct nonzero |x|, each integrated once
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], st.kappa * np.array([0.5, 1.0]))
 
 
 def test_cosine_profile_integral_error_estimate_at_large_kappa():
-    # alpha=2, lam=1, gamma=100: kappa = 50 and the integral is
-    # (pi/(2 D kappa)) e^(-kappa x), down to 6e-24 at x = 1
+    # alpha=2, lam=1, gamma=100: kappa = 50 and the profile integral is
+    # I(kappa x) = (pi/2) e^(-kappa x), down to 3e-22 at x = 1
     cfg = PotentialConfig(alpha=2.0, lam=1.0, gamma_strength=100.0)
     st = dw.energy_closed_form(cfg)
     xs = np.arange(1, 11) / 10.0
-    v, e = dw.cosine_profile_integral(st, cfg, xs)
-    exact = math.pi / (2.0 * cfg.d_alpha * st.kappa) * np.exp(-st.kappa * xs)
+    v, e = dw._profile_quadrature(st, cfg, st.kappa * xs, QuadSpec())
+    exact = math.pi / 2.0 * np.exp(-st.kappa * xs)
     assert np.all(np.abs(v - exact) <= e)
 
 
@@ -370,12 +374,20 @@ def test_normalize_classical_matches_textbook():
                         rtol=1e-7)
 
 
-@pytest.mark.parametrize("alpha,lam", [(2.0, 1.0), (1.5, 0.8), (1.2, 0.3),
-                                       (1.05, 1.0)])
+_SMALL_LAM = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 3: the half-line norm integral loses "
+    "accuracy at small lam (3.0e-4 at lam = 0.1, 8.8e-3 at 0.05)")
+
+
+@pytest.mark.parametrize("alpha,lam", [
+    (2.0, 1.0), (1.5, 0.8), (1.2, 0.3), (1.05, 1.0),
+    pytest.param(1.5, 0.1, marks=_SMALL_LAM),
+    pytest.param(1.5, 0.05, marks=_SMALL_LAM)])
 def test_normalize_matches_mellin_parseval(alpha, lam):
     # int_0^inf I(y)^2 y^(lam-1) dy = (1/pi) int_0^inf |M(lam/2 + it)|^2 dt,
     # M(s) = Gamma(s) cos(pi s/2) (pi/alpha) / sin(pi (lam - s)/alpha) the
-    # Mellin transform of I; at (1.05, 1) kappa = 1.3e16
+    # Mellin transform of I (Paris & Kaminski, Asymptotics and Mellin-Barnes
+    # Integrals, 2001, ch. 3); at (1.05, 1) kappa = 1.3e16
     def mellin_sq(t):
         s = lam / 2 + 1j * t
         return abs(sp.gamma(s) * np.cos(np.pi * s / 2) * (np.pi / alpha)
@@ -385,11 +397,10 @@ def test_normalize_matches_mellin_parseval(alpha, lam):
     st = dw.energy_closed_form(cfg)
     j = si.quad(mellin_sq, 0.0, 40.0, limit=400, epsabs=0.0,
                 epsrel=1e-12)[0] / np.pi
-    pref = (dw._position_prefactor(st, cfg)
-            * (st.kappa * cfg.hbar) ** lam / -st.energy)
-    nrm2 = 2.0 * cfg.dim.weight_norm * pref ** 2 * st.kappa ** -lam * j
+    nrm2 = (2.0 * cfg.dim.weight_norm * dw._profile_amplitude(st, cfg) ** 2
+            * st.kappa ** -lam * j)
     assert_allclose(dw.normalize(st, cfg).amplitude, 1.0 / math.sqrt(nrm2),
-                    rtol=1e-6)
+                    rtol=1e-8)
 
 
 def test_normalize_idempotent():
@@ -472,15 +483,14 @@ def test_profile_block_mellin_transform(alpha, lam):
     (1.5, 0.8, 1.0, 1.0, 1.0), (1.2, 0.3, 2.0, 0.5, 1.0),
     (1.9, 1.0, 0.7, 1.0, 1.3), (2.0, 1.0, 1.0, 2.0, 0.8)])
 def test_profile_closed_value_at_origin(alpha, lam, gamma, d, hbar):
-    # (kappa hbar)^lam / |E| * I(0), with I(0) = pi / (alpha sin(pi lam/alpha)),
-    # is the cosine integral at x = 0
+    # I(0) = pi / (alpha sin(pi lam/alpha)) is the quadrature route's I(0),
+    # the radial integral at x = 0 over (kappa hbar)^lam / |E|
     cfg = PotentialConfig(alpha=alpha, lam=lam, gamma_strength=gamma,
                           d_alpha=d, hbar=hbar)
     st = dw.energy_closed_form(cfg)
     i0 = math.pi / (alpha * math.sin(math.pi * lam / alpha))
-    got = (st.kappa * hbar) ** lam / -st.energy * i0
-    want, _ = dw.cosine_profile_integral(st, cfg, 0.0)
-    assert_allclose(got, want, rtol=1e-8)
+    want, _ = dw._profile_quadrature(st, cfg, np.zeros(1), QuadSpec())
+    assert_allclose(i0, want, rtol=1e-8)
     hv, _ = dw.position_wavefunction_hfox(st, cfg, 0.0)
     assert_allclose(hv, dw.position_wavefunction_quadrature(st, cfg, 0.0)[0],
                     rtol=1e-8)

@@ -137,6 +137,18 @@ def test_gammaln_sign_next_to_a_pole(pole):
     assert np.array_equal(sign, sps.gammasgn(xs))
 
 
+@pytest.mark.parametrize("pole", [-1.0, -2.0, -7.0])
+@pytest.mark.parametrize("imag", [1e-12, 0.3])
+def test_loggamma_next_to_a_pole(pole, imag):
+    # the complex reflection reduces sin(pi z) to sin(pi r), r = z -
+    # rint(Re z), and takes 1 - e^(-2 pi |Im z|) by expm1 (the rounded pi
+    # * z and the cancelling 1 - q were off by 5e-7 at 1e-9 from -7)
+    d = np.geomspace(1e-9, 1e-3, 13)
+    zs = np.concatenate([pole - d, pole + d]) + 1j * imag
+    err = np.abs(np.exp(gf.loggamma(zs) - sps.loggamma(zs)) - 1.0)
+    assert err.max() <= 1e-13
+
+
 def test_gammaln_sign_return_types():
     # 0-d in, two floats out; an array keeps its shape, on the all-real-
     # positive path and through the reflection alike (hfox passes

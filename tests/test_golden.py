@@ -124,6 +124,11 @@ def test_regen_diff_prints_the_moved_cells_and_writes_nothing(capsys, monkeypatc
     stamps = {p: p.stat().st_mtime_ns for p in GOLDEN.iterdir()}
     assert regen.main(["--diff"]) == 0
     assert capsys.readouterr().out == ""
+    # so the plain run, reached only once --diff found nothing moved,
+    # rewrites no file either: drift below the tolerance is not a move
+    assert regen.main([]) == 0
+    assert capsys.readouterr().out == ""
+    assert {p: p.stat().st_mtime_ns for p in GOLDEN.iterdir()} == stamps
     # a moved cell is named by file, row and column, old -> new
     name = "energy_1.5_0.8"
     text = (GOLDEN / f"{name}.csv").read_text(encoding="utf-8")

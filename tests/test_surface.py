@@ -8,7 +8,8 @@ import pytest
 import fracwell
 
 
-@pytest.mark.parametrize("module", ["quadrature", "gammafn", "hfox", "measure"])
+@pytest.mark.parametrize("module", ["quadrature", "gammafn", "hfox", "measure",
+                                    "deltawell"])
 def test_every_all_entry_resolves(module):
     mod = importlib.import_module(f"fracwell.{module}")
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
