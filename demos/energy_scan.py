@@ -2,7 +2,7 @@
 
 Two independent routes are compared at every point: the closed-form
 gamma-product expression, and an ITP root in log|E| of the defining
-spectral integral computed by adaptive quadrature.  Agreement across
+spectral integral computed by a trapezoid rule in log p.  Agreement across
 the grid is the main evidence that the closed form is transcribed correctly.
 """
 

@@ -2,9 +2,10 @@
 
 The package has four numerical layers plus a command line front end:
 
-- ``quadrature``: adaptive and oscillatory integration, ITP root
-  finding.  Every closed form in the package is cross-checked against
-  this layer, so it stays deliberately independent of the rest.
+- ``quadrature``: one trapezoid rule in log x for half-line
+  integrals, an oscillatory rule, ITP root finding.  Every closed form
+  in the package is cross-checked against this layer, so it stays
+  deliberately independent of the rest.
 - ``gammafn`` / ``hfox``: complex gamma kernel and a Fox H-function
   engine (residue series with a Mellin-Barnes contour fallback behind
   eval_auto, Mellin transform, parameter algebra).

@@ -224,7 +224,8 @@ def check_energy_scaling_oracle():
                        _QUAD).energy
     want = c ** (a / (a - lam))
     return _result("energy_scaling_oracle", abs(ec / e1 - want) / want, 1e-6,
-                   "oracle route, c = 2")
+                   "oracle route, c = 2; J does not depend on E, so this "
+                   "tests the root-find and the algebra of p0")
 
 
 def check_domain_window():

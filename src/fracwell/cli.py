@@ -100,7 +100,6 @@ def _base_meta(rc, mode_fields=()):
         "hbar": rc["hbar"],
         "quad_rel_tol": rc["quad_rel_tol"],
         "quad_abs_tol": rc["quad_abs_tol"],
-        "max_subdivisions": rc["max_subdivisions"],
         "version": __version__,
     }
     meta.update(mode_fields)
@@ -108,8 +107,7 @@ def _base_meta(rc, mode_fields=()):
 
 
 def _quad(rc):
-    return QuadSpec(abs_tol=rc["quad_abs_tol"], rel_tol=rc["quad_rel_tol"],
-                    max_subdivisions=rc["max_subdivisions"])
+    return QuadSpec(abs_tol=rc["quad_abs_tol"], rel_tol=rc["quad_rel_tol"])
 
 
 def _config(rc):
@@ -304,7 +302,6 @@ _OPTIONS = {
     "format": ("format", str, "csv", None),
     "quad-rel-tol": ("quad_rel_tol", float, 1e-8, None),
     "quad-abs-tol": ("quad_abs_tol", float, 1e-10, None),
-    "max-subdivisions": ("max_subdivisions", int, 2000, None),
     "hfox": ("hfox", str, None, "SPEC"),
     "z": ("z", str, "1.0", "Z1,Z2,..."),
 }

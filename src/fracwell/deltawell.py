@@ -11,8 +11,8 @@ must fail loudly before any quadrature runs.
 Two independent energy routes are provided.  energy_closed_form
 evaluates the analytic eigenvalue obtained by pushing the bound-state
 condition through the gamma-function integral identity; energy_oracle
-solves the same condition numerically (split quadrature plus an ITP
-root search in log|E|) and shares no code with the closed form beyond
+solves the same condition numerically (a trapezoid rule in log p plus
+an ITP root search in log|E|) and shares no code with the closed form beyond
 the gamma kernel.  The acceptance suite treats the oracle as the arbiter.
 
 Note on the closed form: source texts for this eigenvalue print the
@@ -51,7 +51,7 @@ from .gammafn import gammaln_sign
 from .hfox import HFoxParams, _evaluate
 from .measure import MeasureDim, integrate as measure_integrate
 from .quadrature import (NumericalFailure, QuadSpec, QuadFailure,
-                         integrate_adaptive, integrate_oscillatory, root_itp)
+                         integrate_oscillatory, integrate_sinh, root_itp)
 
 __all__ = ["SHAPE_TOL", "DomainError", "BracketFailure", "PotentialConfig",
            "BoundState", "energy_closed_form", "energy_oracle",
@@ -182,78 +182,68 @@ def energy_closed_form(cfg):
                       provenance="closed_form")
 
 
-def _radial_integral(cfg, abs_e, spec):
-    """int_0^inf p^(lam-1) / (D p^alpha + |E|) dp, split at the knee.
+def _radial_integral(cfg, spec):
+    """(J, err_est) of the radial integral int_0^inf p^(lam-1) / (D p^alpha
+    + |E|) dp in units of its knee p0 = (|E|/D)^(1/alpha): p = p0 e^t
+    turns it into p0^lam / |E| J, J = int e^(lam t) / (1 + e^(alpha t)) dt
+    over the line, with no knee, no scale and no dependence on E.  J's
+    tails fall off as e^(lam t) and e^(-(alpha-lam) t).  The integrand is
+    one exponential, of lam t - log(1 + e^(alpha t)) at t <= 0 and of
+    (lam-alpha) t - log(1 + e^(-alpha t)) at t > 0: nothing overflows,
+    and no exponent is the difference of two large terms."""
+    a, lam = cfg.alpha, cfg.lam
 
-    Below p0 = (|E|/D)^(1/alpha) the substitution u = p^lam absorbs the
-    endpoint power; above it v = p^(lam-alpha) turns the algebraic tail
-    into a bounded integral on [0, p0^(lam-alpha)].  Both pieces are
-    O(1)-scaled for any |E|, which keeps the bracket search stable over
-    many decades.
-    """
-    a, lam, d = cfg.alpha, cfg.lam, cfg.d_alpha
-    p0 = (abs_e / d) ** (1.0 / a)
-    # the pieces end at p0^lam and p0^(lam-alpha); a power that overflows
-    # raises OverflowError itself
-    ends = (p0 ** lam, p0 ** (lam - a)) if 0.0 < p0 < math.inf else (0.0,)
-    if not min(ends) > 0.0:
-        raise OverflowError(
-            f"radial integral knee out of double range: (|E|/D)^(1/alpha) = {p0:.6g}")
+    def g(t):
+        return np.exp(np.where(t > 0.0, (lam - a) * t, lam * t)
+                      - np.log1p(np.exp(-a * np.abs(t))))
 
-    def head(u):
-        return 1.0 / (d * np.power(u, a / lam) + abs_e)
+    return integrate_sinh(g, min(lam, a - lam), spec)
 
-    def tail(v):
-        return 1.0 / (d + abs_e * np.power(v, a / (a - lam)))
 
-    i1, e1 = integrate_adaptive(head, 0.0, ends[0], spec)
-    i2, e2 = integrate_adaptive(tail, 0.0, ends[1], spec)
-    return i1 / lam + i2 / (a - lam), e1 / lam + e2 / (a - lam)
+def _energy_condition(cfg, spec):
+    """h(t) = log(lhs/rhs) of the bound-state condition
+    (2 pi^(lam/2)/Gamma(lam/2)) int_0^inf p^(lam-1)/(D p^alpha + |E|) dp
+    = (2 pi hbar)^lam / gamma at t = log|E|.  The integral is p0^lam/|E| J
+    (_radial_integral), log p0 = (t - log D)/alpha, so h is the line
+    (lam/alpha - 1) t + log J - (lam/alpha) log D - log(rhs/nm): J is
+    taken once, every term is a log, and the t terms are one product, so
+    h rounds relative to its constant rather than to t."""
+    a, lam = cfg.alpha, cfg.lam
+    # log(rhs / nm), taken term by term so no power over- or underflows
+    log_target = (lam * math.log(2.0 * math.pi * cfg.hbar)
+                  - math.log(cfg.gamma_strength) - math.log(cfg.measure_norm))
+    const = (math.log(_radial_integral(cfg, spec)[0]) - lam * math.log(cfg.d_alpha) / a
+             - log_target)
+    slope = (lam - a) / a
+    return lambda t: const + slope * t
 
 
 def energy_oracle(cfg, spec=QuadSpec()):
     """Bound-state energy with no closed-form input.
 
-    The defining condition is
-    (2 pi^(lam/2)/Gamma(lam/2)) int_0^inf p^(lam-1)/(D p^alpha + |E|) dp
-    = (2 pi hbar)^lam / gamma.  With t = log|E| it reads
-    h(t) = log(lhs) - log(rhs) = 0, where h is strictly decreasing and
-    close to linear.  The search for a bracket starts with a unit step
-    from t = 0.  From then on it holds two points on the same side of
-    the root and steps to the root of their secant, overshot in the
-    search direction by tol/8 step, where tol = 1e-12 is ITP's bracket
-    width and step = 2, 4, 8, ... doubles each round; where the secant
-    would not move forward (h not finite or not decreasing between the
-    two points) it takes the step itself.  On a linear h the first
-    secant point lies tol/4 past the root, within ITP's minimum step
-    tol/2 of the new bracket end, so ITP's first point crosses the root
-    and closes the bracket: three h evaluations for the search and one
-    for ITP.  A root that rounding in h puts beyond the overshoot costs
-    one more round, whose two points are about tol apart.  A wider
-    overshoot would leave the root that close to one end of a wide
-    bracket instead, where ITP's first point can fall short of it.  The
-    doubling overshoot bounds the rounds on any h.  ITP refines the
-    bracket to tol wide in t, i.e. 1e-12 relative precision in |E|.
-    BracketFailure means the root lies beyond the double range of |E|
-    or of |E|/D.
+    The root in t = log|E| of _energy_condition's h.  The search for a
+    bracket starts with a unit step from t = 0.  From then on it holds
+    two points on the same side of the root and steps to the root of
+    their secant, overshot in the search direction by tol/8 step, where
+    tol = 1e-12 is ITP's bracket width and step = 2, 4, 8, ... doubles
+    each round; where the secant would not move forward (h not finite or
+    not decreasing between the two points) it takes the step itself.  On
+    a linear h the first secant point lies tol/4 past the root, within
+    ITP's minimum step tol/2 of the new bracket end, so ITP's first point
+    crosses the root and closes the bracket: three h evaluations for the
+    search and one for ITP.  A root that rounding in h puts beyond the
+    overshoot costs one more round, whose two points are about tol
+    apart.  A wider overshoot would leave the root that close to one end
+    of a wide bracket instead, where ITP's first point can fall short of
+    it.  The doubling overshoot bounds the rounds on any h.  ITP refines
+    the bracket to tol wide in t, i.e. 1e-12 relative precision in |E|.
+    BracketFailure means the root lies beyond the double range of |E|.
     """
-    # log(rhs / nm), taken term by term so no power over- or underflows
-    log_target = (cfg.lam * math.log(2.0 * math.pi * cfg.hbar)
-                  - math.log(cfg.gamma_strength) - math.log(cfg.measure_norm))
-
-    def h(t):
-        val, _ = _radial_integral(cfg, math.exp(t), spec)
-        # an integral that underflows to 0 lies far below the target
-        return math.log(val) - log_target if val > 0 else -math.inf
-
+    h = _energy_condition(cfg, spec)
     t, ht = 0.0, h(0.0)
     rising = ht > 0          # lhs still too large: the root lies above t
-    # the search stays where |E| and |E|/D are normal doubles: beyond,
-    # the knee (|E|/D)^(1/alpha) of _radial_integral over- or underflows
-    # and h changes sign where there is no root
-    log_d = math.log(cfg.d_alpha)
-    edge = (min(_LOG_E_MAX, _LOG_E_MAX + log_d) if rising
-            else max(_LOG_E_MIN, _LOG_E_MIN + log_d))
+    # the search stays where |E| is a normal double
+    edge = _LOG_E_MAX if rising else _LOG_E_MIN
     sign = 1.0 if rising else -1.0
     step = 1.0
     prev_t, prev_h = t, ht
@@ -302,25 +292,28 @@ def _profile_amplitude(state, cfg):
     convention whose constant the amplitude absorbs anyway."""
     return (state.amplitude * cfg.gamma_strength
             / (2.0 * math.pi * cfg.hbar) ** (2.0 * cfg.lam) * cfg.measure_norm
-            * (state.kappa * cfg.hbar) ** cfg.lam / -state.energy)
+            * ((state.kappa * cfg.hbar) ** cfg.lam / -state.energy))
 
 
 def _profile_quadrature(state, cfg, y, spec):
     """(I(y), err_est) by quadrature on a 1-d array y >= 0: one
-    integrate_oscillatory call over every y > 0.  I(0) is the energy
-    condition's radial integral over (kappa hbar)^lam/|E|, so the x = 0
-    identity is measured, not substituted."""
+    integrate_oscillatory call over every y > 0.  I(0) is J of
+    _radial_integral, so the x = 0 identity is measured, not substituted."""
     lam, a = cfg.lam, cfg.alpha
     value = np.empty(y.shape)
     err = np.empty(y.shape)
     zero = y == 0.0
     if zero.any():
-        scale = (state.kappa * cfg.hbar) ** lam / -state.energy
-        j0, e0 = _radial_integral(cfg, -state.energy, spec)
-        value[zero], err[zero] = j0 / scale, e0 / scale
+        value[zero], err[zero] = _radial_integral(cfg, spec)
     if not zero.all():
         def envelope(q):
-            return np.power(q, lam - 1.0) / (np.power(q, a) + 1.0)
+            # q = u/y overflows q^alpha at tiny y and underflows to 0 at huge y
+            with np.errstate(over="ignore"):
+                qa = np.power(q, a)
+                if np.isinf(qa).any() or not q.all():
+                    raise OverflowError("oscillatory nodes q = u/y past the double "
+                                        "range about the knee q = 1 of the profile")
+                return np.power(q, lam - 1.0) / (qa + 1.0)
 
         value[~zero], err[~zero] = integrate_oscillatory(
             envelope, y[~zero], singularity_power=lam - 1.0)
@@ -378,27 +371,45 @@ def position_wavefunction_hfox(state, cfg, x, spec=QuadSpec()):
 
 def _x0_identity(cfg, state, spec):
     """(radial integral at the state's energy, its closed value
-    (2 pi hbar)^lam / (gamma measure_norm)): the identity at x = 0."""
-    val, _ = _radial_integral(cfg, -state.energy, spec)
-    return val, ((2.0 * math.pi * cfg.hbar) ** cfg.lam
-                 / (cfg.gamma_strength * cfg.measure_norm))
+    (2 pi hbar)^lam / (gamma measure_norm)): the identity at x = 0.  Their
+    ratio is e^h(log|E|) of _energy_condition."""
+    want = ((2.0 * math.pi * cfg.hbar) ** cfg.lam
+            / (cfg.gamma_strength * cfg.measure_norm))
+    return want * math.exp(_energy_condition(cfg, spec)(math.log(-state.energy))), want
+
+
+# below this y the Ooura-Mori nodes of the quadrature route sample I's knee
+# too sparsely to hold I to 1e-9
+_Y_HEAD = 1e-5
 
 
 def normalize(state, cfg, spec=QuadSpec()):
     """Fix the amplitude so that int |phi(x)|^2 d^lam x = 1.
 
     phi = P I(kappa|x|) is even, so the norm is 2 P^2 kappa^-lam times
-    int_0^inf I(y)^2 d^lam y, taken on the quadrature route: its
-    integrand is O(I(0)^2) whatever gamma, D and kappa are.  P is formed
-    at unit amplitude, so the operation is idempotent by construction.
+    int_0^inf I(y)^2 d^lam y: O(I(0)^2) whatever gamma, D and kappa are,
+    taken on the quadrature route above Y = _Y_HEAD.  Below Y, I(y) =
+    J - D (y/Y)^(alpha-lam) with D = J - I(Y), its leading small-y form
+    (q = v/y in J - I(y) = int (1 - cos qy) q^(lam-1)/(1 + q^alpha) dq),
+    so the part below Y is Y^lam (J^2/lam - 2 J D/alpha + D^2/(2 alpha -
+    lam)), off by a relative O(Y^2).  Below lam of about 0.077 the
+    y^(-lam) tail of I^2 y^lam reaches y ~ 1e280, where the route's nodes
+    u/y underflow and it raises OverflowError.  P is formed at unit
+    amplitude, so the operation is idempotent by construction.
     """
+    lam = cfg.lam
+
     def f(y):
         return _profile_quadrature(state, cfg, y, spec)[0] ** 2
 
-    half, _ = measure_integrate(cfg.dim, f, (0.0, np.inf), spec)
+    tail, _ = measure_integrate(cfg.dim, f, (_Y_HEAD, np.inf), spec)
+    j, i_head = _profile_quadrature(state, cfg, np.array([0.0, _Y_HEAD]), spec)[0]
+    d = j - i_head
+    head = (cfg.dim.weight_norm * _Y_HEAD ** lam
+            * (j * j / lam - 2.0 * j * d / cfg.alpha + d * d / (2.0 * cfg.alpha - lam)))
     # the square root first, so no power of P or kappa over- or underflows
     nrm = (_profile_amplitude(replace(state, amplitude=1.0), cfg)
-           * math.sqrt(2.0 * half) * state.kappa ** (-0.5 * cfg.lam))
+           * math.sqrt(2.0 * (head + tail)) * state.kappa ** (-0.5 * lam))
     if not (nrm > 0 and math.isfinite(nrm)):
-        raise QuadFailure(f"norm came out {nrm} (half-line integral {half})")
+        raise QuadFailure(f"norm came out {nrm} (half-line integral {head + tail})")
     return replace(state, amplitude=1.0 / nrm)

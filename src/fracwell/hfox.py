@@ -318,9 +318,12 @@ def _partial_sums(power, logabs, sign, logw):
     done), nan and inf where the stopping rule does not fire before K;
     done also marks a sum that is not finite at K."""
     term = np.zeros((power.shape[1], logw.size))
+    size = np.zeros_like(term)   # sum_j |residue_j|: what rounds in term k
     for j in range(len(power)):
         x = sign[j, :, None] * np.exp(power[j, :, None] * logw + logabs[j, :, None])
-        term += np.where(sign[j, :, None] != 0.0, x, 0.0)   # a zero residue adds nothing
+        x = np.where(sign[j, :, None] != 0.0, x, 0.0)   # a zero residue adds nothing
+        term += x
+        size += np.abs(x)
     mag, run = np.abs(term), np.cumsum(term, axis=0)   # s_k = s_{k-1} + t_k
     small = mag < _SERIES_TOL * np.maximum(1.0, np.abs(run))
     # row i is term k = i + 4, under the stopping rule of _series_core
@@ -331,7 +334,9 @@ def _partial_sums(power, logabs, sign, logw):
         prev = np.where(t > 0.0, t, prev)
     stopped, cols = stop.any(axis=0), np.arange(logw.size)
     at = 4 + np.argmax(stop, axis=0)   # the term each one stops at
-    top = np.maximum.accumulate(mag, axis=0)[at, cols]
+    # two families' poles that nearly meet cancel inside one term, so the
+    # kernel's rounding is read from their sizes, not from their sum
+    top = np.maximum.accumulate(size, axis=0)[at, cols]
     vals = np.where(stopped, run[at, cols], np.nan)
     errs = np.where(stopped, mag[at, cols] * (0.9 / 0.1) + LANCZOS_REL_ACC * top, np.inf)
     return vals, errs, stopped | ~np.isfinite(run[-1])
@@ -346,13 +351,13 @@ def _series_core(params, w):
     terms are each under _SERIES_TOL times max(1, |sum|) and every
     positive one of its last five is under 0.9 times the positive one
     before.  err_est is 9 times that last term (the tail) plus
-    LANCZOS_REL_ACC * max|term|, the gamma kernel's relative accuracy in
-    each term.  The open elements are summed from k = 0 to a horizon of
-    32 terms, then afresh to 64, 128, 256 and _MAX_TERMS terms; nothing
-    is carried from one horizon to the next.  An element comes back nan
-    with err_est inf when its sum goes non-finite, reaches a clash of
-    _residues or runs out of terms before it stops, and every element
-    does when m = 0.
+    LANCZOS_REL_ACC times the largest sum_j |residue_j| of a term, the
+    gamma kernel's relative accuracy in each residue.  The open elements
+    are summed from k = 0 to a horizon of 32 terms, then afresh to 64,
+    128, 256 and _MAX_TERMS terms; nothing is carried from one horizon
+    to the next.  An element comes back nan with err_est inf when its
+    sum goes non-finite, reaches a clash of _residues or runs out of
+    terms before it stops, and every element does when m = 0.
     """
     w = np.asarray(w, dtype=float)
     vals, errs = np.full_like(w, np.nan), np.full_like(w, np.inf)

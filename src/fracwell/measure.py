@@ -9,9 +9,10 @@ family eps^lam exp(-pi eps^2 x^2) at finite eps - never as a symbolic
 atom - because the defining Fourier integral does not converge
 pointwise for lam < 1.  All delta properties are eps-limits here.
 
-The |x|^{lam-1} endpoint singularity is absorbed exactly by the
-substitution u = |x|^lam before quadrature (w dx = (weight_norm/lam) du),
-so the panels only ever see bounded integrands.
+Each side of 0 is integrated in t = log|x|, where the weighted element
+|x|^{lam-1} dx becomes e^{lam t} dt: the |x|^{lam-1} endpoint power
+turns into an exponential tail that the quadrature layer's trapezoid
+rule takes like any other, at every lam.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gammafn import gamma_real
-from .quadrature import QuadSpec, integrate_adaptive, integrate_oscillatory
+from .quadrature import QuadSpec, integrate_oscillatory, integrate_sinh
 
 __all__ = [
     "MeasureDim",
@@ -66,33 +67,41 @@ class DeltaFamily:
 def integrate(dim, f, domain=(-np.inf, np.inf), quad=QuadSpec()):
     """Integral of f against d^lam(x) over the interval domain.
 
-    Splits at 0 and substitutes u = |x|^lam on each side, which turns
-    the weighted element into the constant (weight_norm/lam) du; the
-    integrand then enters adaptive quadrature with no endpoint power.
-    Returns (value, err_est).
+    Splits at 0 and takes each side as a range [lo, hi] of |x|, for
+    quadrature.integrate_sinh in t: |x| = lo + e^t on a half-line, and
+    lo + (hi - lo) r/(1+r) with r = e^t on a finite range.  The weighted
+    element |x|^(lam-1) d|x| is formed in logs, as e^(lam t) dt itself
+    when lo = 0.  f must fall off at least as |x|^(-2 lam) at infinity,
+    and may be handed inf where |x| passes the double range.  Returns
+    (value, err_est).
     """
     a, b = domain
     if not a < b:
         if a == b:
             return 0.0, 0.0
         raise ValueError(f"domain must be ordered, got ({a}, {b})")
-    lam = dim.lam
-    pref = dim.weight_norm / lam
-    inv = 1.0 / lam
-    total = 0.0
-    err = 0.0
     # each side of 0 as a range of |x|: [a, b] on the right, [-b, -a] on
     # the left, both clipped at 0
-    for sign, lo, hi in ((1.0, a, b), (-1.0, -b, -a)):
-        if hi <= 0.0:
-            continue
+    sides = [_side(dim.lam, lambda x: f(sign * x), max(lo, 0.0), hi, quad)
+             for sign, lo, hi in ((1.0, a, b), (-1.0, -b, -a)) if hi > 0.0]
+    return (dim.weight_norm * sum(v for v, _ in sides),
+            dim.weight_norm * sum(e for _, e in sides))
 
-        def side(u):
-            return f(sign * np.power(u, inv))
-        v, e = integrate_adaptive(side, max(lo, 0.0) ** lam, hi ** lam, quad)
-        total += pref * v
-        err += pref * e
-    return total, err
+
+def _side(lam, f, lo, hi, quad):
+    """(int_lo^hi x^(lam-1) f(x) dx, err_est) for 0 <= lo < hi <= inf."""
+    def g(t):
+        if math.isinf(hi):
+            u, dlog = t, 0.0
+        else:
+            dlog = -np.logaddexp(0.0, t)        # log(1/(1+r))
+            u = math.log(hi - lo) + t + dlog    # log(x - lo)
+        log_x = np.logaddexp(math.log(lo), u) if lo > 0.0 else u
+        with np.errstate(over="ignore"):
+            x = np.exp(log_x)
+        # x^(lam-1) dx/dt, with dx/dt = (x - lo) e^dlog
+        return np.exp(lam * log_x + (u - log_x) + dlog) * f(x)
+    return integrate_sinh(g, lam, quad)
 
 
 def delta_value(family, x):

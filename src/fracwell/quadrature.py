@@ -1,31 +1,25 @@
-"""Adaptive and oscillatory quadrature plus ITP root finding.
+"""Half-line, oscillatory and root-finding numerics.
 
 This layer is the package's independent oracle: closed forms elsewhere
 are accepted only when they agree with these routines, so nothing here
 may import from the H-function or spectral modules.
 
-The panel rule is a nested Fejer-2 pair (31-node high rule, 15-node low
-rule on the shared odd-index subset).  Fejer-2 is an open rule, so
-integrable endpoint singularities never get evaluated directly; the
-adaptive bisection resolves them by geometric refinement instead.
-Each panel set is one integrand call: the initial mesh (4 or 8 panels)
-and then both halves of each split, as a flat array of 31 nodes per
-panel, so an integrand pays its per-call overhead once per set.  The
-rule's own numpy work per set is two products: the high and low rules
-as one (panel x 31) by (31 x 2) product, and the roughness sum
-|y| @ w_hi, whose non-finite entries are the only finiteness test (the
-Fejer-2 weights are positive, checked at import).  Semi-infinite
-domains are mapped by t = x/(1+x), chosen over an exponential map
-because the spectral integrands have heavy power-law tails.
-Fourier-type integrals take the Ooura-Mori double-exponential rule,
-whose nodes close in on the kernel's zeros, so one node table serves
-every frequency and no tail is summed.  All decisions are
-data-independent, so repeated calls produce bit-identical results.
+The energy oracle's and the measure's half-line integrals are taken
+in t = log x: int_0^inf x^(lam-1) f(x) dx is int e^(lam t) f(e^t) dt,
+whose integrand falls off exponentially at both ends and has no
+endpoint singularity.  integrate_sinh takes it by the trapezoid rule
+in s with t = (pi/2) sinh s, halving the step from 1/8 until two
+successive sums agree; the caller writes its integrand in t (in logs,
+so that nothing over- or underflows) and names its slower exponential
+decay rate, which sets the window.  Fourier-type integrals take the
+Ooura-Mori double-exponential rule, whose nodes close in on the
+kernel's zeros, so one node table serves every frequency and no tail is
+summed.  All decisions are data-independent, so repeated calls produce
+bit-identical results.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -38,7 +32,7 @@ __all__ = [
     "NonIntegrable",
     "NonDecaying",
     "NoBracket",
-    "integrate_adaptive",
+    "integrate_sinh",
     "integrate_oscillatory",
     "root_itp",
 ]
@@ -51,7 +45,7 @@ class NumericalFailure(Exception):
 
 
 class QuadFailure(NumericalFailure):
-    """Tolerance not reached within the subdivision budget."""
+    """Tolerance not reached at the rule's finest step."""
 
 
 class NonIntegrable(NumericalFailure):
@@ -71,151 +65,73 @@ class QuadSpec:
     """Accuracy contract shared by every quadrature call.
 
     abs_tol / rel_tol bound the reported error estimate; the effective
-    target is max(abs_tol, rel_tol * |value|).  max_subdivisions caps
-    panel splits in one adaptive call.  The oscillatory rule is fixed:
-    it reports its error estimate rather than refining toward these.
+    target is max(abs_tol, rel_tol * |value|).  The oscillatory rule is
+    fixed: it reports its error estimate rather than refining toward
+    these.
     """
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
-    max_subdivisions: int = 2000
 
     def __post_init__(self):
         if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 16:
-            raise ValueError("max_subdivisions must be at least 16")
 
 
-def _fejer2_nodes_weights(n):
-    """Open Fejer-2 rule on [-1, 1]: nodes cos(j pi/n), j = 1..n-1.
+# exp-sinh trapezoid rule (Mori & Sugihara, J. Comput. Appl. Math. 127,
+# 287-296, 2001): first and finest step in s; the window ends where the
+# slower tail has fallen by e^-_SINH_TAIL
+_SINH_STEPS = (0.125, 0.0078125)
+_SINH_TAIL = 40.0
 
-    Weights come from solving the Chebyshev moment system once; exact
-    to machine precision and free of transcription risk.
+
+def integrate_sinh(g, rate, spec=QuadSpec()):
+    """Integrate g(t) over the real line by the trapezoid rule in s, with
+    t = (pi/2) sinh s.
+
+    g takes a 1-d float array of t and returns matching values.  It must
+    fall off at least as e^(-rate |t|) at both ends; the rule's window
+    |t| <= _SINH_TAIL / rate then leaves out under e^-40 of either tail.
+    In s the integrand decays double-exponentially, and the trapezoid
+    rule converges geometrically in 1/h (Trefethen & Weideman, SIAM
+    Review 56, 2014).  The first integrand call takes the step-1/8 grid,
+    whose even nodes give the step-1/4 sum; each later call takes the
+    midpoints that halve the step.  err_est = |T_h - T_2h|, and the step
+    halves until it is at most max(abs_tol, rel_tol |T_h|): QuadFailure
+    if that does not hold at the finest step 1/128, NonIntegrable at a
+    non-finite node.  Returns (value, err_est).
     """
-    j = np.arange(1, n)
-    nodes = np.cos(j * np.pi / n)
-    k = np.arange(0, n - 1)
-    # T_k(cos t) = cos(k t); moments of T_k over [-1,1]
-    vander = np.cos(np.outer(k, j) * np.pi / n)
-    moments = np.where(k % 2 == 0, 2.0 / (1.0 - k.astype(float) ** 2 + (k == 1)), 0.0)
-    moments[k == 1] = 0.0
-    weights = np.linalg.solve(vander, moments)
-    return nodes, weights
+    if not rate > 0.0:
+        raise ValueError(f"decay rate must be positive, got {rate}")
+    h, finest = _SINH_STEPS
+    window = math.asinh(_SINH_TAIL / (0.5 * math.pi * rate))
+    if window > 700.0:   # sinh s overflows past 710
+        raise QuadFailure(f"decay rate {rate} too slow for the double range")
+    n = 2 * math.ceil(0.5 * window / h)   # nodes k h, |k| <= n, n even
+    y = _sinh_nodes(g, h * np.arange(-n, n + 1))
+    value = h * y.sum()
+    err = abs(value - 2.0 * h * y[::2].sum())
+    while err > max(spec.abs_tol, spec.rel_tol * abs(value)):
+        if h <= finest:
+            raise QuadFailure(f"error {err:.3e} above tolerance at the finest "
+                              f"step {h} (value ~ {value:.6e})")
+        h, n = 0.5 * h, 2 * n
+        fine = 0.5 * value + h * _sinh_nodes(g, h * np.arange(1 - n, n, 2)).sum()
+        value, err = fine, abs(fine - value)
+    return value, err
 
 
-_NODES_HI, _W_HI = _fejer2_nodes_weights(32)   # 31 nodes
-_NODES_LO, _W_LO = _fejer2_nodes_weights(16)   # 15 nodes, subset of the 31
-# Fejer-2 weights are positive, so |y| @ _W_HI is the roughness sum as it stands
-assert np.all(_W_HI > 0.0) and np.all(_W_LO > 0.0)
-# high-rule indices whose nodes coincide with the low rule: j even
-_LO_SUBSET = np.arange(1, 32)[np.arange(1, 32) % 2 == 0] - 1
-# columns: the high rule, and the low rule on the high rule's nodes (zero
-# off its subset), so one product forms both
-_W_PAIR = np.zeros((31, 2))
-_W_PAIR[:, 0] = _W_HI
-_W_PAIR[_LO_SUBSET, 1] = _W_LO
-
-
-def _panel(f, lo, hi):
-    """Embedded-pair evaluation on the panels [lo[i], hi[i]] (arrays) by one
-    integrand call on their nodes, flattened panel by panel:
-    (values, error_estimates) as lists."""
-    half = 0.5 * (hi - lo)
-    x = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES_HI
-    y = np.asarray(f(x.ravel()), dtype=float)
-    if y.ndim == 0:
-        y = np.full(x.size, float(y))
-    if y.shape != (x.size,):
+def _sinh_nodes(g, s):
+    """g(t) dt/ds at the nodes s of integrate_sinh."""
+    t = 0.5 * math.pi * np.sinh(s)
+    y = np.asarray(g(t), dtype=float)
+    if y.shape != t.shape:
         raise ValueError("integrand must return an array matching its input")
-    y = y.reshape(x.shape)
-    # a non-finite node makes its panel's roughness sum inf or nan; the
-    # rows are read only to name the first such panel
-    rough = half * (np.abs(y) @ _W_HI)
-    if not np.isfinite(rough).all():
-        finite = np.isfinite(y).all(axis=1)
-        if not finite.all():
-            i = int(np.argmin(finite))
-            raise NonIntegrable(f"non-finite integrand value in "
-                                f"[{float(lo[i])!r}, {float(hi[i])!r}]")
-    pair = half[:, None] * (y @ _W_PAIR)
-    value = pair[:, 0]
-    err = np.abs(value - pair[:, 1]) + 1e-16 * rough
-    return value.tolist(), err.tolist()
-
-
-def _adaptive_core(f, a, b, spec, initial=8):
-    """Adaptive bisection on the finite interval [a, b]: the initial mesh
-    is one _panel call, and so is each split, both halves at once."""
-    step = (b - a) / initial   # np.linspace's edges, without its overhead
-    edges = [a + k * step for k in range(initial)] + [b]
-    vals, errs = _panel(f, np.array(edges[:-1]), np.array(edges[1:]))
-    heap = [(-e, i, lo_e, hi_e, v) for i, (lo_e, hi_e, v, e)
-            in enumerate(zip(edges[:-1], edges[1:], vals, errs))]
-    heapq.heapify(heap)
-    counter = initial
-    total = sum(vals)
-    total_err = sum(errs)
-
-    splits = 0
-    min_width = abs(b - a) * 1e-15
-    while total_err > max(spec.abs_tol, spec.rel_tol * abs(total)):
-        if splits >= spec.max_subdivisions:
-            raise QuadFailure(
-                f"error {total_err:.3e} above tolerance after "
-                f"{splits} subdivisions (value ~ {total:.6e})")
-        neg_e, _, lo_e, hi_e, v = heapq.heappop(heap)
-        if hi_e - lo_e <= min_width:
-            # refinement exhausted at roundoff scale; park the panel
-            heapq.heappush(heap, (0.0, counter, lo_e, hi_e, v))
-            counter += 1
-            if all(item[0] == 0.0 for item in heap):
-                raise QuadFailure(
-                    f"mesh exhausted at roundoff width with error "
-                    f"{total_err:.3e} (value ~ {total:.6e}); substitute the "
-                    f"endpoint singularity before integrating")
-            continue
-        mid = 0.5 * (lo_e + hi_e)
-        (v1, v2), (e1, e2) = _panel(f, np.array([lo_e, mid]),
-                                     np.array([mid, hi_e]))
-        total += (v1 + v2) - v
-        total_err += (e1 + e2) - (-neg_e)
-        heapq.heappush(heap, (-e1, counter, lo_e, mid, v1))
-        counter += 1
-        heapq.heappush(heap, (-e2, counter, mid, hi_e, v2))
-        counter += 1
-        splits += 1
-    return total, total_err
-
-
-def integrate_adaptive(f, a, b, spec=QuadSpec()):
-    """Integrate f over [a, b]; either endpoint may be infinite.
-
-    f must accept a 1-d float ndarray (the nodes of a whole panel set)
-    and return matching values; integrable endpoint singularities are
-    fine (the rule is open), interior poles are the caller's problem.
-    Returns (value, error_estimate).
-    """
-    if a == b:
-        return 0.0, 0.0
-    if a > b:
-        v, e = integrate_adaptive(f, b, a, spec)
-        return -v, e
-    a_inf = math.isinf(a)
-    b_inf = math.isinf(b)
-    if a_inf and b_inf:
-        v1, e1 = integrate_adaptive(f, a, 0.0, spec)
-        v2, e2 = integrate_adaptive(f, 0.0, b, spec)
-        return v1 + v2, e1 + e2
-    if b_inf:
-        # x = a + t/(1-t), t in [0, 1); clamp keeps u away from underflow
-        def g(t):
-            u = np.maximum(1.0 - t, 1e-16)
-            return f(a + t / u) / (u * u)
-        return _adaptive_core(g, 0.0, 1.0, spec)
-    if a_inf:   # x -> -x; negation is exact, so this is the b_inf rule mirrored
-        return integrate_adaptive(lambda x: f(-x), -b, math.inf, spec)
-    return _adaptive_core(f, a, b, spec, initial=4)
+    y = y * (0.5 * math.pi * np.cosh(s))
+    if not np.isfinite(y).all():
+        bad = float(t[np.argmin(np.isfinite(y))])
+        raise NonIntegrable(f"non-finite integrand value at t = {bad!r}")
+    return y
 
 
 # element budget of a (row x node) temporary, shared by the Ooura-Mori rule
@@ -280,7 +196,7 @@ def integrate_oscillatory(envelope, omega, *, singularity_power=0.0,
     om = np.asarray(omega, dtype=float)
     if om.ndim > 1 or not np.all(om > 0):
         raise ValueError("omega must be a positive float or 1-d array; "
-                         "use integrate_adaptive at omega = 0")
+                         "at omega = 0 the integral is not oscillatory")
     if kernel not in _DE_TABLES:
         raise ValueError(f"kernel must be 'cos' or 'sin', got {kernel!r}")
     c = float(singularity_power)

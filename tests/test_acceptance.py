@@ -77,7 +77,7 @@ def test_criterion_4_existence_window(monkeypatch):
     def trip(*a, **k):
         raise AssertionError("quadrature invoked during domain rejection")
 
-    monkeypatch.setattr(dw, "integrate_adaptive", trip)
+    monkeypatch.setattr(dw, "integrate_sinh", trip)
     monkeypatch.setattr(dw, "integrate_oscillatory", trip)
     monkeypatch.setattr(dw, "root_itp", trip)
     with pytest.raises(DomainError, match="0 < lam < alpha"):

@@ -196,11 +196,11 @@ def test_wavefunction_large_kappa_rows(tmp_path):
 
 @pytest.mark.parametrize("extra", [
     ["--d-alpha", "1e300", "--x-steps", "3"],
-    ["--d-alpha", "1e-200", "--x-min=-2e-200", "--x-max=2e-200", "--x-steps", "5"],
-], ids=["knee_underflows", "knee_overflows"])
+], ids=["knee_underflows"])
 def test_wavefunction_knee_out_of_double_range_exits_3(capsys, extra):
-    # |E|/D = 2.5e-601 and 2.5e399: the state is finite, but the x = 0 row's
-    # radial integral has no representable knee (|E|/D)^(1/alpha)
+    # kappa = 5e-301: the rows at x = +-5 put the quadrature route's
+    # nodes q = u/(kappa|x|) past the double range above the profile's
+    # knee q = 1, where the rule cannot read the envelope
     code = cli.main(["--mode", "wavefunction", "--alpha", "2", "--lambda", "1"]
                     + extra)
     assert code == 3
@@ -208,6 +208,23 @@ def test_wavefunction_knee_out_of_double_range_exits_3(capsys, extra):
     assert out == ""
     assert "OverflowError" in err and "knee" in err
     assert "Traceback" not in err
+
+
+def test_wavefunction_knee_overflow_prints_the_classical_rows(tmp_path):
+    # |E|/D = 2.5e399 is beyond the double range, but nothing forms it:
+    # kappa = 5e199 and the rows are sqrt(kappa) e^(-kappa|x|), printed to
+    # 12 digits
+    code, path = run(tmp_path, "--mode", "wavefunction", "--alpha", "2",
+                     "--lambda", "1", "--d-alpha", "1e-200", "--x-min=-2e-200",
+                     "--x-max=2e-200", "--x-steps", "5", out="w.csv")
+    assert code == 0
+    comments, rows = read_csv(path)
+    assert "# hfox_verified = true" in comments
+    kappa = 5e199
+    for r in rows:
+        want = math.sqrt(kappa) * math.exp(-kappa * abs(float(r["x"])))
+        assert float(r["phi_quadrature"]) == pytest.approx(want, rel=1e-11)
+        assert float(r["phi_hfox"]) == pytest.approx(want, rel=1e-11)
 
 
 def test_wavefunction_byte_deterministic(tmp_path):

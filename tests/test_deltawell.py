@@ -76,62 +76,88 @@ def test_energy_oracle_bracket_adapts_to_tiny_coupling():
     assert_allclose(st.energy, -2.5e-13, rtol=1e-5)
 
 
+def _count_h(mp, calls):
+    """Count the oracle's h evaluations in calls[0]."""
+    condition = dw._energy_condition
+
+    def counted_condition(cfg, spec):
+        h = condition(cfg, spec)
+
+        def counted(t):
+            calls[0] += 1
+            return h(t)
+        return counted
+
+    mp.setattr(dw, "_energy_condition", counted_condition)
+
+
 def test_energy_oracle_work_is_pinned(monkeypatch):
-    # a unit step, a secant step just past the root and one ITP step:
-    # four spectral integrals per energy
-    calls = [0]
+    # one radial integral J; then a unit step, a secant step just past the
+    # root and one ITP step: four evaluations of the linear h per energy
+    calls, integrals = [0], [0]
+    _count_h(monkeypatch, calls)
     radial = dw._radial_integral
 
     def counted(*args, **kwargs):
-        calls[0] += 1
+        integrals[0] += 1
         return radial(*args, **kwargs)
 
     monkeypatch.setattr(dw, "_radial_integral", counted)
     spec = QuadSpec(abs_tol=1e-12, rel_tol=1e-10)   # the validate suite's
     for alpha, lam in ((1.2, 0.5), (1.5, 0.8), (1.8, 0.3), (2.0, 1.0)):
-        calls[0] = 0
+        calls[0] = integrals[0] = 0
         dw.energy_oracle(PotentialConfig(alpha=alpha, lam=lam), spec)
-        assert calls[0] <= 4, (alpha, lam, calls[0])
+        assert calls[0] <= 4 and integrals[0] == 1, (alpha, lam, calls[0])
 
 
-# (alpha, lam, gamma, D) -> most spectral integrals (h evaluations) and
-# integrand calls one oracle call may take at the CLI's default QuadSpec
+# (alpha, lam, gamma, D) -> most h evaluations (bracket search plus ITP)
+# one oracle call may take at the CLI's default QuadSpec
 _ORACLE_WORK = {
-    (2.0, 1.0, 1.0, 1.0): (4, 8),
-    (1.5, 0.8, 1.0, 1.0): (4, 8),
-    (1.05, 1.0, 1.0, 1.0): (4, 16),
-    (1.2, 0.3, 1.0, 1.0): (4, 12),
-    (1.9, 1.0, 1.0, 1.0): (4, 8),
-    (1.8, 0.3, 1.0, 1.0): (4, 16),
-    (1.3, 0.6, 5.0, 0.2): (4, 8),
-    (1.6, 0.05, 0.2, 8.0): (4, 12),
-    (1.03, 1.0, 10.0, 0.1): (5, 15),   # |E| ~ 8e102: one secant step away
+    (2.0, 1.0, 1.0, 1.0): 4,
+    (1.5, 0.8, 1.0, 1.0): 4,
+    (1.05, 1.0, 1.0, 1.0): 4,
+    (1.2, 0.3, 1.0, 1.0): 4,
+    (1.9, 1.0, 1.0, 1.0): 4,
+    (1.8, 0.3, 1.0, 1.0): 4,
+    (1.3, 0.6, 5.0, 0.2): 4,
+    (1.6, 0.05, 0.2, 8.0): 4,
+    (1.03, 1.0, 10.0, 0.1): 5,   # |E| ~ 8e102: one secant step away
+    (1.01, 1.0, 1.0, 1.0): 4,
+    (1.5, 1e-5, 1.0, 1.0): 4,
 }
 
 
 def test_energy_oracle_work_counters(monkeypatch):
-    # deterministic work counts: h evaluations (bracket search plus ITP)
-    # and integrand calls, one per panel set of each adaptive call
-    calls = {"h": 0, "f": 0}
-    radial, adaptive = dw._radial_integral, dw.integrate_adaptive
+    # deterministic work counts: h evaluations, and integrand calls of the
+    # one integrate_sinh call that takes J (its first grid meets rel_tol)
+    calls, integrand = [0], [0]
+    _count_h(monkeypatch, calls)
+    sinh = dw.integrate_sinh
 
-    def counted_radial(*args, **kwargs):
-        calls["h"] += 1
-        return radial(*args, **kwargs)
+    def counted_sinh(g, *args, **kwargs):
+        def counted(t):
+            integrand[0] += 1
+            return g(t)
+        return sinh(counted, *args, **kwargs)
 
-    def counted_adaptive(f, *args, **kwargs):
-        def g(x):
-            calls["f"] += 1
-            return f(x)
-        return adaptive(g, *args, **kwargs)
-
-    monkeypatch.setattr(dw, "_radial_integral", counted_radial)
-    monkeypatch.setattr(dw, "integrate_adaptive", counted_adaptive)
-    for (alpha, lam, gamma, d), (h_max, f_max) in _ORACLE_WORK.items():
-        calls.update(h=0, f=0)
+    monkeypatch.setattr(dw, "integrate_sinh", counted_sinh)
+    for (alpha, lam, gamma, d), h_max in _ORACLE_WORK.items():
+        calls[0] = integrand[0] = 0
         dw.energy_oracle(PotentialConfig(alpha=alpha, lam=lam,
                                          gamma_strength=gamma, d_alpha=d))
-        assert calls["h"] <= h_max and calls["f"] <= f_max, (alpha, lam, calls)
+        assert calls[0] <= h_max and integrand[0] == 1, (alpha, lam, calls, integrand)
+
+
+def _oracle_or_both_raise(cfg):
+    """The oracle's energy against the closed form's: their relative gap,
+    or None when both find |E| beyond the double range."""
+    try:
+        ec = dw.energy_closed_form(cfg).energy
+    except OverflowError:
+        with pytest.raises((dw.BracketFailure, OverflowError)):
+            dw.energy_oracle(cfg)
+        return None
+    return abs(dw.energy_oracle(cfg).energy - ec) / abs(ec)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -140,29 +166,28 @@ def test_energy_oracle_work_counters(monkeypatch):
 def test_energy_oracle_agrees_in_few_integrals(alpha_gap, lam, gamma, d):
     # alpha - 1 and lam in [1e-3, 1], gamma and D in [0.1, 10] (decimal
     # exponents drawn): the oracle meets the closed form to 1e-9 within
-    # five spectral integrals, or both find |E| beyond the double range
+    # five evaluations of h, or both find |E| beyond the double range
     cfg = PotentialConfig(alpha=1.0 + 10.0 ** alpha_gap, lam=10.0 ** lam,
                           gamma_strength=10.0 ** gamma, d_alpha=10.0 ** d)
     calls = [0]
-    radial = dw._radial_integral
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return radial(*args, **kwargs)
-
-    try:
-        ec = dw.energy_closed_form(cfg).energy
-    except OverflowError:
-        ec = None
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dw, "_radial_integral", counted)
-        if ec is None:
-            with pytest.raises((dw.BracketFailure, OverflowError)):
-                dw.energy_oracle(cfg)
-        else:
-            eo = dw.energy_oracle(cfg).energy
-            assert abs(eo - ec) <= 1e-9 * abs(ec)
+        _count_h(mp, calls)
+        gap = _oracle_or_both_raise(cfg)
+    assert gap is None or gap <= 1e-9
     assert calls[0] <= 5
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(lam=st.floats(-8.0, 0.0), alpha_gap=st.floats(-3.0, 0.0),
+       gamma=st.floats(-30.0, 30.0), d=st.floats(-30.0, 30.0))
+def test_energy_oracle_matches_closed_form_across_the_domain(lam, alpha_gap,
+                                                            gamma, d):
+    # lam in [1e-8, 1], alpha - 1 in [1e-3, 1], gamma and D in [1e-30,
+    # 1e30], all log-uniform: the two routes agree to 1e-9 or both raise
+    cfg = PotentialConfig(alpha=1.0 + 10.0 ** alpha_gap, lam=10.0 ** lam,
+                          gamma_strength=10.0 ** gamma, d_alpha=10.0 ** d)
+    gap = _oracle_or_both_raise(cfg)
+    assert gap is None or gap <= 1e-9
 
 
 def test_validate_contour_work_counter(monkeypatch):
@@ -197,18 +222,26 @@ def test_energy_oracle_root_beyond_double_range():
         dw.energy_oracle(PotentialConfig(alpha=1.001, lam=1.0))
 
 
-@pytest.mark.parametrize("alpha, gamma, d", [(1.03, 9089367.28, 0.1),
-                                             (1.0031622776601684, 1.0, 0.1),
-                                             (2.0, 1.0, 1e300)])
+@pytest.mark.parametrize("alpha, gamma, d", [(1.0031622776601684, 1.0, 0.1)])
 def test_energy_oracle_stops_where_the_knee_leaves_double_range(alpha, gamma, d):
-    # the radial integral's knee (|E|/D)^(1/alpha) is inf once |E|/D
-    # overflows (from |E| = e^706.7 at D = 0.1), where h turns negative
-    # with no root, and 0 once it underflows; the closed |E| is e^708,
-    # e^2191 and 2.5e-301
+    # the closed |E| is e^2191: |E|, and with it |E|/D, is beyond the
+    # double range, and the oracle refuses it as the closed form does
     cfg = PotentialConfig(alpha=alpha, lam=1.0, gamma_strength=gamma,
                           d_alpha=d)
+    with pytest.raises(OverflowError):
+        dw.energy_closed_form(cfg)
     with pytest.raises(dw.BracketFailure):
         dw.energy_oracle(cfg)
+
+
+@pytest.mark.parametrize("alpha, gamma, d", [(1.03, 9089367.28, 0.1),
+                                             (2.0, 1.0, 1e300)])
+def test_energy_oracle_right_where_only_e_over_d_leaves_double_range(alpha, gamma, d):
+    # the closed |E| is e^708 and 2.5e-301, with |E|/D beyond the double
+    # range: the oracle's h holds no power of |E|/D, so it finds both
+    cfg = PotentialConfig(alpha=alpha, lam=1.0, gamma_strength=gamma,
+                          d_alpha=d)
+    assert _oracle_or_both_raise(cfg) <= 1e-12
 
 
 # ----------------------------------------------------------------- domain
@@ -374,15 +407,8 @@ def test_normalize_classical_matches_textbook():
                         rtol=1e-7)
 
 
-_SMALL_LAM = pytest.mark.xfail(
-    strict=True, reason="ROADMAP item 3: the half-line norm integral loses "
-    "accuracy at small lam (3.0e-4 at lam = 0.1, 8.8e-3 at 0.05)")
-
-
 @pytest.mark.parametrize("alpha,lam", [
-    (2.0, 1.0), (1.5, 0.8), (1.2, 0.3), (1.05, 1.0),
-    pytest.param(1.5, 0.1, marks=_SMALL_LAM),
-    pytest.param(1.5, 0.05, marks=_SMALL_LAM)])
+    (2.0, 1.0), (1.5, 0.8), (1.2, 0.3), (1.05, 1.0), (1.5, 0.1)])
 def test_normalize_matches_mellin_parseval(alpha, lam):
     # int_0^inf I(y)^2 y^(lam-1) dy = (1/pi) int_0^inf |M(lam/2 + it)|^2 dt,
     # M(s) = Gamma(s) cos(pi s/2) (pi/alpha) / sin(pi (lam - s)/alpha) the
@@ -401,6 +427,16 @@ def test_normalize_matches_mellin_parseval(alpha, lam):
             * st.kappa ** -lam * j)
     assert_allclose(dw.normalize(st, cfg).amplitude, 1.0 / math.sqrt(nrm2),
                     rtol=1e-8)
+
+
+@pytest.mark.parametrize("lam", [0.05, 0.07])
+def test_normalize_refuses_where_its_tail_passes_double_range(lam):
+    # the integrand falls off as y^(-lam), so its e^-40 point lies past
+    # y = 1.8e308 at lam = 0.05, and past 1e279, where the oscillatory
+    # nodes u/y underflow, at 0.07 (ROADMAP item 3)
+    cfg = PotentialConfig(alpha=1.5, lam=lam)
+    with pytest.raises(OverflowError, match="knee"):
+        dw.normalize(dw.energy_closed_form(cfg), cfg)
 
 
 def test_normalize_idempotent():

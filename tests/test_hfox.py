@@ -580,14 +580,10 @@ def test_series_err_est_covers_exact_error(name):
     assert np.all(np.abs(vals[series] - want) <= errs[series])
 
 
-_NEAR_PAIRS = ("small-lam series error (ROADMAP item 8): accepted values lie "
-               "outside their err_est, likely where two left pole families nearly meet")
-
-
 @pytest.mark.parametrize("alpha, lam", [
     (1.5, 0.8), (1.2, 0.3), (2.0, 1.0), (1.05, 1.0),
-    pytest.param(1.5, 0.02, marks=pytest.mark.xfail(strict=True, reason=_NEAR_PAIRS)),
-    pytest.param(1.2, 0.01, marks=pytest.mark.xfail(strict=True, reason=_NEAR_PAIRS)),
+    # near confluence: two left pole families nearly meet at small lam
+    (1.5, 0.02), (1.2, 0.01),
 ])
 def test_series_err_est_covers_contour_profile_block(alpha, lam):
     # no exact values here: each series value lies within its err_est plus

@@ -1,5 +1,5 @@
-import heapq
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,72 +7,122 @@ from numpy.testing import assert_allclose
 
 import scipy.integrate as si
 
-from fracwell import quadrature as q
 from fracwell.quadrature import (
     BLOCK,
     NoBracket,
     NonDecaying,
     NonIntegrable,
+    QuadFailure,
     QuadSpec,
-    integrate_adaptive,
     integrate_oscillatory,
+    integrate_sinh,
     root_itp,
 )
 
 
-# ---------------------------------------------------------------- adaptive
+# ------------------------------------------------- integrate_sinh (adaptive)
+# The rule adapts its step: it halves it until two successive trapezoid
+# sums agree.  Integrals over an interval reach it through a map to the
+# line, as measure.integrate's do.
+
+def _on(f, a, b):
+    """f on [a, b] (b may be inf) as an integrand in t on the line:
+    x = a + e^t, or a + (b - a) e^t/(1 + e^t), times dx/dt."""
+    if math.isinf(b):
+        return lambda t: f(a + np.exp(t)) * np.exp(t)
+
+    def g(t):
+        soft = np.logaddexp(0.0, t)
+        sig = np.exp(t - soft)
+        return f(a + (b - a) * sig) * (b - a) * sig * np.exp(-soft)
+    return g
+
+
+def _power_kernel(lam):
+    # int e^(lam t) / (1 + e^t) dt = pi / sin(pi lam), in logs, as
+    # e^((lam-1) t) / (1 + e^-t) for t > 0
+    return lambda t: np.exp(np.where(t > 0.0, (lam - 1.0) * t, lam * t)
+                            - np.log1p(np.exp(-np.abs(t))))
+
+
+# integrand in t, its slower decay rate, exact value
+_KNOWN = {
+    "gaussian": (lambda t: np.exp(-t * t), 1.0, math.sqrt(math.pi)),
+    "sech": (lambda t: 1.0 / np.cosh(t), 1.0, math.pi),
+    # int_0^inf x^(-1/2) e^(-x) dx in t = log x: an endpoint power
+    "gamma_half": (lambda t: np.exp(0.5 * t - np.exp(t)), 0.5, math.sqrt(math.pi)),
+    "power_half": (_power_kernel(0.5), 0.5, math.pi),
+    "power_1e-8": (_power_kernel(1e-8), 1e-8, math.pi / math.sin(math.pi * 1e-8)),
+    # sin(pi lam) = sin(pi (1 - lam)), rounded where it is not small
+    "power_0.999": (_power_kernel(0.999), 0.001, math.pi / math.sin(math.pi * 0.001)),
+}
+
+
+@pytest.mark.parametrize("name", list(_KNOWN))
+def test_sinh_known_integrals(name):
+    g, rate, want = _KNOWN[name]
+    v, e = integrate_sinh(g, rate)
+    # the error is within err_est or within the rounding of a sum of a
+    # few hundred terms
+    assert abs(v - want) <= max(e, 2e-15 * want), (v, want, e)
+
 
 def test_adaptive_finite_interval():
-    v, e = integrate_adaptive(lambda x: np.sin(x), 0.0, math.pi)
-    assert abs(v - 2.0) <= max(e, 1e-12)
+    v, e = integrate_sinh(_on(np.sin, 0.0, math.pi), 1.0)
+    assert abs(v - 2.0) <= max(e, 1e-15)
 
 
 def test_adaptive_semi_infinite():
-    v, e = integrate_adaptive(lambda x: np.exp(-x), 0.0, np.inf)
-    assert abs(v - 1.0) <= max(e, 1e-12)
+    v, e = integrate_sinh(_on(lambda x: np.exp(-x), 0.0, np.inf), 1.0)
+    assert abs(v - 1.0) <= max(e, 1e-15)
 
 
 def test_adaptive_full_line_gaussian():
-    v, e = integrate_adaptive(lambda x: np.exp(-x * x), -np.inf, np.inf)
-    assert abs(v - math.sqrt(math.pi)) <= max(e, 1e-11)
+    v, e = integrate_sinh(lambda t: np.exp(-t * t), 1.0)
+    assert abs(v - math.sqrt(math.pi)) <= max(e, 1e-15)
 
 
 def test_adaptive_endpoint_singularity():
-    # open rule never evaluates the endpoint, so x^{-1/2} is fine; the
-    # estimate is only marginally conservative on algebraic endpoints,
-    # hence the slack factor
-    v, e = integrate_adaptive(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0)
-    assert abs(v - 2.0) <= max(2.0 * e, 1e-7)
+    # x^(-1/2) on [0, 1]: the map turns the endpoint power into the tail
+    # e^(t/2), which the rule never reaches the end of
+    v, e = integrate_sinh(_on(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0), 0.5)
+    assert abs(v - 2.0) <= max(e, 1e-15)
 
 
 def test_adaptive_degenerate_and_reversed():
-    assert integrate_adaptive(lambda x: x, 3.0, 3.0) == (0.0, 0.0)
-    v, _ = integrate_adaptive(lambda x: np.ones_like(x), 1.0, 0.0)
-    assert_allclose(v, -1.0, rtol=1e-12)
+    # a zero integrand sums to exactly zero at the first step; the nodes
+    # are symmetric in t, so g(-t) gives g's value to rounding
+    assert integrate_sinh(lambda t: np.zeros_like(t), 1.0) == (0.0, 0.0)
+    g = lambda t: np.exp(-(t - 0.7) ** 2)
+    v, _ = integrate_sinh(g, 1.0)
+    w, _ = integrate_sinh(lambda t: g(-t), 1.0)
+    assert_allclose(w, v, rtol=1e-15)
 
 
 def test_adaptive_error_estimate_is_honest():
     cases = [
-        (lambda x: np.sin(x), 0.0, math.pi, 2.0),
-        (lambda x: np.exp(-x), 0.0, np.inf, 1.0),
-        (lambda x: 1.0 / (1.0 + x * x), 0.0, np.inf, math.pi / 2.0),
-        (lambda x: np.exp(x), -np.inf, 1.0, math.e),
+        (_on(np.sin, 0.0, math.pi), 2.0),
+        (_on(lambda x: np.exp(-x), 0.0, np.inf), 1.0),
+        (_on(lambda x: 1.0 / (1.0 + x * x), 0.0, np.inf), math.pi / 2.0),
+        # e^x on (-inf, 1], as e^(1 - x) on [0, inf)
+        (_on(lambda x: np.exp(1.0 - x), 0.0, np.inf), math.e),
     ]
-    for f, a, b, truth in cases:
-        v, e = integrate_adaptive(f, a, b)
-        assert abs(v - truth) <= max(e, 1e-12)
+    for g, truth in cases:
+        v, e = integrate_sinh(g, 1.0)
+        assert abs(v - truth) <= max(e, 1e-15)
 
 
 def test_adaptive_rejects_nonfinite_integrand():
-    f = lambda x: np.where(x > 0.5, np.inf, 1.0)
+    f = lambda t: np.where(t > 1.0, np.inf, np.exp(-t * t))
     with pytest.raises(NonIntegrable):
-        integrate_adaptive(f, 0.0, 1.0)
+        integrate_sinh(f, 1.0)
 
 
 def test_adaptive_respects_tight_spec():
-    spec = QuadSpec(abs_tol=1e-13, rel_tol=1e-12)
-    v, e = integrate_adaptive(lambda x: np.exp(-x * x), 0.0, np.inf, spec)
-    assert abs(v - math.sqrt(math.pi) / 2.0) < 5e-13
+    spec = QuadSpec(abs_tol=1e-15, rel_tol=1e-14)
+    v, e = integrate_sinh(lambda t: np.exp(-t * t), 1.0, spec)
+    assert e <= 1e-14 * v
+    assert abs(v - math.sqrt(math.pi)) <= 1e-15
 
 
 class _Counted:
@@ -86,73 +136,76 @@ class _Counted:
         return self.f(x)
 
 
-def _adaptive_reference(f, a, b, spec, initial):
-    """The adaptive rule with one integrand call per panel: (value, err,
-    splits).  Same heap, split order and tolerance test as _adaptive_core."""
-    def panel(lo, hi):
-        half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
-        y = f(mid + half * q._NODES_HI)
-        v = half * float(q._W_HI @ y)
-        lo_v = half * float(q._W_LO @ y[q._LO_SUBSET])
-        return v, abs(v - lo_v) + 1e-16 * half * float(np.abs(q._W_HI) @ np.abs(y))
-
-    edges = np.linspace(a, b, initial + 1).tolist()
-    heap, total, total_err = [], 0.0, 0.0
-    for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        v, e = panel(lo, hi)
-        heap.append((-e, i, lo, hi, v))
-        total += v
-        total_err += e
-    heapq.heapify(heap)
-    counter, splits = initial, 0
-    while total_err > max(spec.abs_tol, spec.rel_tol * abs(total)):
-        neg_e, _, lo, hi, v = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        (v1, e1), (v2, e2) = panel(lo, mid), panel(mid, hi)
-        total += (v1 + v2) - v
-        total_err += (e1 + e2) + neg_e
-        heapq.heappush(heap, (-e1, counter, lo, mid, v1))
-        heapq.heappush(heap, (-e2, counter + 1, mid, hi, v2))
-        counter += 2
-        splits += 1
-    return total, total_err, splits
+def _trapezoid(g, h, n):
+    """The trapezoid sum in s of g(t) dt/ds on the nodes k h, |k| <= n,
+    taken node by node."""
+    total = 0.0
+    for k in range(-n, n + 1):
+        s = k * h
+        t = 0.5 * math.pi * math.sinh(s)
+        total += float(g(np.array([t]))[0]) * 0.5 * math.pi * math.cosh(s)
+    return h * total
 
 
 @pytest.mark.parametrize("f, a, b", [
     (np.sin, 0.0, math.pi),
     (lambda x: 1.0 / np.sqrt(x), 0.0, 1.0),
     (lambda x: np.log(x) * np.cos(30.0 * x), 0.0, 2.0),
-    (lambda x: 1.0 / (1e-4 + (x - 0.3) ** 2), 0.0, 1.0),
+    (lambda x: 1.0 / (1e-2 + (x - 0.3) ** 2), 0.0, 1.0),
 ])
-@pytest.mark.parametrize("initial", [4, 8])
-def test_adaptive_batched_matches_panel_by_panel(f, a, b, initial):
-    # one integrand call for the initial mesh and one per split, both
-    # halves at once; the splits and the value are those of the rule
-    # taken one panel at a time
-    spec = QuadSpec()
-    counted = _Counted(f)
-    v, e = q._adaptive_core(counted, a, b, spec, initial=initial)
-    rv, re_, splits = _adaptive_reference(f, a, b, spec, initial)
-    assert counted.sizes == [31 * initial] + [62] * splits
-    assert abs(v - rv) <= 1e-15 * abs(rv)
-    assert abs(e - re_) <= 1e-6 * re_ + 1e-15 * abs(rv)
+@pytest.mark.parametrize("digits", [4, 8])
+def test_adaptive_batched_matches_panel_by_panel(f, a, b, digits):
+    # one integrand call for the first grid and one per halving, on its
+    # midpoints alone; the value is the trapezoid sum at the final step
+    # taken node by node, and the step is the first whose sum agrees
+    # with the last to rel_tol = 10^-digits
+    spec = QuadSpec(rel_tol=10.0 ** -digits)
+    counted = _Counted(_on(f, a, b))
+    v, e = integrate_sinh(counted, 0.5, spec)
+    sizes = counted.sizes
+    assert all(later == 2 * earlier for earlier, later in zip(sizes[1:], sizes[2:]))
+    assert len(sizes) == 1 or sizes[1] == sizes[0] - 1
+    halvings = len(sizes) - 1
+    h, n = 0.125 / 2 ** halvings, (sizes[0] - 1) // 2 * 2 ** halvings
+    assert abs(v - _trapezoid(counted.f, h, n)) <= 1e-14 * abs(v)
+    coarse = _trapezoid(counted.f, 2.0 * h, n // 2)
+    assert e == pytest.approx(abs(v - coarse), rel=1e-6, abs=1e-14 * abs(v))
+    assert e <= max(spec.abs_tol, spec.rel_tol * abs(v))
 
 
 def test_adaptive_nonfinite_names_its_panel():
-    # initial mesh: the first failing panel of the four is [0.5, 0.75]
-    f = lambda x: np.where(x > 0.5, np.inf, 1.0)
-    with pytest.raises(NonIntegrable, match=r"\[0\.5, 0\.75\]"):
-        integrate_adaptive(f, 0.0, 1.0)
-    # a split: 1/sqrt(x) first splits [0, 0.25]; its right half fails
+    # the message names the first non-finite node: on the first grid,
+    # s = 5/8 is the first node past t = 1
+    f = lambda t: np.where(t > 1.0, np.inf, np.exp(-t * t))
+    first = float(0.5 * math.pi * np.sinh(5 / 8))
+    with pytest.raises(NonIntegrable, match=re.escape(f"t = {first!r}")):
+        integrate_sinh(f, 1.0)
+    # a halving: the first midpoint past t = 1 is s = 11/16
     calls = [0]
 
-    def g(x):
+    def g(t):
         calls[0] += 1
-        y = 1.0 / np.sqrt(x)
-        return np.where(x > 0.125, np.nan, y) if calls[0] == 2 else y
+        y = np.exp(-64.0 * (t - 3.0) ** 2)
+        return np.where(t > 1.0, np.nan, y) if calls[0] == 2 else y
 
-    with pytest.raises(NonIntegrable, match=r"\[0\.125, 0\.25\]"):
-        integrate_adaptive(g, 0.0, 1.0)
+    second = float(0.5 * math.pi * np.sinh(11 / 16))
+    with pytest.raises(NonIntegrable, match=re.escape(f"t = {second!r}")):
+        integrate_sinh(g, 1.0)
+
+
+def test_sinh_fails_when_tolerance_is_out_of_reach():
+    # a kink at t = 0 leaves the trapezoid rule with an h^2 error, far
+    # above rel_tol at the finest step
+    with pytest.raises(QuadFailure, match="finest step"):
+        integrate_sinh(lambda t: np.exp(-np.abs(t)), 1.0)
+
+
+def test_sinh_rejects_a_rate_out_of_range():
+    with pytest.raises(ValueError):
+        integrate_sinh(lambda t: np.exp(-t * t), 0.0)
+    # a window |t| <= 40/rate past (pi/2) sinh 700 is out of double range
+    with pytest.raises(QuadFailure, match="too slow"):
+        integrate_sinh(lambda t: np.exp(-t * t), 1e-305)
 
 
 # ------------------------------------------------------------- oscillatory
