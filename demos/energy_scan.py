@@ -1,8 +1,8 @@
 """Scan the bound-state energy over the (alpha, lambda) parameter square.
 
 Two independent routes are compared at every point: the closed-form
-gamma-product expression, and an ITP root in log|E| of the defining
-spectral integral computed by a trapezoid rule in log p.  Agreement across
+gamma-product expression, and the root in log|E| of the defining
+spectral condition, whose integral is taken by a trapezoid rule in log p.  Agreement across
 the grid is the main evidence that the closed form is transcribed correctly.
 """
 

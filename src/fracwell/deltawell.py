@@ -11,9 +11,10 @@ must fail loudly before any quadrature runs.
 Two independent energy routes are provided.  energy_closed_form
 evaluates the analytic eigenvalue obtained by pushing the bound-state
 condition through the gamma-function integral identity; energy_oracle
-solves the same condition numerically (a trapezoid rule in log p plus
-an ITP root search in log|E|) and shares no code with the closed form beyond
-the gamma kernel.  The acceptance suite treats the oracle as the arbiter.
+solves the same condition numerically (a trapezoid rule in log p, after
+which the condition is a line in log|E|) and shares no code with the
+closed form beyond the gamma kernel.  The acceptance suite treats the
+oracle as the arbiter.
 
 Note on the closed form: source texts for this eigenvalue print the
 exponent (alpha-lam)/alpha and a pi^lam power, which contradicts the
@@ -51,7 +52,7 @@ from .gammafn import gammaln_sign
 from .hfox import HFoxParams, _evaluate
 from .measure import MeasureDim, integrate as measure_integrate
 from .quadrature import (NumericalFailure, QuadSpec, QuadFailure,
-                         integrate_oscillatory, integrate_sinh, root_itp)
+                         integrate_oscillatory, integrate_sinh)
 
 __all__ = ["SHAPE_TOL", "DomainError", "BracketFailure", "PotentialConfig",
            "BoundState", "energy_closed_form", "energy_oracle",
@@ -137,8 +138,6 @@ class BoundState:
 # log range in which |E| (and kappa) is a normal double
 _LOG_E_MIN = -708.0
 _LOG_E_MAX = 709.0
-# width in log|E| to which energy_oracle's ITP step closes its bracket
-_LOG_E_TOL = 1e-12
 
 
 def _kappa(cfg, abs_e):
@@ -221,52 +220,17 @@ def _energy_condition(cfg, spec):
 def energy_oracle(cfg, spec=QuadSpec()):
     """Bound-state energy with no closed-form input.
 
-    The root in t = log|E| of _energy_condition's h.  The search for a
-    bracket starts with a unit step from t = 0.  From then on it holds
-    two points on the same side of the root and steps to the root of
-    their secant, overshot in the search direction by tol/8 step, where
-    tol = 1e-12 is ITP's bracket width and step = 2, 4, 8, ... doubles
-    each round; where the secant would not move forward (h not finite or
-    not decreasing between the two points) it takes the step itself.  On
-    a linear h the first secant point lies tol/4 past the root, within
-    ITP's minimum step tol/2 of the new bracket end, so ITP's first point
-    crosses the root and closes the bracket: three h evaluations for the
-    search and one for ITP.  A root that rounding in h puts beyond the
-    overshoot costs one more round, whose two points are about tol
-    apart.  A wider overshoot would leave the root that close to one end
-    of a wide bracket instead, where ITP's first point can fall short of
-    it.  The doubling overshoot bounds the rounds on any h.  ITP refines
-    the bracket to tol wide in t, i.e. 1e-12 relative precision in |E|.
-    BracketFailure means the root lies beyond the double range of |E|.
+    The root in t = log|E| of _energy_condition's h, the line h(0) + (lam/
+    alpha - 1) t: t = h(0) alpha/(alpha - lam), one evaluation of h on
+    the measured J.  BracketFailure means the root lies beyond the double
+    range of |E|.
     """
-    h = _energy_condition(cfg, spec)
-    t, ht = 0.0, h(0.0)
-    rising = ht > 0          # lhs still too large: the root lies above t
-    # the search stays where |E| is a normal double
-    edge = _LOG_E_MAX if rising else _LOG_E_MIN
-    sign = 1.0 if rising else -1.0
-    step = 1.0
-    prev_t, prev_h = t, ht
-    while ht != 0.0 and (ht > 0) == rising:
-        if t == edge:
-            raise BracketFailure(
-                f"spectral condition keeps one sign out to |E| = e^{edge:g}")
-        slope = (ht - prev_h) / (t - prev_t) if t != prev_t else math.nan
-        prev_t, prev_h = t, ht
-        if slope < 0 and math.isfinite(slope):
-            # the secant's root lies ahead: step just past it
-            t = t - ht / slope + sign * 0.125 * _LOG_E_TOL * step
-        else:
-            t = t + sign * step
-        t = min(t, edge) if rising else max(t, edge)
-        ht = h(t)
-        step *= 2.0
-    if ht == 0.0:
-        log_e = t
-    elif rising:
-        log_e = root_itp(h, prev_t, t, prev_h, ht, tol=_LOG_E_TOL)
-    else:
-        log_e = root_itp(h, t, prev_t, ht, prev_h, tol=_LOG_E_TOL)
+    a, lam = cfg.alpha, cfg.lam
+    log_e = _energy_condition(cfg, spec)(0.0) * a / (a - lam)
+    if not _LOG_E_MIN <= log_e <= _LOG_E_MAX:
+        raise BracketFailure(
+            f"spectral condition's root log|E| = {log_e:.6g} is beyond the "
+            f"double range")
     abs_e = math.exp(log_e)
     return BoundState(energy=-abs_e, kappa=_kappa(cfg, abs_e),
                       provenance="oracle")
@@ -392,10 +356,11 @@ def normalize(state, cfg, spec=QuadSpec()):
     J - D (y/Y)^(alpha-lam) with D = J - I(Y), its leading small-y form
     (q = v/y in J - I(y) = int (1 - cos qy) q^(lam-1)/(1 + q^alpha) dq),
     so the part below Y is Y^lam (J^2/lam - 2 J D/alpha + D^2/(2 alpha -
-    lam)), off by a relative O(Y^2).  Below lam of about 0.077 the
-    y^(-lam) tail of I^2 y^lam reaches y ~ 1e280, where the route's nodes
-    u/y underflow and it raises OverflowError.  P is formed at unit
-    amplitude, so the operation is idempotent by construction.
+    lam)), off by a relative O(Y^min(2, 2 alpha - lam)).  Below lam of
+    about 0.077 the y^(-lam) tail of I^2 y^lam reaches y ~ 1e280, where
+    the route's nodes u/y underflow and it raises OverflowError.  P is
+    formed at unit amplitude, so the operation is idempotent by
+    construction.
     """
     lam = cfg.lam
 

@@ -72,8 +72,11 @@ def integrate(dim, f, domain=(-np.inf, np.inf), quad=QuadSpec()):
     lo + (hi - lo) r/(1+r) with r = e^t on a finite range.  The weighted
     element |x|^(lam-1) d|x| is formed in logs, as e^(lam t) dt itself
     when lo = 0.  f must fall off at least as |x|^(-2 lam) at infinity,
-    and may be handed inf where |x| passes the double range.  Returns
-    (value, err_est).
+    and may be handed inf where |x| passes the double range.  The rule's
+    grid is fixed in t, so f may not change much faster than it: on a
+    half-line, a peak at |x| = 1 of half-width 1% of |x| is taken to
+    rel_tol 1e-8 and one of 0.5% raises QuadFailure, the bound coarsening
+    as |log|x|| grows.  Returns (value, err_est).
     """
     a, b = domain
     if not a < b:

@@ -79,7 +79,6 @@ def test_criterion_4_existence_window(monkeypatch):
 
     monkeypatch.setattr(dw, "integrate_sinh", trip)
     monkeypatch.setattr(dw, "integrate_oscillatory", trip)
-    monkeypatch.setattr(dw, "root_itp", trip)
     with pytest.raises(DomainError, match="0 < lam < alpha"):
         PotentialConfig(alpha=1.2, lam=1.5)
     print("criterion 4: (alpha=1.2, lam=1.5) rejected, no quadrature ran")

@@ -92,8 +92,8 @@ def _count_h(mp, calls):
 
 
 def test_energy_oracle_work_is_pinned(monkeypatch):
-    # one radial integral J; then a unit step, a secant step just past the
-    # root and one ITP step: four evaluations of the linear h per energy
+    # one radial integral J, and h is a line whose root is read off from
+    # one evaluation: no search, no refinement
     calls, integrals = [0], [0]
     _count_h(monkeypatch, calls)
     radial = dw._radial_integral
@@ -107,29 +107,29 @@ def test_energy_oracle_work_is_pinned(monkeypatch):
     for alpha, lam in ((1.2, 0.5), (1.5, 0.8), (1.8, 0.3), (2.0, 1.0)):
         calls[0] = integrals[0] = 0
         dw.energy_oracle(PotentialConfig(alpha=alpha, lam=lam), spec)
-        assert calls[0] <= 4 and integrals[0] == 1, (alpha, lam, calls[0])
+        assert calls[0] == 1 and integrals[0] == 1, (alpha, lam, calls[0])
 
 
-# (alpha, lam, gamma, D) -> most h evaluations (bracket search plus ITP)
-# one oracle call may take at the CLI's default QuadSpec
-_ORACLE_WORK = {
-    (2.0, 1.0, 1.0, 1.0): 4,
-    (1.5, 0.8, 1.0, 1.0): 4,
-    (1.05, 1.0, 1.0, 1.0): 4,
-    (1.2, 0.3, 1.0, 1.0): 4,
-    (1.9, 1.0, 1.0, 1.0): 4,
-    (1.8, 0.3, 1.0, 1.0): 4,
-    (1.3, 0.6, 5.0, 0.2): 4,
-    (1.6, 0.05, 0.2, 8.0): 4,
-    (1.03, 1.0, 10.0, 0.1): 5,   # |E| ~ 8e102: one secant step away
-    (1.01, 1.0, 1.0, 1.0): 4,
-    (1.5, 1e-5, 1.0, 1.0): 4,
-}
+# (alpha, lam, gamma, D) spread over the domain, |E| ~ 8e102 included
+_ORACLE_WORK = [
+    (2.0, 1.0, 1.0, 1.0),
+    (1.5, 0.8, 1.0, 1.0),
+    (1.05, 1.0, 1.0, 1.0),
+    (1.2, 0.3, 1.0, 1.0),
+    (1.9, 1.0, 1.0, 1.0),
+    (1.8, 0.3, 1.0, 1.0),
+    (1.3, 0.6, 5.0, 0.2),
+    (1.6, 0.05, 0.2, 8.0),
+    (1.03, 1.0, 10.0, 0.1),
+    (1.01, 1.0, 1.0, 1.0),
+    (1.5, 1e-5, 1.0, 1.0),
+]
 
 
 def test_energy_oracle_work_counters(monkeypatch):
-    # deterministic work counts: h evaluations, and integrand calls of the
-    # one integrate_sinh call that takes J (its first grid meets rel_tol)
+    # deterministic work counts: one evaluation of h, and one integrand
+    # call of the one integrate_sinh call that takes J (its first grid
+    # meets rel_tol)
     calls, integrand = [0], [0]
     _count_h(monkeypatch, calls)
     sinh = dw.integrate_sinh
@@ -141,11 +141,11 @@ def test_energy_oracle_work_counters(monkeypatch):
         return sinh(counted, *args, **kwargs)
 
     monkeypatch.setattr(dw, "integrate_sinh", counted_sinh)
-    for (alpha, lam, gamma, d), h_max in _ORACLE_WORK.items():
+    for alpha, lam, gamma, d in _ORACLE_WORK:
         calls[0] = integrand[0] = 0
         dw.energy_oracle(PotentialConfig(alpha=alpha, lam=lam,
                                          gamma_strength=gamma, d_alpha=d))
-        assert calls[0] <= h_max and integrand[0] == 1, (alpha, lam, calls, integrand)
+        assert calls[0] == 1 and integrand[0] == 1, (alpha, lam, calls, integrand)
 
 
 def _oracle_or_both_raise(cfg):
@@ -165,8 +165,8 @@ def _oracle_or_both_raise(cfg):
        gamma=st.floats(-1.0, 1.0), d=st.floats(-1.0, 1.0))
 def test_energy_oracle_agrees_in_few_integrals(alpha_gap, lam, gamma, d):
     # alpha - 1 and lam in [1e-3, 1], gamma and D in [0.1, 10] (decimal
-    # exponents drawn): the oracle meets the closed form to 1e-9 within
-    # five evaluations of h, or both find |E| beyond the double range
+    # exponents drawn): the oracle meets the closed form to 1e-9 with one
+    # evaluation of h, or both find |E| beyond the double range
     cfg = PotentialConfig(alpha=1.0 + 10.0 ** alpha_gap, lam=10.0 ** lam,
                           gamma_strength=10.0 ** gamma, d_alpha=10.0 ** d)
     calls = [0]
@@ -174,7 +174,7 @@ def test_energy_oracle_agrees_in_few_integrals(alpha_gap, lam, gamma, d):
         _count_h(mp, calls)
         gap = _oracle_or_both_raise(cfg)
     assert gap is None or gap <= 1e-9
-    assert calls[0] <= 5
+    assert calls[0] <= 1
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate as si
 from numpy.testing import assert_allclose
 
 from fracwell import deltawell as dw
 from fracwell import measure as ms
 from fracwell.measure import DeltaFamily, MeasureDim
+from fracwell.quadrature import QuadFailure
 
 
 # ------------------------------------------------------------ weight norm
@@ -54,6 +56,24 @@ def test_integrate_finite_domains():
     v, _ = ms.integrate(dh, lambda x: np.ones_like(x), (-1.0, 1.0))
     # 2 * w * int_0^1 x^{-1/2} dx = 4 w
     assert_allclose(v, 4.0 * dh.weight_norm, rtol=1e-9)
+
+
+@pytest.mark.parametrize("width, resolved", [(1e-2, True), (5e-3, False)])
+def test_integrate_peak_resolved_or_refused(width, resolved):
+    # a Lorentzian at x = 1 on the half-line: half-width 1% of x is taken
+    # to rel_tol, 0.5% is finer than the rule's finest grid and raises
+    d1 = MeasureDim(lam=1.0)
+    w2 = width * width
+    f = lambda x: w2 / (w2 + (x - 1.0) ** 2) / (1.0 + x * x)
+    if not resolved:
+        with pytest.raises(QuadFailure):
+            ms.integrate(d1, f, (0.0, np.inf))
+        return
+    v, e = ms.integrate(d1, f, (0.0, np.inf))
+    want = (si.quad(f, 0.0, 2.0, points=[1.0], epsabs=0.0, epsrel=1e-12,
+                    limit=500)[0]
+            + si.quad(f, 2.0, np.inf, epsabs=0.0, epsrel=1e-12)[0])
+    assert abs(v - want) <= max(e, 1e-8 * want)
 
 
 @pytest.mark.parametrize("lam", [0.4, 0.7, 1.0])

@@ -151,7 +151,7 @@ def _trapezoid(g, h, n):
     (np.sin, 0.0, math.pi),
     (lambda x: 1.0 / np.sqrt(x), 0.0, 1.0),
     (lambda x: np.log(x) * np.cos(30.0 * x), 0.0, 2.0),
-    (lambda x: 1.0 / (1e-2 + (x - 0.3) ** 2), 0.0, 1.0),
+    (lambda x: 1.0 / (1e-4 + (x - 0.3) ** 2), 0.0, 1.0),
 ])
 @pytest.mark.parametrize("digits", [4, 8])
 def test_adaptive_batched_matches_panel_by_panel(f, a, b, digits):
@@ -193,11 +193,18 @@ def test_adaptive_nonfinite_names_its_panel():
         integrate_sinh(g, 1.0)
 
 
-def test_sinh_fails_when_tolerance_is_out_of_reach():
-    # a kink at t = 0 leaves the trapezoid rule with an h^2 error, far
-    # above rel_tol at the finest step
+@pytest.mark.parametrize("g, rate", [
+    # a kink at t = 0 leaves the trapezoid rule with an h^2 error
+    (lambda t: np.exp(-np.abs(t)), 1.0),
+    # a peak of half-width 1e-4 at x = 0.3 of [0, 1], about 3e-4 in s:
+    # narrower than the finest step resolves
+    (_on(lambda x: 1.0 / (1e-8 + (x - 0.3) ** 2), 0.0, 1.0), 0.5),
+], ids=["kink", "narrow_peak"])
+def test_sinh_fails_when_tolerance_is_out_of_reach(g, rate):
+    # the error stays far above rel_tol at the finest step: the rule
+    # raises rather than return a value
     with pytest.raises(QuadFailure, match="finest step"):
-        integrate_sinh(lambda t: np.exp(-np.abs(t)), 1.0)
+        integrate_sinh(g, rate)
 
 
 def test_sinh_rejects_a_rate_out_of_range():
