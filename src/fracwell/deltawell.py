@@ -45,6 +45,7 @@ lengths are dimensionless program units.
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -101,7 +102,7 @@ class PotentialConfig:
         if not 0.0 < lam <= 1.0:
             raise DomainError(f"lam must lie in (0, 1], got {lam}")
 
-    @property
+    @cached_property
     def dim(self):
         return MeasureDim(self.lam)
 
@@ -164,8 +165,10 @@ def energy_closed_form(cfg):
     range.
     """
     a, lam = cfg.alpha, cfg.lam
-    # the three gammas in one kernel call; every argument is positive
-    lg = gammaln_sign(np.array([lam / a, 1.0 - lam / a, 0.5 * lam]))[0].tolist()
+    # the three gammas in one kernel call, each as log Gamma(1 + x) - log x:
+    # every x is positive, and may lie below the kernel's pole tolerance
+    x = np.array([lam / a, 1.0 - lam / a, 0.5 * lam])
+    lg = (gammaln_sign(1.0 + x)[0] - np.log(x)).tolist()
     log_bracket = (math.log(cfg.gamma_strength)
                    + lg[0] + lg[1]
                    + (1.0 - lam) * math.log(2.0)

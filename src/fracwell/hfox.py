@@ -486,14 +486,15 @@ def _contour(params, w, quad):
     """Mellin-Barnes line integrals at the scaled arguments w (1-d):
     (values, err_ests), err_est inf where the quadrature did not settle.
     The trapezoid rule of the module docstring on each line of
-    _contour_position.  t_max doubles, at most 8 times, until |h| at
-    t_max is TAIL_CUTOFF e^-5 below its t = 0 value; h halves, at most 10
-    times, until every argument on the line has |T_h - T_2h| <=
-    max(abs_tol, rel_tol |T_h|) or is down to its own rounding term, which
-    no finer h improves (such an argument keeps err_est inf).  The passed
-    residues are added back, with LANCZOS_REL_ACC times the largest in
-    err_est.  A block with no left poles (m = 0) is taken as _swap(params)
-    at 1/w, so every line lies right of the left poles of its own block.
+    _contour_position.  t_max is the first of nine doublings where |h| is
+    TAIL_CUTOFF e^-5 below its t = 0 value, h at t = 0 and at all nine
+    taken by one _log_h call; h halves, at most 10 times, until every
+    argument on the line has |T_h - T_2h| <= max(abs_tol, rel_tol |T_h|)
+    or is down to its own rounding term, which no finer h improves (such
+    an argument keeps err_est inf).  The passed residues are added back,
+    with LANCZOS_REL_ACC times the largest in err_est.  A block with no
+    left poles (m = 0) is taken as _swap(params) at 1/w, so every line
+    lies right of the left poles of its own block.
     """
     if params.m == 0:
         return _contour(_swap(params), 1.0 / w, quad)
@@ -506,10 +507,12 @@ def _contour(params, w, quad):
     cut = math.log(TAIL_CUTOFF) - 5.0
     for c in sorted(set(cpos.tolist())):
         on = cpos == c
-        lw, lh0 = logw[on, None], complex(_log_h(params, c))
+        lw = logw[on, None]
         reach = float(np.max(np.abs(lw)))
         t_max = 2.0 ** np.arange(9) * max(8.0, 2.0 * (reach - cut) / (math.pi * delta))
-        settled = _log_h(params, c + 1j * t_max).real - lh0.real <= cut
+        # one call for the t = 0 node and the t_max probes
+        lh0, *probes = _log_h(params, c + 1j * np.append(0.0, t_max)).tolist()
+        settled = np.real(probes) - lh0.real <= cut
         if not np.any(settled):
             continue
         h = min(0.5, 1.0 / (1.0 + reach))

@@ -47,7 +47,9 @@ class MeasureDim:
     def __post_init__(self):
         if not (0.0 < self.lam <= 1.0):
             raise ValueError(f"measure order must lie in (0, 1], got {self.lam}")
-        norm = math.pi ** (self.lam / 2.0) / gamma_real(self.lam / 2.0)
+        # 1/Gamma(x) = x/Gamma(1 + x), which stays finite as x -> 0
+        x = self.lam / 2.0
+        norm = math.pi ** x * x / gamma_real(1.0 + x)
         object.__setattr__(self, "weight_norm", norm)
 
 

@@ -185,10 +185,12 @@ def integrate_oscillatory(envelope, omega, *, singularity_power=0.0,
     """Integrate kernel(omega*p) * envelope(p) over p in [0, inf), kernel
     being cos (default) or sin, by the Ooura-Mori rule.
 
-    omega is a positive float or 1-d array; envelope gets p of shape
-    (rows, n_nodes) for blocks of omega rows within BLOCK elements, and an
+    omega is a positive float or 1-d array.  envelope is called once per
+    block of omega rows, with p of shape (rows, n_nodes) holding the nodes
+    of the reported rule and of its check within BLOCK elements, and an
     array omega returns arrays equal to the scalar calls bit for bit.  The
-    envelope must not grow at the outermost node, about 377/omega
+    envelope must be finite at every node (NonIntegrable) and must not
+    grow at the reported rule's outermost node, about 377/omega
     (NonDecaying).  A declared p^c at 0, c = singularity_power > -1, is
     taken out as g0 p^c e^(-omega p), g0 read at the smallest node, and its
     transform g0 Gamma(1+c) (sqrt(2) omega)^-(1+c) cos or sin(pi (1+c)/4)
@@ -206,7 +208,7 @@ def integrate_oscillatory(envelope, omega, *, singularity_power=0.0,
     if c <= -1.0:
         raise NonIntegrable(f"envelope power {c} at 0 is not integrable")
     rows = np.atleast_1d(om)
-    step = max(1, BLOCK // _DE_TABLES[kernel][0][0].size)
+    step = max(1, BLOCK // sum(u.size for u, _ in _DE_TABLES[kernel]))
     parts = [_de_rows(envelope, rows[k:k + step, None], c, kernel)
              for k in range(0, rows.size, step)]
     value = np.concatenate([v for v, _ in parts])
@@ -217,29 +219,27 @@ def integrate_oscillatory(envelope, omega, *, singularity_power=0.0,
 
 
 def _de_rows(envelope, rows, c, kernel):
-    """integrate_oscillatory on a (rows x 1) block of omega: (value, err)."""
-    def sample(u):
-        p = u / rows
-        f = np.asarray(envelope(p), dtype=float)
-        if f.shape != p.shape:
-            raise ValueError("envelope must return an array matching its input")
-        if not np.all(np.isfinite(f)):
-            raise NonIntegrable("non-finite envelope value at an oscillatory node")
-        return p, f
-
+    """integrate_oscillatory on a (rows x 1) block of omega: (value, err),
+    from one envelope call on the nodes of both rules, the reported rule's
+    first and its twice-the-step check's after them."""
     (u, w), (u2, w2) = _DE_TABLES[kernel]
-    p, f = sample(u)
-    if np.any(np.abs(f[:, -1]) > np.abs(f[:, -2])):
+    p = np.concatenate([u, u2]) / rows
+    f = np.asarray(envelope(p), dtype=float)
+    if f.shape != p.shape:
+        raise ValueError("envelope must return an array matching its input")
+    if not np.all(np.isfinite(f)):
+        raise NonIntegrable("non-finite envelope value at an oscillatory node")
+    n = u.size
+    if np.any(np.abs(f[:, n - 1]) > np.abs(f[:, n - 2])):
         raise NonDecaying("envelope still growing at the outermost oscillatory node")
-    p2, f2 = sample(u2)
     closed = 0.0
     if c != 0.0:
         g0 = f[:, :1] * p[:, :1] ** -c
         f = f - g0 * p ** c * np.exp(-rows * p)
-        f2 = f2 - g0 * p2 ** c * np.exp(-rows * p2)
         kfun = math.cos if kernel == "cos" else math.sin
         closed = (g0[:, 0] * (math.gamma(1.0 + c) * kfun(0.25 * math.pi * (1.0 + c)))
                   * (math.sqrt(2.0) * rows[:, 0]) ** -(1.0 + c))
+    f, f2, p = f[:, :n], f[:, n:], p[:, :n]
     fw = f * w
     fine = fw.sum(axis=-1) / rows[:, 0]
     coarse = (f2 * w2).sum(axis=-1) / rows[:, 0]

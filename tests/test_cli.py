@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -74,6 +75,21 @@ def test_energy_out_of_double_range_exits_3(capsys):
         out, err = capsys.readouterr()
         assert out == ""
         assert "OverflowError" in err
+
+
+@pytest.mark.parametrize("lam", ["1e-13", "1e-17", "1e-100", "1e-300"])
+def test_energy_at_tiny_lambda(tmp_path, capsys, lam):
+    # lam/alpha and lam/2 lie below the gamma kernel's pole tolerance; as
+    # lam -> 0 the bracket tends to 1, so E -> -1 at unit gamma and D
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, path = run(tmp_path, "--mode", "energy", "--alpha", "1.5",
+                         "--lambda", lam, "--format", "json", out="e.json")
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    row = json.loads(path.read_text())["rows"][0]
+    assert row["rel_deviation"] <= 1e-9
+    assert row["E_closed_form"] == pytest.approx(-1.0, rel=1e-9)
 
 
 @pytest.mark.parametrize("extra", [

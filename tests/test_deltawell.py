@@ -193,18 +193,40 @@ def test_energy_oracle_matches_closed_form_across_the_domain(lam, alpha_gap,
 def test_validate_contour_work_counter(monkeypatch):
     # the series answers every argument it can sum on its own terms, so
     # one run of the validation suite sends at most 700 arguments to the
-    # contour (1884 when one stopping rule served a whole grid)
+    # contour (1884 when one stopping rule served a whole grid).  Each
+    # check hands the engine a whole argument set: at most 10 dispatcher
+    # calls from the checks and the engine (19 at one call per argument;
+    # the shape check's one call goes through deltawell) and at most 6
+    # contour calls (10)
     from fracwell import checks
-    sent = []
-    contour = hf._contour
+    sent, evaluated = [], []
+    contour, evaluate = hf._contour, hf._evaluate
 
     def counted(params, w, quad):
         sent.append(len(w))
         return contour(params, w, quad)
 
+    def dispatched(params, z, quad):
+        evaluated.append(np.size(z))
+        return evaluate(params, z, quad)
+
     monkeypatch.setattr(hf, "_contour", counted)
+    monkeypatch.setattr(hf, "_evaluate", dispatched)
+    monkeypatch.setattr(checks, "_evaluate", dispatched)
     assert all(r.passed for r in checks.run_all())
     assert sum(sent) <= 700
+    assert len(sent) <= 6
+    assert len(evaluated) <= 10
+
+
+def test_config_builds_its_measure_once():
+    cfg = PotentialConfig(alpha=1.5, lam=0.5)
+    other = PotentialConfig(alpha=1.5, lam=0.5)
+    assert cfg.dim is cfg.dim
+    assert cfg.dim == other.dim
+    assert cfg == other and hash(cfg) == hash(other) and repr(cfg) == repr(other)
+    assert repr(cfg) == ("PotentialConfig(alpha=1.5, d_alpha=1.0, "
+                         "gamma_strength=1.0, hbar=1.0, lam=0.5)")
 
 
 def test_energy_oracle_beyond_two_to_the_200():

@@ -26,6 +26,13 @@ def test_weight_half_order():
                     rtol=1e-12)
 
 
+@pytest.mark.parametrize("lam", [1e-13, 1e-17, 1e-100, 1e-300])
+def test_weight_at_tiny_order(lam):
+    # pi^(lam/2)/Gamma(lam/2) -> lam/2, also where lam/2 lies below the
+    # gamma kernel's pole tolerance
+    assert_allclose(MeasureDim(lam=lam).weight_norm, lam / 2.0, rtol=1e-13)
+
+
 def test_order_window_enforced():
     for lam in (0.0, -0.2, 1.5):
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from fracwell.quadrature import (
     NonIntegrable,
     QuadFailure,
     QuadSpec,
+    _DE_TABLES,
     integrate_oscillatory,
     integrate_sinh,
     root_itp,
@@ -317,6 +318,20 @@ def test_oscillatory_rows_in_blocks_match_scalar_calls():
            for w in omegas]
     assert np.array_equal(v, [x for x, _ in one])
     assert np.array_equal(e, [x for _, x in one])
+
+
+@pytest.mark.parametrize("kernel", ["cos", "sin"])
+def test_oscillatory_envelope_called_once_per_row_block(kernel):
+    # the nodes of the reported rule and of its check go to one envelope
+    # call per block of rows, and a block stays within BLOCK elements
+    nodes = sum(u.size for u, _ in _DE_TABLES[kernel])
+    rows = BLOCK // nodes
+    env = _Counted(lambda p: np.exp(-p))
+    integrate_oscillatory(env, np.geomspace(0.05, 50.0, 300), kernel=kernel)
+    assert env.sizes == [min(rows, 300 - k) * nodes for k in range(0, 300, rows)]
+    env.sizes.clear()
+    integrate_oscillatory(env, 2.0, kernel=kernel)
+    assert env.sizes == [nodes]
 
 
 @pytest.mark.parametrize("kernel, env, exact, power", [
