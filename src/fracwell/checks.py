@@ -256,12 +256,10 @@ def check_fixed_point():
 def check_wavefunction_classical():
     cfg = PotentialConfig(alpha=2.0, lam=1.0)
     st = normalize(energy_closed_form(cfg), cfg, _QUAD)
-    kap = st.kappa
-    worst = 0.0
-    for x in (0.1, 0.8, 2.0, 3.5, 5.0):
-        got = position_wavefunction_quadrature(st, cfg, x, _QUAD)[0]
-        want = math.sqrt(kap) * math.exp(-kap * x)
-        worst = max(worst, abs(got - want) / want)
+    x = np.array([0.1, 0.8, 2.0, 3.5, 5.0])
+    got = position_wavefunction_quadrature(st, cfg, x, _QUAD)[0]
+    want = np.sqrt(st.kappa) * np.exp(-st.kappa * x)
+    worst = np.max(np.abs(got - want) / want)
     return _result("wavefunction_classical_profile", worst, 1e-6,
                    "normalized profile vs sqrt(kappa) exp(-kappa x)")
 

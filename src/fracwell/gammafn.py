@@ -4,13 +4,18 @@ Lanczos rational approximation (g = 7, nine coefficients) with the
 reflection formula for arguments left of Re(z) = 1/2.  Everything works
 on scalars and numpy arrays.  One kernel, _core_loggamma, serves real
 and complex input: its eight partial fractions are one broadcast
-division and one sum, in the argument's own dtype, so a real argument
-stays real and gammaln_sign never touches complex arithmetic.  The
-reflection is an np.where over the whole array, and the pole test runs
-only when some argument lies left of 1/2.  The log-space variants carry
-an explicit sign factor so callers can assemble products of many gammas
-without overflow; a reciprocal gamma at a pole is represented by
-(logabs=+inf, sign=0), which multiplies through to an exact zero.
+division and one sum in the argument's own dtype (along a leading axis
+for a complex contour row), so a real argument stays real and
+gammaln_sign never touches complex arithmetic.  A complex log is taken
+as log|v| + i arg v in real arithmetic (libm's complex log is slow at
+|v| near 1, where the Lanczos sum and the reflection bracket sit at
+large |Im z|), and the parity of a reflected pole index is read off its
+integer.  The reflection is an np.where over the whole array, and the
+pole test runs only when some argument lies left of 1/2.  The log-space
+variants carry an explicit sign factor so callers can assemble products
+of many gammas without overflow; a reciprocal gamma at a pole is
+represented by (logabs=+inf, sign=0), which multiplies through to an
+exact zero.
 
 The coefficient table is module-level state on purpose, and the kernel
 reads it at each call: the validation suite corrupts it to prove the
@@ -59,26 +64,54 @@ _POLE_TOL = 5e-13
 _LANCZOS_K = np.arange(1.0, len(LANCZOS_COEFFS))
 
 
+def _odd(n):
+    """1 at odd integers n, 0 at even ones, by the integer's low bit; nan
+    and |n| >= 2^63 read 0, where every double is even or the sine is nan."""
+    with np.errstate(invalid="ignore"):
+        return np.asarray(n).astype(np.int64) & 1
+
+
+def _clog(v):
+    """log v for complex v as log|v| + i arg v in real arithmetic: libm's
+    complex log takes a slow extra-precise path at |v| near 1, where the
+    Lanczos sum sits at large |Im z|."""
+    return np.log(np.hypot(v.real, v.imag)) + 1j * np.arctan2(v.imag, v.real)
+
+
 def _core_loggamma(z):
-    """Lanczos sum, valid for Re(z) >= 0.5: the eight partial fractions
-    as one broadcast division summed over the last axis, in the dtype of
-    z (a real argument stays real)."""
-    coeffs = LANCZOS_COEFFS
+    """Lanczos sum, valid for Re(z) >= 0.5, in the dtype of z (a real
+    argument stays real).  A real z takes the eight partial fractions as
+    one broadcast division over a trailing axis and one sum, the cheapest
+    form for the few arguments of an energy.  A complex z, a contour row
+    of hundreds, lays them along a leading axis and adds rows, in the
+    order numpy's trailing sum of eight complex values takes,
+    ((1 + 5) + (2 + 6)) + ((3 + 7) + (4 + 8)), at every shape of z; its
+    logs are taken by _clog."""
     w = z - 1.0
-    acc = coeffs[0] + np.sum(coeffs[1:] / (w[..., None] + _LANCZOS_K), axis=-1)
     t = w + LANCZOS_G + 0.5
-    return _HALF_LOG_TWO_PI + (w + 0.5) * np.log(t) - t + np.log(acc)
+    if w.dtype.kind != "c":
+        acc = LANCZOS_COEFFS[0] + np.sum(LANCZOS_COEFFS[1:] / (w[..., None] + _LANCZOS_K), axis=-1)
+        return _HALF_LOG_TWO_PI + (w + 0.5) * np.log(t) - t + np.log(acc)
+    x = LANCZOS_COEFFS[1:, None] / (w.reshape(-1) + _LANCZOS_K[:, None])
+    x = x[:4] + x[4:]
+    x = x[0::2] + x[1::2]
+    acc = (LANCZOS_COEFFS[0] + (x[0] + x[1])).reshape(w.shape)
+    return _HALF_LOG_TWO_PI + (w + 0.5) * _clog(t) - t + _clog(acc)
 
 
 def _log_sin_pi(z):
     """log(sin(pi z)), stable for large |Im z| and next to a pole.
 
-    Uses sin(pi z) = (-1)^n (e^{pi |y|}/2) [sin(pi r)(1 + q) +/- i cos(pi r)(1 - q)]
-    with q = e^{-2 pi |y|}, which never overflows, n = rint(x) and the
-    exact r = x - n, so the sine keeps its relative accuracy where
-    sin(pi * x) would lose it to the rounding of pi * x; 1 - q is taken
-    as -expm1(-2 pi |y|), which does not cancel at small |y|.  Branch
-    choice is irrelevant for callers that only exponentiate sums of logs.
+    Uses sin(pi z) = (-1)^n (e^{pi |y|}/2) b with the bracket
+    b = sin(pi r)(1 + q) +/- i cos(pi r)(1 - q), q = e^{-2 pi |y|}, which
+    never overflows, n = rint(x) and the exact r = x - n, so the sine
+    keeps its relative accuracy where sin(pi * x) would lose it to the
+    rounding of pi * x; 1 - q is taken as -expm1(-2 pi |y|), which does
+    not cancel at small |y|.  log b is taken as log|b| + i arg b in real
+    arithmetic, |b| the hypot of b's two parts, neither of which cancels
+    next to a pole, and (-1)^n adds pi to arg b at odd n, the parity read
+    off the integer n.  Branch choice is irrelevant for callers that only
+    exponentiate sums of logs.
     """
     z = np.asarray(z, dtype=complex)
     x = z.real
@@ -87,9 +120,10 @@ def _log_sin_pi(z):
     n = np.rint(x)
     r = x - n
     qm1 = np.expm1(-2.0 * np.pi * ay)   # q - 1
-    bracket = (1.0 - 2.0 * (n % 2.0)) * (
-        np.sin(np.pi * r) * (2.0 + qm1) - 1j * np.sign(y) * np.cos(np.pi * r) * qm1)
-    return np.pi * ay - np.log(2.0) + np.log(bracket)
+    re = np.sin(np.pi * r) * (2.0 + qm1)
+    im = -np.sign(y) * np.cos(np.pi * r) * qm1
+    return (np.pi * ay - np.log(2.0) + np.log(np.hypot(re, im))
+            + 1j * (np.arctan2(im, re) + np.pi * _odd(n)))
 
 
 def loggamma(z):
@@ -129,7 +163,7 @@ def gammaln_sign(x):
         # |Gamma(x)| = pi / (|sin(pi x)| Gamma(1-x)) for x < 0.5
         logabs = np.where(left, np.log(np.pi / np.abs(np.sin(np.pi * r))) - core, core)
     logabs = np.where(pole, np.inf, logabs)
-    sign = np.where(pole, 0.0, np.where(left, np.sign(r) * (1.0 - 2.0 * (n % 2.0)), 1.0))
+    sign = np.where(pole, 0.0, np.where(left, np.sign(r) * (1.0 - 2.0 * _odd(n)), 1.0))
     return logabs[()], sign[()]
 
 

@@ -19,10 +19,12 @@ The engine evaluates
 
 with w = arg_scale * z.  _factors is the one place where this layout
 lives: every routine that evaluates h(s), bounds its strip or sums its
-residues reads the factor table from there.  Source texts for this
-function family disagree on the sign of the A_j s / B_j s terms and on
-the kernel power (z^s vs z^{-s}); the convention above is the one fixed
-by the anchor values H^{1,0}_{0,1}[z|(0,1)] = exp(-z),
+residues reads the factor table from there.  A block builds that table,
+its strip and its swapped block once, when it is made, so no evaluation
+builds them again; none of them depends on the gamma kernel.  Source
+texts for this function family disagree on the sign of the A_j s / B_j s
+terms and on the kernel power (z^s vs z^{-s}); the convention above is
+the one fixed by the anchor values H^{1,0}_{0,1}[z|(0,1)] = exp(-z),
 H^{1,1}_{1,1}[z|(0,1);(0,1)] = 1/(1+z), and the Mellin transform value
 Gamma(1/2)^2 = pi of the rational family at s = 1/2, all of which are
 enforced by the test suite against the quadrature oracle.
@@ -49,16 +51,24 @@ inverted series (Braaksma, Compositio Math. 15, 1964; Paris & Kaminski,
 Asymptotics and Mellin-Barnes Integrals, 2001, ch. 5).  The trapezoid
 rule on nodes t = k h converges geometrically (Trefethen & Weideman,
 SIAM Rev. 56, 2014).  Arguments on one line share its nodes: log h is
-taken once per node and each H(w) is a row of one (argument x node)
-product, summed in units of its t = 0 amplitude.  err_est is
-|T_h - T_2h| plus 2.3e-16 h sum |y| (1 + |E|), the rounding of each
-node's exponent E = log h(s) - s log w in the summands y.
+taken once per node, one gamma pass per distinct factor row, with the
+t = 0 node, the t_max probes and the first two levels in one call, and
+each H(w) is a row of one (argument x node) product, summed in units of
+its t = 0 amplitude.  err_est is |T_h - T_2h| plus 2.3e-16 h sum |y|
+(1 + |E|), the rounding of each node's exponent E = log h(s) - s log w
+in the summands y.  A line of more than _MAX_NODES nodes raises
+QuadFailure before they are allocated.
+
+mellin_numeric_check integrates H against z^(s-1) on a log-z grid and
+sums what lies past each end of it from the residue series of the
+leading poles (Paris & Kaminski, ch. 5), so its grid ends where the
+first omitted residue term is negligible.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -95,9 +105,14 @@ _LADDER_TERMS = 8     # right poles per family in _contour_position's first tabl
 # the contour cuts its semi-infinite line where the integrand has fallen
 # TAIL_CUTOFF e^-5 below its t = 0 value
 TAIL_CUTOFF = 1e-14
-# the Mellin check's log-z node spacing, and the log of the relative size
-# of the term it drops at each end of its grid
-_MELLIN_STEP, _MELLIN_CUT = 0.125, math.log(1e-17)
+# nodes of one contour line at one step, 46 times the 22800 of the largest
+# line the test suite takes: a line that needs more (t_max grows as
+# 1/delta) raises QuadFailure instead of allocating them
+_MAX_NODES = 2 ** 20
+# the Mellin check's log-z node spacing, the log of the relative size of
+# the term it drops at each end of its grid, and the poles per family
+# whose residues it reads there
+_MELLIN_STEP, _MELLIN_CUT, _MELLIN_POLES = 0.125, math.log(1e-17), 16
 
 
 class OutOfStrip(Exception):
@@ -122,6 +137,13 @@ class HFoxParams:
     each of the four groups is immaterial, order across groups is not.
     A block that defines no H-function raises ValueError with every
     reason _violations finds.
+
+    A block builds its gamma-free tables once, when it is made: the
+    factor table (_factors), the fundamental strip (_strip) and the
+    swapped block of the inversion identity (_swap).  The swapped block
+    comes with its own tables but is not validated again: the identity
+    maps a valid block to a valid one.  Nothing here depends on the
+    gamma kernel, whose coefficients may change between calls.
     """
 
     m: int
@@ -129,13 +151,18 @@ class HFoxParams:
     upper: tuple
     lower: tuple
     arg_scale: float = 1.0
+    _table: tuple = field(init=False, repr=False, compare=False)
+    _edges: tuple = field(init=False, repr=False, compare=False)
+    _mirror: "HFoxParams" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "upper", tuple((float(a), float(A)) for a, A in self.upper))
         object.__setattr__(self, "lower", tuple((float(b), float(B)) for b, B in self.lower))
+        _build_tables(self)
         bad = _violations(self)
         if bad:
             raise ValueError("invalid H-function parameters: " + "; ".join(bad))
+        object.__setattr__(self, "_mirror", _mirrored(self))
 
     @property
     def p(self):
@@ -183,30 +210,63 @@ class CosineTransformCheck:
     transform: CosineTransform
 
 
-def _factors(params):
-    """Gamma-factor table (c, d, e) with h(s) = prod Gamma(c + d s)^e.
-
-    Rows run lower[:m], upper[:n] (numerators, e = +1), then lower[m:],
-    upper[n:] (denominators, e = -1).  A numerator row with d > 0 is a
-    left pole family, one with d < 0 a right family.
-    """
+def _build_tables(params):
+    """Set params' factor table and strip (see _factors and _strip)."""
     m, n = params.m, params.n
     rows = ([(b, B, 1.0) for b, B in params.lower[:m]]
             + [(1.0 - a, -A, 1.0) for a, A in params.upper[:n]]
             + [(1.0 - b, -B, -1.0) for b, B in params.lower[m:]]
             + [(a, A, -1.0) for a, A in params.upper[n:]])
-    c, d, e = np.array(rows, dtype=float).reshape(-1, 3).T
-    return c, d, e
+    table = np.array(rows, dtype=float).reshape(-1, 3)
+    # the distinct (c, d) rows and each row's index among them, or the rows
+    # themselves and None when every row is distinct: _log_h takes one
+    # gamma pass per distinct row
+    distinct = {}
+    index = [distinct.setdefault(row[:2], len(distinct)) for row in rows]
+    if len(distinct) == len(rows):
+        cd, index = table[:, :2], None
+    else:
+        cd, index = np.array(list(distinct)).reshape(-1, 2), np.array(index)
+    for a in (table, cd, index):
+        if a is not None:
+            a.flags.writeable = False
+    left = [-c / d for c, d, e in rows if e > 0 and d > 0]
+    right = [-c / d for c, d, e in rows if e > 0 and d < 0]
+    object.__setattr__(params, "_table", (*table.T, *cd.T, index))
+    object.__setattr__(params, "_edges", (max(left, default=-math.inf),
+                                          min(right, default=math.inf)))
+
+
+def _mirrored(params, back=None):
+    """The block of the inversion identity, arg_scale 1, built without
+    validation; its own swapped block is back, or else the swap of it
+    built the same way (params at arg_scale 1, each coefficient as
+    1 - (1 - a) rounds)."""
+    sw = object.__new__(HFoxParams)
+    for name, value in (("m", params.n), ("n", params.m), ("arg_scale", 1.0),
+                        ("upper", tuple((1.0 - b, B) for b, B in params.lower)),
+                        ("lower", tuple((1.0 - a, A) for a, A in params.upper))):
+        object.__setattr__(sw, name, value)
+    _build_tables(sw)
+    object.__setattr__(sw, "_mirror", _mirrored(sw, sw) if back is None else back)
+    return sw
+
+
+def _factors(params):
+    """Gamma-factor table (c, d, e) with h(s) = prod Gamma(c + d s)^e.
+
+    Rows run lower[:m], upper[:n] (numerators, e = +1), then lower[m:],
+    upper[n:] (denominators, e = -1).  A numerator row with d > 0 is a
+    left pole family, one with d < 0 a right family.  Built once, with
+    the block; read-only.
+    """
+    return params._table[:3]
 
 
 def _strip(params):
     """Fundamental strip (left_max, right_min): the rightmost left pole
     and the leftmost right pole, -inf / +inf for an empty family."""
-    c, d, e = _factors(params)
-    edge = -c / d
-    left, right = edge[(e > 0) & (d > 0)], edge[(e > 0) & (d < 0)]
-    return (float(left.max()) if left.size else -math.inf,
-            float(right.min()) if right.size else math.inf)
+    return params._edges
 
 
 def _violations(params):
@@ -277,10 +337,9 @@ def _radius(params):
 
 def _swap(params):
     """Inversion identity: H[w | params] = H[1/w | swapped], which
-    exchanges the roles of the left and right pole families."""
-    new_upper = tuple((1.0 - b, B) for b, B in params.lower)
-    new_lower = tuple((1.0 - a, A) for a, A in params.upper)
-    return HFoxParams(m=params.n, n=params.m, upper=new_upper, lower=new_lower)
+    exchanges the roles of the left and right pole families; the block
+    built with params (arg_scale 1)."""
+    return params._mirror
 
 
 # --- residue series -------------------------------------------------------
@@ -474,12 +533,27 @@ def _passed_residues(swapped, terms, c, logw):
 
 def _log_h(params, s):
     """log h(s) on a complex array; branch choice is irrelevant because
-    the value is only ever exponentiated."""
-    c, d, e = _factors(params)
+    the value is only ever exponentiated.  One gamma pass per distinct
+    (c, d) row of the factor table, gathered back to every row before the
+    sum, so a repeated row costs nothing and the sum is that of the whole
+    table, bit for bit (a numerator and a denominator row that cancel are
+    still both summed)."""
+    _, _, e, c, d, index = params._table
     s = np.asarray(s, dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore"):
         lg = loggamma(c[:, None] + d[:, None] * s.reshape(1, -1))
+        if index is not None:
+            lg = lg[index]
         return np.sum(np.where(e[:, None] > 0, lg, -lg), axis=0).reshape(s.shape)
+
+
+def _line_size(count, h):
+    """ceil(count), the nodes of step h on one contour line; QuadFailure
+    past _MAX_NODES, before they are allocated."""
+    if not count <= _MAX_NODES:
+        raise QuadFailure(f"contour line of {count:.6g} nodes of step {h:.6g} "
+                          f"past the bound of {_MAX_NODES}")
+    return math.ceil(count)
 
 
 def _contour(params, w, quad):
@@ -487,14 +561,20 @@ def _contour(params, w, quad):
     (values, err_ests), err_est inf where the quadrature did not settle.
     The trapezoid rule of the module docstring on each line of
     _contour_position.  t_max is the first of nine doublings where |h| is
-    TAIL_CUTOFF e^-5 below its t = 0 value, h at t = 0 and at all nine
-    taken by one _log_h call; h halves, at most 10 times, until every
-    argument on the line has |T_h - T_2h| <= max(abs_tol, rel_tol |T_h|)
-    or is down to its own rounding term, which no finer h improves (such
-    an argument keeps err_est inf).  The passed residues are added back,
-    with LANCZOS_REL_ACC times the largest in err_est.  A block with no
-    left poles (m = 0) is taken as _swap(params) at 1/w, so every line
-    lies right of the left poles of its own block.
+    TAIL_CUTOFF e^-5 below its t = 0 value; h halves, at most 10 times,
+    until every argument on the line has |T_h - T_2h| <= max(abs_tol,
+    rel_tol |T_h|) or is down to its own rounding term, which no finer h
+    improves (such an argument keeps err_est inf).  Level 0 never stops a
+    line, so the t = 0 node, the nine t_max probes and the nodes of
+    levels 0 and 1 up to the first probe are taken in one _log_h call (in
+    blocks within BLOCK elements); a line that reaches past the first
+    probe takes its levels 0 and 1 again, and each later level its own
+    blocks.  Every level sums its nodes in its own order and blocks.  A
+    line of more than _MAX_NODES nodes at any level raises QuadFailure.
+    The passed residues are added back, with LANCZOS_REL_ACC times the
+    largest in err_est.  A block with no left poles (m = 0) is taken as
+    _swap(params) at 1/w, so every line lies right of the left poles of
+    its own block.
     """
     if params.m == 0:
         return _contour(_swap(params), 1.0 / w, quad)
@@ -510,24 +590,36 @@ def _contour(params, w, quad):
         lw = logw[on, None]
         reach = float(np.max(np.abs(lw)))
         t_max = 2.0 ** np.arange(9) * max(8.0, 2.0 * (reach - cut) / (math.pi * delta))
-        # one call for the t = 0 node and the t_max probes
-        lh0, *probes = _log_h(params, c + 1j * np.append(0.0, t_max)).tolist()
-        settled = np.real(probes) - lh0.real <= cut
-        if not np.any(settled):
-            continue
         h = min(0.5, 1.0 / (1.0 + reach))
-        n, step = math.ceil(t_max[np.argmax(settled)] / h), 1
         # node blocks: each temporary within BLOCK elements, or one column
         cols = max(1, BLOCK // max(lw.size, len(params.upper + params.lower)))
+
+        def log_h(t):   # log h at the nodes t of this line, block by block
+            return np.concatenate([_log_h(params, c + 1j * t[k:k + cols])
+                                   for k in range(0, t.size, cols)])
+
+        def levels01(n):   # the nodes of levels 0 and 1 up to n h
+            return np.concatenate((h * np.arange(1, n + 1, 1), (0.5 * h) * np.arange(1, 2 * n + 1, 2)))
+
+        n = _line_size(t_max[0] / h, h)
+        lh = log_h(np.concatenate(([0.0], t_max, levels01(n))))
+        lh0, settled, nodes = complex(lh[0]), lh[1:10].real - lh[0].real <= cut, lh[10:]
+        if not np.any(settled):
+            continue
+        if not settled[0]:   # the line reaches past the first probe
+            n = _line_size(t_max[np.argmax(settled)] / h, h)
+            nodes = log_h(levels01(n))
+        step = 1
         scale = lh0.real - c * lw   # each row sums in units of its t = 0 amplitude
         tot = 0.5 * math.cos(lh0.imag)   # the t = 0 node, weight 1/2: sign of h(c)
         mag = 0.5 * (1.0 + np.abs(lh0 - c * lw[:, 0]))
         for level in range(11):
             if level:   # halve h: the new nodes are the odd multiples
-                h, n, step = 0.5 * h, 2 * n, 2
+                h, n, step = 0.5 * h, _line_size(2 * n, 0.5 * h), 2
             t, coarse = h * np.arange(1, n + 1, step), 2.0 * h * tot
+            taken = nodes[level * t.size:(level + 1) * t.size]   # levels 0 and 1
             for k in range(0, t.size, cols):
-                lh = _log_h(params, c + 1j * t[k:k + cols])
+                lh = taken[k:k + cols] if level < 2 else _log_h(params, c + 1j * t[k:k + cols])
                 re, im = lh.real - c * lw, lh.imag - t[k:k + cols] * lw
                 y = np.exp(re - scale)
                 tot = tot + np.sum(y * np.cos(im), axis=1)
@@ -605,34 +697,62 @@ def mellin(params, s):
     pole tolerance), so h(s) is finite there and 0 where a reciprocal
     gamma vanishes.
     """
-    s = float(s)
+    return _mellin_values(params, np.array([float(s)]))[0]
+
+
+def _mellin_values(params, s):
+    """mellin at each s of a 1-d array, from one _log_h_real call;
+    OutOfStrip names the first s outside the strip."""
     c, d, e = _factors(params)
-    if not np.min(c[e > 0] + d[e > 0] * s) >= _POLE_TOL:
-        raise OutOfStrip(f"s = {s} outside the fundamental strip {_strip(params)}")
+    inside = np.min(c[e > 0] + d[e > 0] * s[:, None], axis=1) >= _POLE_TOL
+    if not np.all(inside):
+        raise OutOfStrip(f"s = {float(s[np.argmin(inside)])} outside the fundamental "
+                         f"strip {_strip(params)}")
     logabs, sign = _log_h_real(params, s)
-    if sign == 0.0:
-        return 0.0
-    return float(sign) * math.exp(float(logabs) - s * math.log(params.arg_scale))
+    return [float(sg) * math.exp(float(la) - x * math.log(params.arg_scale)) if sg else 0.0
+            for la, sg, x in zip(logabs, sign, s.tolist())]
 
 
 def _grid_end(params, s, side):
     """(t, lead, rate) at the w -> 0 end of mellin_numeric_check's grid
-    (block with arg_scale 1, s 1-d): beyond t = log w the integrand is lead
-    e^(rate t).  With left poles, t is where the second pole's term is
-    e^_MELLIN_CUT of the first's, lead the first residue (a pole that is
-    not simple raises QuadFailure) and rate = s - left_max.  With none, H(w)
-    is _swap(params) at w' = 1/w, under Braaksma's bound w'^theta exp(-mu
-    (w'/rho)^(1/mu)), rho = prod B^B / prod A^A (Kilbas & Saigo,
-    H-Transforms, 2004, ch. 1); t is where that times w^s is under
-    e^(_MELLIN_CUT - 10), the margin for its constant factor, and lead 0."""
+    (block with arg_scale 1, s 1-d): beyond t = log w the integrand is
+    sum_i lead[i] e^(rate[:, i] t), one term per leading simple pole.
+
+    With left poles, the table holds the first _MELLIN_POLES poles of each
+    family.  The leading poles are all its poles, across families in
+    order, short of the first clash of _residues or the last pole of a
+    family, whichever comes first; lead holds their nonzero residues and
+    rate = s + (-pole).  t is where every other pole of the table has a
+    term at most e^_MELLIN_CUT times that of the first leading pole with a
+    nonzero residue, so the cut reads residue ratios, not the pole gap
+    alone (a double pole's term is taken with a residue ratio of 1), and
+    at most 0.  A leading pole that is not simple raises QuadFailure.
+    With none, H(w) is _swap(params) at w' = 1/w, under Braaksma's bound
+    w'^theta exp(-mu (w'/rho)^(1/mu)), rho = prod B^B / prod A^A (Kilbas &
+    Saigo, H-Transforms, 2004, ch. 1); t is where that times w^s is under
+    e^(_MELLIN_CUT - 10), the margin for its constant factor, and lead is
+    empty."""
     if params.m:
-        power, logabs, sign, clash = _residues(params, 2)
+        power, logabs, sign, clash = _residues(params, _MELLIN_POLES)
         j = int(np.argmin(power[:, 0]))
         if clash[j] == 0:
             raise QuadFailure(f"s = {s.tolist()}: the pole at the {side} edge "
                               f"{-power[j, 0] + 0.0:.6g} of the strip is not simple")
-        gap = np.partition(power.ravel(), 1)[1] - power[j, 0]
-        return _MELLIN_CUT / gap, sign[j, 0] * math.exp(logabs[j, 0]), s + power[j, 0]
+        rows, last = np.arange(len(power)), np.minimum(clash, _MELLIN_POLES - 1)
+        limit, live = np.min(power[rows, last]), sign != 0.0
+        taken = (power < limit) & live
+        if not taken.any():
+            raise QuadFailure(f"s = {s.tolist()}: no residue short of the {side} "
+                              f"pole {limit + 0.0:.6g}")
+        first = np.argmin(np.where(taken, power, np.inf))
+        # the other poles of the table: a simple one by its residue, a
+        # double one (a clash) by the gap alone
+        other = (power >= limit) & (np.arange(_MELLIN_POLES) < clash[:, None]) & live
+        double = clash < _MELLIN_POLES
+        gap = np.append(power[other], power[rows, last][double]) - power.flat[first]
+        ratio = np.append(logabs[other] - logabs.flat[first], np.zeros(np.sum(double)))
+        t = float(np.min((_MELLIN_CUT - ratio) / gap, initial=0.0))
+        return t, sign[taken] * np.exp(logabs[taken]), s[:, None] + power[taken]
     sw = _swap(params)
     mu, log_rho = _mu_log_rho(sw)
     if not mu > 0:
@@ -642,7 +762,7 @@ def _grid_end(params, s, side):
     t = max(0.0, mu * math.log(sig) + log_rho) if sig > 0 else 0.0   # the bound's peak
     while sig * t - mu * math.exp((t - log_rho) / mu) > _MELLIN_CUT - 10.0:
         t += _MELLIN_STEP
-    return -t, 0.0, s
+    return -t, np.zeros(0), np.zeros((s.size, 0))
 
 
 def mellin_numeric_check(params, svals, quad=QuadSpec()):
@@ -652,14 +772,19 @@ def mellin_numeric_check(params, svals, quad=QuadSpec()):
     int_0^inf z^(s-1) H[a z] dz = a^-s int e^(s t) H(e^t) dt by the
     trapezoid rule on t = k _MELLIN_STEP, with H for every s from one
     _evaluate call, so this exercises the whole engine.  Beyond each end
-    of the grid (_grid_end; the right end on _swap(params)) the sum is a
-    geometric series in the leading residue, taken in closed form, so the
-    grid does not depend on how close s is to a strip edge.  quad_err is
-    |T_h - T_2h| plus the engine's err_est summed by the rule.
+    of the grid (_grid_end; the right end on _swap(params)) the sum is
+    the residue series of the leading poles, each term a geometric series
+    taken in closed form, so the grid does not depend on how close s is
+    to a strip edge and ends where the first omitted residue is
+    negligible.  The analytic values are mellin's, from one _log_h_real
+    call over all s (_mellin_values); the first s outside the strip
+    raises OutOfStrip.
+    quad_err is |T_h - T_2h| plus the engine's err_est summed by the rule.
     """
     s = np.array(svals, dtype=float).reshape(-1)
-    analytic = [mellin(params, x) for x in s]   # raises OutOfStrip outside the strip
-    base, h = replace(params, arg_scale=1.0), _MELLIN_STEP
+    analytic = _mellin_values(params, s)
+    base = params if params.arg_scale == 1.0 else replace(params, arg_scale=1.0)
+    h = _MELLIN_STEP
     ends = (_grid_end(base, s, "left"), _grid_end(_swap(base), -s, "right"))
     lo, hi = ends[0][0], -ends[1][0]
     if not max(-lo, hi) < 700.0:
@@ -670,9 +795,9 @@ def mellin_numeric_check(params, svals, quad=QuadSpec()):
     vals, errs, _ = _evaluate(base, np.exp(t), quad)
     y, sums = np.exp(np.outer(s, t)), []
     for k in (1, 2):   # T_h and T_2h, each with its closed-form tails
-        tails = [lead * np.exp(rate * end) / np.expm1(rate * k * h)
-                 for (_, lead, rate), end in zip(ends, (t[0], -t[-1])) if lead]
-        sums.append(k * h * (y[:, ::k] @ vals[::k] + sum(tails)))
+        tails = sum(np.sum(lead * np.exp(rate * end) / np.expm1(rate * k * h), axis=1)
+                    for (_, lead, rate), end in zip(ends, (t[0], -t[-1])))
+        sums.append(k * h * (y[:, ::k] @ vals[::k] + tails))
     scale = params.arg_scale ** -s
     numeric, quad_err = scale * sums[0], scale * (np.abs(sums[0] - sums[1]) + h * (y @ errs))
     return [MellinCheck(analytic=a, numeric=float(v), rel_err=abs(v - a) / max(abs(a), 1e-300),

@@ -426,6 +426,24 @@ def test_hfox_eval_coinciding_poles_exits_2(capsys):
     assert "left pole -1.0 coincides with right pole -1.0" in err
 
 
+@pytest.mark.parametrize("scale", ["1e-8", "1e-300"])
+def test_hfox_eval_contour_line_past_the_node_bound_exits_3(capsys, monkeypatch, scale):
+    # t_max grows as 1/delta: a line of 4.8e9 nodes (delta = 1e-8) once
+    # failed to allocate 36 GiB (exit 1), and one of 4.8e301 raised numpy's
+    # size error (exit 2); the node bound refuses both before allocating
+    arange = np.arange
+
+    def guarded(*args, **kwargs):
+        assert all(abs(a) < 1e7 for a in args if isinstance(a, (int, float)))
+        return arange(*args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", guarded)
+    code = cli.main(["--mode", "hfox-eval", "--hfox", f"1,0,0,1;;0:{scale}", "--z", "2"])
+    assert code == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "past the bound of 1048576" in err
+
+
 def test_hfox_eval_near_pole_collision_exits_0(capsys):
     # the pole families sit 5e-4 apart: the line passes the right pole at
     # 5e-4 and adds its residue back, Gamma(5e-4) 2^-5e-4 at z = 1

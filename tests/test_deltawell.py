@@ -219,6 +219,42 @@ def test_validate_contour_work_counter(monkeypatch):
     assert len(evaluated) <= 10
 
 
+def test_validate_gamma_kernel_work_is_pinned(monkeypatch):
+    # deterministic work of one validation run: 117 gamma-kernel calls
+    # over 12054 arguments, 9460 of them complex, and 27 _log_h calls
+    # (136, 12410, 9844 and 38 when each contour line took its probes and
+    # each level in calls of their own and every factor row its own gamma
+    # pass); the Mellin grids end where the first omitted residue is 1e-17
+    # of the leading one, 43 + 45 nodes (351 + 629 when the cut read the
+    # pole gap alone)
+    from fracwell import checks, gammafn
+    kernel, log_h, grids = [], [], []
+    core, _log_h, evaluate = gammafn._core_loggamma, hf._log_h, hf._evaluate
+
+    def counted_core(z):
+        kernel.append((np.size(z), np.iscomplexobj(z)))
+        return core(z)
+
+    def counted_log_h(params, s):
+        log_h.append(np.size(s))
+        return _log_h(params, s)
+
+    monkeypatch.setattr(gammafn, "_core_loggamma", counted_core)
+    monkeypatch.setattr(hf, "_log_h", counted_log_h)
+    assert all(r.passed for r in checks.run_all())
+    assert len(kernel) == 117 and len(log_h) == 27
+    assert sum(n for n, _ in kernel) == 12054
+    assert sum(n for n, complex_ in kernel if complex_) == 9460
+
+    def grid(params, z, quad):
+        grids.append(np.size(z))
+        return evaluate(params, z, quad)
+
+    monkeypatch.setattr(hf, "_evaluate", grid)
+    assert checks.check_hfox_mellin_exp().passed and checks.check_hfox_mellin_rational().passed
+    assert grids == [43, 45]
+
+
 def test_config_builds_its_measure_once():
     cfg = PotentialConfig(alpha=1.5, lam=0.5)
     other = PotentialConfig(alpha=1.5, lam=0.5)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -147,6 +148,45 @@ def test_loggamma_next_to_a_pole(pole, imag):
     zs = np.concatenate([pole - d, pole + d]) + 1j * imag
     err = np.abs(np.exp(gf.loggamma(zs) - sps.loggamma(zs)) - 1.0)
     assert err.max() <= 1e-13
+
+
+def test_loggamma_where_the_sum_and_the_bracket_are_near_one():
+    # |Im z| from 10 to 1e3 and Re z in [-30, 30]: the Lanczos sum and the
+    # reflection bracket have modulus near 1, where libm's complex log
+    # takes its slow path and the kernel takes log|v| + i arg v instead.
+    # The value ratio is within 1e-13 beyond the rounding of log Gamma
+    # itself, 8 ulp of |log Gamma| (about 7e-12 at |Im z| = 1e3)
+    z = (np.linspace(-30.0, 30.0, 61)[:, None] + 1j * np.geomspace(10.0, 1e3, 41)).ravel()
+    z = np.concatenate([z, z.conj()])
+    want = sps.loggamma(z)
+    err = np.abs(np.exp(gf.loggamma(z) - want) - 1.0)
+    assert np.all(err <= 1e-13 + 8 * np.finfo(float).eps * np.abs(want))
+
+
+def test_complex_kernel_sums_rows_in_the_trailing_sums_order():
+    # the partial fractions along a leading axis add up, bit for bit, as
+    # the trailing-axis sum of eight complex values did, at every shape
+    def trailing(z):
+        w = z - 1.0
+        acc = gf.LANCZOS_COEFFS[0] + np.sum(gf.LANCZOS_COEFFS[1:] / (w[..., None] + gf._LANCZOS_K),
+                                            axis=-1)
+        t = w + gf.LANCZOS_G + 0.5
+        return gf._HALF_LOG_TWO_PI + (w + 0.5) * gf._clog(t) - t + gf._clog(acc)
+
+    rng = np.random.default_rng(5)
+    zs = rng.uniform(0.5, 40.0, 400) + 1j * rng.uniform(-1e3, 1e3, 400)
+    for z in (zs, zs.reshape(8, 50), zs[:1], np.asarray(zs[3])):
+        got = gf._core_loggamma(z)
+        assert got.shape == z.shape and np.array_equal(got, trailing(z))
+
+
+def test_parity_of_far_and_nan_integers():
+    # n = rint(Re z) is odd by its integer low bit; past 2^63 every double
+    # is even, and nan reads even without a warning (the sine is nan there)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        n = np.array([3.0, -5.0, -4.0, 0.0, 2.0 ** 53 + 2.0, -2.0 ** 70, 1e300, math.nan])
+        assert gf._odd(n).tolist() == [1, 1, 0, 0, 0, 0, 0, 0]
 
 
 def test_gammaln_sign_return_types():

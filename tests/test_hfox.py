@@ -120,6 +120,28 @@ def test_replace_checks_the_new_block():
         replace(RAT, upper=((3.0, 1.0),), lower=((1.0, 1.0),))
 
 
+def test_block_builds_its_tables_once(monkeypatch):
+    # factor table, strip and swapped block come with the block; the
+    # swapped block's own swap is the block at arg_scale 1, and no
+    # evaluation, contour or Mellin check of a block at arg_scale 1 builds
+    # a table again
+    P = replace(HALF_RAT, arg_scale=3.0)
+    assert hf._swap(P) is hf._swap(P) and hf._swap(hf._swap(P)) == replace(P, arg_scale=1.0)
+    assert hf._swap(hf._swap(hf._swap(P))) is hf._swap(P)
+    P = replace(MIXED, arg_scale=3.0)
+    assert hf._swap(EXP).m == 0 and hf._swap(EXP).n == 1
+    built = []
+    monkeypatch.setattr(hf, "_build_tables", lambda params: built.append(params))
+    hf._evaluate(P, np.geomspace(1e-2, 1e2, 9), QuadSpec())
+    hf._contour(P, np.array([0.5, 2.0]), QuadSpec())
+    hf._contour(hf._swap(EXP), np.array([0.5, 2.0]), QuadSpec())
+    hf.mellin_numeric_check(RAT, [0.5])
+    assert built == []
+    c, d, e = hf._factors(P)
+    with pytest.raises(ValueError, match="read-only"):
+        c[0] = 1.0
+
+
 @pytest.mark.parametrize("z", [math.inf, math.nan, 0.0, -1.0])
 def test_evaluate_rejects_non_finite_arguments(z):
     for params in (EXP, RAT):
@@ -249,6 +271,56 @@ def test_contour_stops_refining_at_its_rounding(monkeypatch):
     _, errs = hf._contour(P, w, QuadSpec())
     assert sum(nodes) < 1e5
     assert np.all(errs == math.inf)
+
+
+def _cosine_blocks():
+    from fracwell.checks import _classical_chain
+    _, ct = _classical_chain()
+    return [ct.params,   # 5 rows, 3 distinct: the chain block of validate
+            hf.cosine_transform(EXP, k=1.0, s=1.0, mu=2.0).params,    # 4 rows, 2 distinct
+            hf.cosine_transform(EXP, k=1.0, s=0.5, mu=1.0).params]    # 4 rows, 3 distinct
+
+
+@pytest.mark.parametrize("params", _cosine_blocks())
+def test_log_h_takes_each_distinct_row_once(params, monkeypatch):
+    # one gamma pass per distinct (c, d) row, gathered back before the sum:
+    # bit for bit the sum over every row, cancelling pairs included
+    c, d, e = hf._factors(params)
+    assert len(set(zip(c, d))) < len(c)
+    s = np.concatenate([0.7 + 1j * np.linspace(0.0, 40.0, 161), [-0.3 + 2j, 2.5 - 7j]])
+    lg = hf.loggamma(c[:, None] + d[:, None] * s)
+    want = np.sum(np.where(e[:, None] > 0, lg, -lg), axis=0)
+    sizes, loggamma = [], hf.loggamma
+    monkeypatch.setattr(hf, "loggamma", lambda z: (sizes.append(np.size(z)), loggamma(z))[1])
+    got = hf._log_h(params, s)
+    assert np.array_equal(got.view(float), want.view(float))
+    assert sizes == [len(set(zip(c, d))) * s.size]
+
+
+def test_contour_line_past_the_node_bound_raises(monkeypatch):
+    # t_max grows as 1/delta: at delta = 1e-8 the first line would hold
+    # 4.8e9 nodes, which the bound refuses before they are allocated
+    tiny = HFoxParams(m=1, n=0, upper=(), lower=((0.0, 1e-8),))
+    arange = np.arange
+
+    def guarded(*args, **kwargs):
+        assert all(abs(a) <= 4 * hf._MAX_NODES for a in args if isinstance(a, (int, float)))
+        return arange(*args, **kwargs)
+
+    monkeypatch.setattr(hf.np, "arange", guarded)
+    with pytest.raises(QuadFailure, match="4.82931e.09 nodes .* past the bound of 1048576"):
+        hf.eval_contour(tiny, 2.0)
+    monkeypatch.setattr(hf.np, "arange", arange)
+    # the bound counts the nodes of a line at every step: e^-z at z = 1
+    # takes 95 nodes at step 1/2 and halves the step once
+    monkeypatch.setattr(hf, "_MAX_NODES", 94)
+    with pytest.raises(QuadFailure, match="94.8212 nodes of step 0.5 "):
+        hf.eval_contour(EXP, 1.0)
+    monkeypatch.setattr(hf, "_MAX_NODES", 189)
+    with pytest.raises(QuadFailure, match="190 nodes of step 0.25 "):
+        hf.eval_contour(EXP, 1.0)
+    monkeypatch.setattr(hf, "_MAX_NODES", 190)
+    assert hf.eval_contour(EXP, 1.0).value == pytest.approx(math.exp(-1.0), rel=1e-12)
 
 
 def _right_poles(params, reach):
@@ -776,10 +848,59 @@ def test_mellin_numeric_check_refuses_a_double_pole_at_the_edge(s):
     (EXP, (0.3, 0.5, 1.0, 2.5, 5.0)),   # the validate suite's s values
     (RAT, (0.1, 0.3, 0.5, 0.7, 0.9)),
     (EXP, (2.0,)), (RAT, (0.5,)), (ZEXP, (-0.5, 0.0)), (HALF_RAT, (-0.3, 0.0)),
+    # two left families whose poles interleave, both read at the left end
+    (MIXED, (-0.05, 0.2, 0.5, 0.9, 0.99)),
 ])
 def test_mellin_numeric_check_quad_err_covers_the_error(params, svals):
     for chk in hf.mellin_numeric_check(params, svals):
         assert abs(chk.numeric - chk.analytic) <= chk.quad_err
+
+
+def test_mellin_grid_ends_read_the_leading_residues():
+    # the leading poles across families in order, short of each family's
+    # 16th pole: e^-z takes 15 residues and ends its grid at log w = -0.75,
+    # where 1/15! w^15 is 1e-17 of the first term (the gap alone put the
+    # end at -39.1); 1/(1+z) ends at +-39.1/15
+    s = np.array([0.5])
+    t, lead, rate = hf._grid_end(EXP, s, "left")
+    assert t == pytest.approx((math.log(1e-17) + math.lgamma(16.0)) / 15.0, rel=1e-12)
+    assert_allclose(lead, [(-1.0) ** k / math.factorial(k) for k in range(15)], rtol=1e-13)
+    assert_allclose(rate, 0.5 + np.arange(15.0)[None, :], rtol=0.0)
+    for block in (RAT, hf._swap(RAT)):
+        t, lead, _ = hf._grid_end(block, s, "left")
+        assert t == pytest.approx(math.log(1e-17) / 15.0, rel=1e-12)
+        assert_allclose(lead, (-1.0) ** np.arange(15), rtol=1e-13)
+    # MIXED: Gamma(0.1 + s) has poles at -0.1, -1.1, ..., Gamma(0.4 + 0.6 s)
+    # at -0.667, -2.33, ...; short of -15.1 the first family gives 15, the
+    # second 9, each ordered by its own index
+    t, lead, rate = hf._grid_end(MIXED, s, "left")
+    poles = np.sort(rate[0] - 0.5)
+    want = np.sort(np.concatenate([0.1 + np.arange(15.0), (0.4 + np.arange(9.0)) / 0.6]))
+    assert_allclose(poles, want, rtol=1e-14)
+    assert lead.size == 24 and -3.0 < t < -1.0
+
+
+@pytest.mark.parametrize("params, svals", [
+    (EXP, (0.3, 0.5, 1.0, 2.5, 5.0)), (RAT, (0.1, 0.3, 0.5, 0.7, 0.9)),
+    (MIXED, (-0.05, 0.2, 0.9)), (replace(RAT, arg_scale=2.0), (0.5, 0.25)),
+])
+def test_mellin_numeric_check_analytic_values_are_mellins(params, svals):
+    # one _log_h_real call over all s gives, bit for bit, a^-s h(s) from
+    # one call at each s
+    def one(s):
+        logabs, sign = hf._log_h_real(params, s)
+        return float(sign) * math.exp(float(logabs) - s * math.log(params.arg_scale))
+
+    got = [chk.analytic for chk in hf.mellin_numeric_check(params, svals)]
+    assert got == [hf.mellin(params, s) for s in svals] == [one(s) for s in svals]
+
+
+def test_mellin_numeric_check_refuses_the_first_s_outside_the_strip():
+    with pytest.raises(hf.OutOfStrip) as want:
+        hf.mellin(RAT, 1.5)
+    with pytest.raises(hf.OutOfStrip) as got:
+        hf.mellin_numeric_check(RAT, [0.5, 1.5, 2.0, -1.0])
+    assert str(got.value) == str(want.value) == "s = 1.5 outside the fundamental strip (-0.0, 1.0)"
 
 
 def test_mellin_checks_take_one_engine_call_per_block(monkeypatch):
