@@ -13,7 +13,8 @@ Output contract, kept byte-deterministic for identical inputs:
     wavefunction mode prepends its scalar metadata as '# key = value'
     comment lines above the header so the table itself stays flat;
   - JSON: one object {"meta": {...}, "rows": [...]} with keys in fixed
-    insertion order.
+    insertion order, written by _json_text, whose text is byte for byte
+    json.dumps(obj, indent=2) plus a newline.
 
 Config files are plain 'key = value' lines with '#' comments; keys are
 the long flag names without the leading dashes.  Each line goes to the
@@ -29,9 +30,9 @@ import argparse
 import csv
 import io
 import itertools
-import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -68,6 +69,36 @@ def _json_cell(v):
     return v
 
 
+_JSON_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _json_text(v, pad="\n"):
+    """v as json.dumps(v, indent=2) writes it, from the C-level pieces;
+    pad is the newline and indent of v's own line.  json sends an indent
+    to its pure-Python encoder, which takes the same steps with more
+    calls.  Keys are strings; values are dicts, lists, str, float, int,
+    bool and None."""
+    if isinstance(v, float):
+        if math.isfinite(v):
+            return float.__repr__(v)
+        return "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if v is None or v is True or v is False:
+        return _JSON_LITERALS[v]
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if not v:
+        return "{}" if isinstance(v, dict) else "[]"
+    inner = pad + "  "
+    if isinstance(v, dict):
+        items = [f"{encode_basestring_ascii(k)}: {_json_text(x, inner)}"
+                 for k, x in v.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    items = [_json_text(x, inner) for x in v]
+    return "[" + inner + ("," + inner).join(items) + pad + "]"
+
+
 def _emit(rc, meta, header, rows, comments=()):
     if rc["format"] == "csv":
         buf = io.StringIO()
@@ -82,7 +113,7 @@ def _emit(rc, meta, header, rows, comments=()):
         obj = {"meta": {k: _json_cell(v) for k, v in meta.items()},
                "rows": [{h: _json_cell(v) for h, v in zip(header, row)}
                         for row in rows]}
-        text = json.dumps(obj, indent=2) + "\n"
+        text = _json_text(obj) + "\n"
     if rc["output"]:
         with open(rc["output"], "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

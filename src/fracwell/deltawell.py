@@ -167,8 +167,9 @@ def energy_closed_form(cfg):
     a, lam = cfg.alpha, cfg.lam
     # the three gammas in one kernel call, each as log Gamma(1 + x) - log x:
     # every x is positive, and may lie below the kernel's pole tolerance
-    x = np.array([lam / a, 1.0 - lam / a, 0.5 * lam])
-    lg = (gammaln_sign(1.0 + x)[0] - np.log(x)).tolist()
+    x = (lam / a, 1.0 - lam / a, 0.5 * lam)
+    lg1 = gammaln_sign(np.array([1.0 + v for v in x]))[0].tolist()
+    lg = [g - math.log(v) for g, v in zip(lg1, x)]
     log_bracket = (math.log(cfg.gamma_strength)
                    + lg[0] + lg[1]
                    + (1.0 - lam) * math.log(2.0)

@@ -90,7 +90,7 @@ def _core_loggamma(z):
     w = z - 1.0
     t = w + LANCZOS_G + 0.5
     if w.dtype.kind != "c":
-        acc = LANCZOS_COEFFS[0] + np.sum(LANCZOS_COEFFS[1:] / (w[..., None] + _LANCZOS_K), axis=-1)
+        acc = LANCZOS_COEFFS[0] + (LANCZOS_COEFFS[1:] / (w[..., None] + _LANCZOS_K)).sum(axis=-1)
         return _HALF_LOG_TWO_PI + (w + 0.5) * np.log(t) - t + np.log(acc)
     x = LANCZOS_COEFFS[1:, None] / (w.reshape(-1) + _LANCZOS_K[:, None])
     x = x[:4] + x[4:]
@@ -149,9 +149,10 @@ def gammaln_sign(x):
     shape.
     """
     x = np.asarray(x, dtype=float)
-    left = ~(x >= 0.5)   # nan takes the reflection, as it always has
-    if not left.any():
+    right = x >= 0.5   # nan takes the reflection, as it always has
+    if right.all():
         return _core_loggamma(x)[()], np.ones_like(x)[()]
+    left = ~right
     # sin(pi x) = (-1)^n sin(pi r) with n = rint(x): r = x - n is exact, so
     # the sine keeps its relative accuracy next to a pole, where
     # sin(pi * x) loses it to the rounding of pi * x
@@ -159,7 +160,9 @@ def gammaln_sign(x):
     r = x - n
     pole = (n <= 0.0) & (np.abs(r) < _POLE_TOL * np.maximum(1.0, np.abs(x)))
     core = _core_loggamma(np.where(left, 1.0 - x, x))
-    with np.errstate(divide="ignore"):
+    # the quotient is inf only at a pole (at x = 0 also a zero divide),
+    # where the pole mask below puts (inf, 0) in any case
+    with np.errstate(divide="ignore", over="ignore"):
         # |Gamma(x)| = pi / (|sin(pi x)| Gamma(1-x)) for x < 0.5
         logabs = np.where(left, np.log(np.pi / np.abs(np.sin(np.pi * r))) - core, core)
     logabs = np.where(pole, np.inf, logabs)

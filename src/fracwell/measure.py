@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gammafn import gamma_real
+from .gammafn import gammaln_sign
 from .quadrature import QuadSpec, integrate_oscillatory, integrate_sinh
 
 __all__ = [
@@ -49,7 +49,8 @@ class MeasureDim:
             raise ValueError(f"measure order must lie in (0, 1], got {self.lam}")
         # 1/Gamma(x) = x/Gamma(1 + x), which stays finite as x -> 0
         x = self.lam / 2.0
-        norm = math.pi ** x * x / gamma_real(1.0 + x)
+        # Gamma(1 + x) lies in [0.88, 1] here: no pole, no overflow
+        norm = math.pi ** x * x / math.exp(gammaln_sign(1.0 + x)[0])
         object.__setattr__(self, "weight_norm", norm)
 
 

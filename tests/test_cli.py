@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import re
@@ -6,6 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fracwell import cli, deltawell, quadrature
 from fracwell import gammafn as gf
@@ -426,11 +429,14 @@ def test_hfox_eval_coinciding_poles_exits_2(capsys):
     assert "left pole -1.0 coincides with right pole -1.0" in err
 
 
-@pytest.mark.parametrize("scale", ["1e-8", "1e-300"])
+@pytest.mark.parametrize("scale", ["1e-8", "1e-300", "5e-324"])
 def test_hfox_eval_contour_line_past_the_node_bound_exits_3(capsys, monkeypatch, scale):
     # t_max grows as 1/delta: a line of 4.8e9 nodes (delta = 1e-8) once
     # failed to allocate 36 GiB (exit 1), and one of 4.8e301 raised numpy's
-    # size error (exit 2); the node bound refuses both before allocating
+    # size error (exit 2); the node bound refuses both before allocating.
+    # At delta = 5e-324 a gamma argument of the line is the subnormal
+    # itself, a pole, where the reflection's pi/|sin(pi r)| overflows: the
+    # suite's RuntimeWarning filter fails the run if that leaks a warning
     arange = np.arange
 
     def guarded(*args, **kwargs):
@@ -625,3 +631,49 @@ def test_parser_built_once_serves_every_call(tmp_path, capsys, monkeypatch):
         code = cli.main(argv)
         assert (code, capsys.readouterr()) == want
     assert [code for code, _ in shared] == [0, 0, 2]
+
+
+# ------------------------------------------------------------ JSON writer
+
+# strings with quotes, backslashes, control, non-ASCII and astral characters
+_STRINGS = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f'
+                                             '\x80\xe9\u2028\ufeff\U0001f600'),
+                             st.characters()), max_size=8)
+_CELLS = st.one_of(st.floats(),
+                   st.sampled_from([math.nan, math.inf, -math.inf, -0.0,
+                                    5e-324, 2.2e-308, 1e308]),
+                   st.integers(), st.booleans(), st.none(), _STRINGS)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(meta=st.dictionaries(_STRINGS, st.one_of(_CELLS, st.lists(_STRINGS, max_size=4)),
+                            max_size=5),
+       header=st.lists(_STRINGS, max_size=4),
+       rows=st.lists(st.lists(_CELLS, max_size=4), max_size=3))
+@example(meta={}, header=["a", "b"], rows=[])
+@example(meta={"swept": ["sweep_alpha", "sweep_lambda"], "empty": []},
+         header=["x"], rows=[[math.nan], [-math.inf], [-0.0], [5e-324], [1e308]])
+def test_json_writer_is_json_dumps(meta, header, rows):
+    # _emit's text is json.dumps(obj, indent=2) and a newline, on the
+    # object of _json_cell values that json.dumps was handed before
+    obj = {"meta": {k: cli._json_cell(v) for k, v in meta.items()},
+           "rows": [{h: cli._json_cell(v) for h, v in zip(header, row)}
+                    for row in rows]}
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli._emit({"format": "json", "output": None}, meta, header, rows)
+    assert buf.getvalue() == json.dumps(obj, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--mode", "energy", "--alpha", "1.5", "--lambda", "0.8"],
+    ["--mode", "sweep", "--sweep-alpha", "1.2,2.0", "--sweep-lambda", "0.5,1"],
+])
+def test_json_output_file_holds_the_stdout_bytes(tmp_path, capsys, argv):
+    argv = argv + ["--format", "json"]
+    assert cli.main(argv) == 0
+    stdout = capsys.readouterr().out
+    path = tmp_path / "out.json"
+    assert cli.main(argv + ["--output", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == stdout.encode("utf-8")

@@ -8,6 +8,8 @@ from numpy.testing import assert_allclose
 import scipy.special as sps
 
 from fracwell import gammafn as gf
+from fracwell.deltawell import PotentialConfig, energy_closed_form
+from fracwell.measure import MeasureDim
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -217,6 +219,23 @@ def test_corrupted_table_moves_each_kernel(monkeypatch):
     assert after[0] - before[0] == pytest.approx(shift, rel=1e-6)
     assert after[1] - before[1] == pytest.approx(-shift, rel=1e-6)
     assert after[2] - before[2] == pytest.approx(shift, rel=1e-6)
+
+
+def test_corrupted_table_moves_the_energy_and_the_measure_norm(monkeypatch):
+    # negative control on the energy path: the closed form's three gammas
+    # and the measure's norm read the table at each call, so scaling it by
+    # 1 + 1e-4 moves log|E| by log(1 + 1e-4) alpha/(alpha - lam) (one net
+    # log-gamma in the bracket) and the norm pi^(lam/2)/Gamma(lam/2) by the
+    # negative of one log-gamma
+    alpha, lam = 1.5, 0.8
+    cfg = PotentialConfig(alpha=alpha, lam=lam)
+    before = (energy_closed_form(cfg).energy, MeasureDim(lam).weight_norm)
+    monkeypatch.setattr(gf, "LANCZOS_COEFFS", gf.LANCZOS_COEFFS * (1.0 + 1e-4))
+    after = (energy_closed_form(cfg).energy, MeasureDim(lam).weight_norm)
+    shift = math.log1p(1e-4)
+    assert (math.log(abs(after[0])) - math.log(abs(before[0]))
+            == pytest.approx(shift * alpha / (alpha - lam), rel=1e-6))
+    assert math.log(after[1]) - math.log(before[1]) == pytest.approx(-shift, rel=1e-6)
 
 
 def _core_loggamma_loop(z):
