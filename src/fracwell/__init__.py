@@ -3,7 +3,7 @@
 The package has four numerical layers plus a command line front end:
 
 - ``quadrature``: one trapezoid rule in log x for half-line
-  integrals, an oscillatory rule, ITP root finding.  Every closed form
+  integrals and an oscillatory rule.  Every closed form
   in the package is cross-checked against this layer, so it stays
   deliberately independent of the rest.
 - ``gammafn`` / ``hfox``: complex gamma kernel and a Fox H-function

@@ -52,13 +52,13 @@ import numpy as np
 from .gammafn import gammaln_sign
 from .hfox import HFoxParams, _evaluate
 from .measure import MeasureDim, integrate as measure_integrate
-from .quadrature import (NumericalFailure, QuadSpec, QuadFailure,
-                         integrate_oscillatory, integrate_sinh)
+from .quadrature import (QuadSpec, QuadFailure, integrate_oscillatory,
+                         integrate_sinh)
 
-__all__ = ["SHAPE_TOL", "DomainError", "BracketFailure", "PotentialConfig",
-           "BoundState", "energy_closed_form", "energy_oracle",
-           "momentum_wavefunction", "position_wavefunction_quadrature",
-           "position_wavefunction_hfox", "normalize"]
+__all__ = ["SHAPE_TOL", "DomainError", "PotentialConfig", "BoundState",
+           "energy_closed_form", "energy_oracle", "momentum_wavefunction",
+           "position_wavefunction_quadrature", "position_wavefunction_hfox",
+           "normalize"]
 
 # largest relative gap between the two position routes, beyond their
 # summed err_est, at which a printed row counts the H route as verified
@@ -67,10 +67,6 @@ SHAPE_TOL = 1e-4
 
 class DomainError(Exception):
     """Physical parameters outside the admissible window."""
-
-
-class BracketFailure(NumericalFailure):
-    """The energy root lies outside the double range of |E|."""
 
 
 @dataclass(frozen=True)
@@ -90,8 +86,9 @@ class PotentialConfig:
         if not 1.0 < a <= 2.0:
             raise DomainError(f"alpha must satisfy 1 < alpha <= 2, got {a}")
         for name in ("d_alpha", "gamma_strength", "hbar"):
-            if not getattr(self, name) > 0:
-                raise DomainError(f"{name} must be positive, got {getattr(self, name)}")
+            v = getattr(self, name)
+            if not 0 < v < math.inf:
+                raise DomainError(f"{name} must be finite and positive, got {v}")
         # existence window of the bound-state integral; redundant for
         # lam <= 1 < alpha but out-of-range lam must still die here,
         # before any quadrature is attempted
@@ -226,15 +223,14 @@ def energy_oracle(cfg, spec=QuadSpec()):
 
     The root in t = log|E| of _energy_condition's h, the line h(0) + (lam/
     alpha - 1) t: t = h(0) alpha/(alpha - lam), one evaluation of h on
-    the measured J.  BracketFailure means the root lies beyond the double
+    the measured J.  OverflowError means the root lies beyond the double
     range of |E|.
     """
     a, lam = cfg.alpha, cfg.lam
     log_e = _energy_condition(cfg, spec)(0.0) * a / (a - lam)
     if not _LOG_E_MIN <= log_e <= _LOG_E_MAX:
-        raise BracketFailure(
-            f"spectral condition's root log|E| = {log_e:.6g} is beyond the "
-            f"double range")
+        raise OverflowError(
+            f"oracle energy out of double range: log|E| = {log_e:.6g}")
     abs_e = math.exp(log_e)
     return BoundState(energy=-abs_e, kappa=_kappa(cfg, abs_e),
                       provenance="oracle")
@@ -263,7 +259,7 @@ def _profile_amplitude(state, cfg):
             * ((state.kappa * cfg.hbar) ** cfg.lam / -state.energy))
 
 
-def _profile_quadrature(state, cfg, y, spec):
+def _profile_quadrature(cfg, y, spec):
     """(I(y), err_est) by quadrature on a 1-d array y >= 0: one
     integrate_oscillatory call over every y > 0.  I(0) is J of
     _radial_integral, so the x = 0 identity is measured, not substituted."""
@@ -298,7 +294,7 @@ def _profile_block(cfg):
                       lower=((0.0, 0.5), (r, e), (0.5, 0.5)))
 
 
-def _profile_hfox(state, cfg, y, spec):
+def _profile_hfox(cfg, y, spec):
     """(I(y), err_est) from the exact H form (_profile_block) at each
     y >= 0 of a 1-d array: the closed I(0) = pi / (alpha sin(pi lam/alpha))
     and one engine call on every y/2 > 0."""
@@ -320,7 +316,7 @@ def _position(route, state, cfg, x, spec):
     ax, inverse = np.unique(np.abs(x).ravel(), return_inverse=True)
     p = _profile_amplitude(state, cfg)
     out = tuple((p * v)[inverse].reshape(x.shape)
-                for v in route(state, cfg, state.kappa * ax, spec))
+                for v in route(cfg, state.kappa * ax, spec))
     return tuple(float(v) for v in out) if x.ndim == 0 else out
 
 
@@ -369,10 +365,10 @@ def normalize(state, cfg, spec=QuadSpec()):
     lam = cfg.lam
 
     def f(y):
-        return _profile_quadrature(state, cfg, y, spec)[0] ** 2
+        return _profile_quadrature(cfg, y, spec)[0] ** 2
 
     tail, _ = measure_integrate(cfg.dim, f, (_Y_HEAD, np.inf), spec)
-    j, i_head = _profile_quadrature(state, cfg, np.array([0.0, _Y_HEAD]), spec)[0]
+    j, i_head = _profile_quadrature(cfg, np.array([0.0, _Y_HEAD]), spec)[0]
     d = j - i_head
     head = (cfg.dim.weight_norm * _Y_HEAD ** lam
             * (j * j / lam - 2.0 * j * d / cfg.alpha + d * d / (2.0 * cfg.alpha - lam)))

@@ -780,6 +780,10 @@ def mellin_numeric_check(params, svals, quad=QuadSpec()):
     call over all s (_mellin_values); the first s outside the strip
     raises OutOfStrip.
     quad_err is |T_h - T_2h| plus the engine's err_est summed by the rule.
+    |T_h - T_2h| is the error of the step-2h sum.  The trapezoid rule
+    converges geometrically, so the returned step-h sum's relative error
+    is about the square of the 2h sum's, and quad_err overstates it by
+    orders of magnitude where the 2h sum is far from converged.
     """
     s = np.array(svals, dtype=float).reshape(-1)
     analytic = _mellin_values(params, s)

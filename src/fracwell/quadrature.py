@@ -1,4 +1,4 @@
-"""Half-line, oscillatory and root-finding numerics.
+"""Half-line and oscillatory numerics.
 
 This layer is the package's independent oracle: closed forms elsewhere
 are accepted only when they agree with these routines, so nothing here
@@ -31,10 +31,8 @@ __all__ = [
     "QuadFailure",
     "NonIntegrable",
     "NonDecaying",
-    "NoBracket",
     "integrate_sinh",
     "integrate_oscillatory",
-    "root_itp",
 ]
 
 
@@ -54,10 +52,6 @@ class NonIntegrable(NumericalFailure):
 
 class NonDecaying(NumericalFailure):
     """An oscillatory envelope still grows at the rule's outermost node."""
-
-
-class NoBracket(NumericalFailure):
-    """Root bracket endpoints do not straddle a sign change."""
 
 
 @dataclass(frozen=True)
@@ -249,82 +243,3 @@ def _de_rows(envelope, rows, c, kernel):
            + np.abs(f[:, 0]) * p[:, 0] / (1.0 + c))
     return fine + closed, err
 
-
-def root_itp(g, lo, hi, glo, ghi, tol=1e-12):
-    """ITP root of g on [lo, hi] given glo = g(lo) and ghi = g(hi).
-
-    Interpolate-truncate-project (Oliveira & Takahashi, ACM TOMS 47(1),
-    2020) with kappa2 = 2, n0 = 1: each step takes the regula-falsi
-    point, nudges it by kappa1 w^2 toward the midpoint and projects it
-    into a window around the midpoint that shrinks so that the bracket
-    is at most tol wide after ceil(log2((hi-lo)/tol)) + 1 steps,
-    bisection's bound plus one.  On a nearly linear g regula falsi
-    lands on the root at once, and two choices keep the next steps from
-    walking away from it:
-    - kappa1 = 1e-15/(hi-lo), with the nudge at least eps/2 = tol/4,
-      carries a point on the root past it, so the far end moves.  The
-      floor is what makes it past: the root of a computed g is known
-      only to g's rounding, far above x's, and a point that falls short
-      of it in a lopsided bracket (the root near one end) moves the
-      near end, leaves the bracket as wide as before and spends the
-      projection's one step of slack, so the next steps are bisections.
-      ITP's usual 0.002/(hi-lo) applies only once the same end has
-      moved twice in a row, the stall the nudge exists to break;
-    - Dekker's minimum step (Brent, Algorithms for Minimization without
-      Derivatives, 1973, ch. 4): no point lies within eps = tol/2 of
-      either end, so the step after a point on the root closes the
-      bracket.
-    Both move a point toward the midpoint, so the bound holds.
-    Evaluations at tol 1e-12, with the 0.002 nudge at every step in
-    brackets: 0.7 - x on [0, 1] 2 (6), cos on [0, 2] 6 (7), 1 - x^2 on
-    [0.5, 3] 12 (12, and 15 with the 1e-15 nudge at every step); a
-    linear g with 1e-13 of rounding, its root 2e-6 from the low end of
-    a bracket 0.2494 wide, 2 (6 on 19 of 40 roots without the floor).
-    g is never evaluated at lo or hi; the caller supplies those values,
-    usually left over from a bracket search.  Returns the bracket
-    midpoint, or an exact zero as found.  Raises NoBracket when glo and
-    ghi share a sign.
-    """
-    if not lo < hi:
-        raise ValueError("need lo < hi")
-    if glo == 0.0:
-        return lo
-    if ghi == 0.0:
-        return hi
-    if (glo > 0) == (ghi > 0):
-        raise NoBracket(f"g({lo!r}) and g({hi!r}) have the same sign")
-    span = hi - lo
-    eps = 0.5 * tol
-    n_max = max(0, math.ceil(math.log2(span / tol))) + 1
-    # which end the last step replaced; whether the step before did too
-    moved = stalled = None
-    # after n_max steps the bracket is within tol up to rounding, which
-    # can leave it a few ulps wider; stopping there keeps the bound
-    for j in range(n_max):
-        width = hi - lo
-        if width <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        # interpolation: regula falsi, kept in the bracket against
-        # rounding; the midpoint when an infinite end value makes it nan
-        x_f = (ghi * lo - glo * hi) / (ghi - glo)
-        x_f = mid if math.isnan(x_f) else min(max(x_f, lo), hi)
-        # truncation toward the midpoint
-        sigma = math.copysign(1.0, mid - x_f)
-        delta = max((0.002 if stalled else 1e-15) * width * width / span, 0.5 * eps)
-        x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
-        # projection into the minmax window around the midpoint
-        r = max(0.0, eps * 2.0 ** (n_max - j) - 0.5 * width)
-        x = x_t if abs(x_t - mid) <= r else mid - sigma * r
-        # minimum step: at least eps inside either end
-        x = min(max(x, lo + eps), hi - eps)
-        gx = g(x)
-        if gx == 0.0:
-            return x
-        replaces_lo = (gx > 0) == (glo > 0)
-        stalled, moved = replaces_lo == moved, replaces_lo
-        if replaces_lo:
-            lo, glo = x, gx
-        else:
-            hi, ghi = x, gx
-    return 0.5 * (lo + hi)

@@ -129,9 +129,23 @@ def test_energy_kappa_out_of_double_range_exits_3(capsys):
         assert "OverflowError" in err and "kappa" in err
 
 
+@pytest.mark.parametrize("flag, name", [("--gamma", "gamma_strength"),
+                                        ("--d-alpha", "d_alpha"), ("--hbar", "hbar")])
+def test_infinite_coupling_is_bad_input(tmp_path, capsys, flag, name):
+    # an infinite coupling is invalid input (exit 2), as nan is, not a
+    # level beyond the double range (exit 3)
+    code = cli.main(["--mode", "energy", flag, "inf"])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"{name} must be finite and positive, got inf" in err
+    code, path = run(tmp_path, "--mode", "sweep", "--sweep-alpha", "1.5", flag, "inf",
+                     "--format", "csv", out="s.csv")
+    _, rows = read_csv(path)
+    assert [r["status"] for r in rows] == ["domain_error"]
+
+
 @pytest.mark.parametrize("cls", [
     quadrature.QuadFailure, quadrature.NonIntegrable, quadrature.NonDecaying,
-    quadrature.NoBracket, deltawell.BracketFailure,
 ], ids=lambda cls: cls.__name__)
 def test_convergence_failures_share_one_base(cls):
     # the CLI maps NumericalFailure to exit code 3

@@ -9,7 +9,6 @@ import scipy.integrate as si
 
 from fracwell.quadrature import (
     BLOCK,
-    NoBracket,
     NonDecaying,
     NonIntegrable,
     QuadFailure,
@@ -17,7 +16,6 @@ from fracwell.quadrature import (
     _DE_TABLES,
     integrate_oscillatory,
     integrate_sinh,
-    root_itp,
 )
 
 
@@ -355,133 +353,3 @@ def test_oscillatory_error_estimate_covers_error(kernel, env, exact, power):
     assert np.all(np.abs(v - want) <= e)
     assert np.all(np.abs(v - want) <= 1e-13)
 
-
-# ------------------------------------------------------------- root finding
-
-def _itp(g, lo, hi, **kw):
-    return root_itp(g, lo, hi, g(lo), g(hi), **kw)
-
-
-def test_root_itp_cosine():
-    r = _itp(math.cos, 0.0, 2.0)
-    assert abs(r - math.pi / 2.0) < 1e-11
-
-
-def test_root_itp_endpoint_hit():
-    assert _itp(lambda x: x, 0.0, 1.0) == 0.0
-    assert _itp(lambda x: x - 1.0, 0.0, 1.0) == 1.0
-
-
-def test_root_itp_no_bracket():
-    with pytest.raises(NoBracket):
-        _itp(lambda x: x * x + 1.0, -1.0, 1.0)
-
-
-def test_root_itp_bad_interval():
-    with pytest.raises(ValueError):
-        _itp(math.cos, 2.0, 0.0)
-
-
-def test_root_itp_monotone_decreasing():
-    # the spectral condition is strictly decreasing; same orientation here
-    g = lambda x: 1.0 - x * x
-    r = _itp(g, 0.5, 3.0, tol=1e-13)
-    assert abs(r - 1.0) < 1e-12
-
-
-def test_root_itp_never_evaluates_endpoints():
-    for g, lo, hi in ((math.cos, 0.0, 2.0),
-                      (lambda x: 1.0 - x * x, 0.5, 3.0),
-                      (lambda x: math.exp(x) - 1e6, -5.0, 40.0)):
-        seen = []
-
-        def traced(x):
-            seen.append(x)
-            return g(x)
-
-        root_itp(traced, lo, hi, g(lo), g(hi))
-        assert seen and lo not in seen and hi not in seen
-        assert all(lo < x < hi for x in seen)
-
-
-def test_root_itp_linear_closes_in_two_steps():
-    # regula falsi lands on the root and the minimum step closes the
-    # bracket from the other side
-    tol = 1e-12
-    seen = []
-
-    def g(x):
-        seen.append(x)
-        return 0.7 - x
-
-    r = root_itp(g, 0.0, 1.0, 0.7, -0.3, tol=tol)
-    assert len(seen) <= 2
-    # the bracket the points leave: the largest below the root, the
-    # smallest above it
-    below = max([0.0] + [x for x in seen if x < 0.7])
-    above = min([1.0] + [x for x in seen if x > 0.7])
-    assert above - below <= tol or 0.7 in seen
-    assert abs(r - 0.7) <= tol
-
-
-def test_root_itp_lopsided_bracket_closes_in_two_steps():
-    # a linear g with 1e-13 of rounding, its root 2e-6 from the low end of
-    # a bracket whose width/tol sits just under a power of two, so the
-    # projection has almost no slack: a first point that falls short of
-    # the root used to leave the bracket as wide and force bisections
-    # (6 evaluations on 19 of these 40 roots)
-    for k in range(40):
-        root = 0.7 + k * 1.37e-7
-        seen = []
-
-        def g(x):
-            seen.append(x)
-            return (root - x) + 1e-13 * math.sin(1e9 * x)
-
-        lo = root - 2e-6
-        hi = lo + 0.2494
-        r = root_itp(g, lo, hi, root - lo, root - hi)
-        assert len(seen) <= 2, (k, len(seen))
-        assert abs(r - root) <= 1e-12
-
-
-# evaluations root_itp takes at tol 1e-12 on curved g, pinned so that a
-# change to its nudge or step rule shows its cost; x^9 - 1e-3 and
-# exp(x) - 1e6 stall regula falsi and sit on the bisection-plus-one bound
-_CURVED_WORK = {
-    "cos": (math.cos, 0.0, 2.0, 6),
-    "1-x^2": (lambda x: 1.0 - x * x, 0.5, 3.0, 12),
-    "x^9-1e-3": (lambda x: x ** 9 - 1e-3, 0.0, 1.0, 41),
-    "exp-1e6": (lambda x: math.exp(x) - 1e6, -5.0, 40.0, 47),
-}
-
-
-@pytest.mark.parametrize("name", list(_CURVED_WORK))
-def test_root_itp_curved_work_is_pinned(name):
-    g, lo, hi, work = _CURVED_WORK[name]
-    seen = []
-
-    def traced(x):
-        seen.append(x)
-        return g(x)
-
-    r = root_itp(traced, lo, hi, g(lo), g(hi))
-    assert len(seen) == work
-    assert abs(g(r)) <= 1e-9 * max(abs(g(lo)), abs(g(hi)))
-
-
-@pytest.mark.parametrize("jump", [0.1, 1.0 / 3.0, 0.7071067811865476, 0.999])
-@pytest.mark.parametrize("low", [-1.0, -1000.0])
-def test_root_itp_worst_case_step_bound(jump, low):
-    # a step function defeats interpolation; the projection must still
-    # hold ITP to bisection's step count plus one
-    lo, hi, tol = 0.0, 1.0, 1e-12
-    steps = [0]
-
-    def g(x):
-        steps[0] += 1
-        return 1.0 if x < jump else low
-
-    r = root_itp(g, lo, hi, 1.0, low, tol=tol)
-    assert steps[0] <= math.ceil(math.log2((hi - lo) / tol)) + 1
-    assert abs(r - jump) <= tol
