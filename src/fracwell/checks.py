@@ -229,7 +229,7 @@ def check_energy_scaling_oracle():
     want = c ** (a / (a - lam))
     return _result("energy_scaling_oracle", abs(ec / e1 - want) / want, 1e-6,
                    "oracle route, c = 2; J does not depend on E, so this "
-                   "tests the root-find and the algebra of p0")
+                   "tests the oracle's line in log|E| and the algebra of p0")
 
 
 def check_domain_window():

@@ -49,11 +49,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .gammafn import gammaln_sign
+from .gammafn import _log_sin_pi, gammaln_sign, loggamma
 from .hfox import HFoxParams, _evaluate
-from .measure import MeasureDim, integrate as measure_integrate
-from .quadrature import (QuadSpec, QuadFailure, integrate_oscillatory,
-                         integrate_sinh)
+from .measure import MeasureDim
+from .quadrature import (NumericalFailure, QuadSpec, QuadFailure,
+                         integrate_oscillatory, integrate_sinh)
 
 __all__ = ["SHAPE_TOL", "DomainError", "PotentialConfig", "BoundState",
            "energy_closed_form", "energy_oracle", "momentum_wavefunction",
@@ -162,11 +162,12 @@ def energy_closed_form(cfg):
     range.
     """
     a, lam = cfg.alpha, cfg.lam
-    # the three gammas in one kernel call, each as log Gamma(1 + x) - log x:
-    # every x is positive, and may lie below the kernel's pole tolerance
+    # the three gammas in one kernel call, each as log Gamma(1 + x) - log x: x > 0 may
+    # lie below the kernel's pole tolerance; log x is read off log lam (lam/2 is 0 at 5e-324)
     x = (lam / a, 1.0 - lam / a, 0.5 * lam)
+    log_x = (math.log(lam) - math.log(a), math.log(x[1]), math.log(lam) - math.log(2.0))
     lg1 = gammaln_sign(np.array([1.0 + v for v in x]))[0].tolist()
-    lg = [g - math.log(v) for g, v in zip(lg1, x)]
+    lg = [g - v for g, v in zip(lg1, log_x)]
     log_bracket = (math.log(cfg.gamma_strength)
                    + lg[0] + lg[1]
                    + (1.0 - lam) * math.log(2.0)
@@ -209,11 +210,11 @@ def _energy_condition(cfg, spec):
     taken once, every term is a log, and the t terms are one product, so
     h rounds relative to its constant rather than to t."""
     a, lam = cfg.alpha, cfg.lam
-    # log(rhs / nm), taken term by term so no power over- or underflows
-    log_target = (lam * math.log(2.0 * math.pi * cfg.hbar)
-                  - math.log(cfg.gamma_strength) - math.log(cfg.measure_norm))
-    const = (math.log(_radial_integral(cfg, spec)[0]) - lam * math.log(cfg.d_alpha) / a
-             - log_target)
+    # J first, which raises QuadFailure below lam ~ 1e-306 (before nm, 0 at lam =
+    # 5e-324, meets a log); then log(rhs / nm), term by term so nothing overflows
+    const = math.log(_radial_integral(cfg, spec)[0]) - lam * math.log(cfg.d_alpha) / a
+    const -= (lam * math.log(2.0 * math.pi * cfg.hbar)
+              - math.log(cfg.gamma_strength) - math.log(cfg.measure_norm))
     slope = (lam - a) / a
     return lambda t: const + slope * t
 
@@ -290,8 +291,10 @@ def _profile_block(cfg):
     and reflection formulas turn I's Mellin transform Gamma(s) cos(pi s/2)
     (pi/alpha) / sin(pi (lam-s)/alpha) into sqrt(pi)/(2 alpha) 2^s h(s)."""
     r, e = 1.0 - cfg.lam / cfg.alpha, 1.0 / cfg.alpha
-    return HFoxParams(m=2, n=1, upper=((r, e),),
-                      lower=((0.0, 0.5), (r, e), (0.5, 0.5)))
+    try:
+        return HFoxParams(m=2, n=1, upper=((r, e),), lower=((0.0, 0.5), (r, e), (0.5, 0.5)))
+    except ValueError as err:   # strip 0 < Re s < lam inside the engine's pole tolerance
+        raise NumericalFailure(f"lam = {cfg.lam!r} too small for the H route: {err}") from None
 
 
 def _profile_hfox(cfg, y, spec):
@@ -342,39 +345,36 @@ def _x0_identity(cfg, state, spec):
     return want * math.exp(_energy_condition(cfg, spec)(math.log(-state.energy))), want
 
 
-# below this y the Ooura-Mori nodes of the quadrature route sample I's knee
-# too sparsely to hold I to 1e-9
-_Y_HEAD = 1e-5
-
-
 def normalize(state, cfg, spec=QuadSpec()):
     """Fix the amplitude so that int |phi(x)|^2 d^lam x = 1.
 
     phi = P I(kappa|x|) is even, so the norm is 2 P^2 kappa^-lam times
-    int_0^inf I(y)^2 d^lam y: O(I(0)^2) whatever gamma, D and kappa are,
-    taken on the quadrature route above Y = _Y_HEAD.  Below Y, I(y) =
-    J - D (y/Y)^(alpha-lam) with D = J - I(Y), its leading small-y form
-    (q = v/y in J - I(y) = int (1 - cos qy) q^(lam-1)/(1 + q^alpha) dq),
-    so the part below Y is Y^lam (J^2/lam - 2 J D/alpha + D^2/(2 alpha -
-    lam)), off by a relative O(Y^min(2, 2 alpha - lam)).  Below lam of
-    about 0.077 the y^(-lam) tail of I^2 y^lam reaches y ~ 1e280, where
-    the route's nodes u/y underflow and it raises OverflowError.  P is
-    formed at unit amplitude, so the operation is idempotent by
-    construction.
+    int_0^inf I(y)^2 d^lam y, and int_0^inf I(y)^2 y^(lam-1) dy = (1/pi)
+    int_0^inf |M(lam/2 + it)|^2 dt by Mellin-Parseval, M(s) = Gamma(s)
+    cos(pi s/2) (pi/alpha) / sin(pi (lam-s)/alpha) being I's Mellin
+    transform (Paris & Kaminski, Asymptotics and Mellin-Barnes Integrals,
+    2001, ch. 3).  |M|^2 is flat to t ~ lam/2 and falls as e^(-2 pi
+    t/alpha), so in t = (lam/2) e^v it is a bump of unit width: one
+    integrate_sinh call, on lam^3 |M|^2 t formed in logs, O(1) at every
+    lam.  Where lam/2 underflows the line meets M's pole at 0 or lam, the
+    integrand is inf and integrate_sinh raises NonIntegrable.  P is formed
+    at unit amplitude, so the operation is idempotent by construction.
     """
-    lam = cfg.lam
+    a, lam = cfg.alpha, cfg.lam
+    log_t0 = math.log(lam) - math.log(2.0)   # 0.5 * lam is 0 at lam = 5e-324
+    const = 2.0 * math.log(math.pi / a) + 3.0 * math.log(lam) + log_t0
 
-    def f(y):
-        return _profile_quadrature(cfg, y, spec)[0] ** 2
+    def g(v):
+        s = 0.5 * lam + 1j * np.exp(log_t0 + v)
+        with np.errstate(divide="ignore"):
+            log_m = loggamma(s) + _log_sin_pi(0.5 * s + 0.5) - _log_sin_pi((lam - s) / a)
+        return np.exp(2.0 * log_m.real + const + v)
 
-    tail, _ = measure_integrate(cfg.dim, f, (_Y_HEAD, np.inf), spec)
-    j, i_head = _profile_quadrature(cfg, np.array([0.0, _Y_HEAD]), spec)[0]
-    d = j - i_head
-    head = (cfg.dim.weight_norm * _Y_HEAD ** lam
-            * (j * j / lam - 2.0 * j * d / cfg.alpha + d * d / (2.0 * cfg.alpha - lam)))
-    # the square root first, so no power of P or kappa over- or underflows
-    nrm = (_profile_amplitude(replace(state, amplitude=1.0), cfg)
-           * math.sqrt(2.0 * (head + tail)) * state.kappa ** (-0.5 * lam))
+    k, _ = integrate_sinh(g, 1.0, spec)
+    # lam out of P and of the root, so no power of lam, P or kappa over- or underflows
+    nrm = (_profile_amplitude(replace(state, amplitude=1.0), cfg) / lam
+           * math.sqrt(2.0 * (cfg.dim.weight_norm / lam) * k / math.pi)
+           * state.kappa ** (-0.5 * lam))
     if not (nrm > 0 and math.isfinite(nrm)):
-        raise QuadFailure(f"norm came out {nrm} (half-line integral {head + tail})")
+        raise QuadFailure(f"norm came out {nrm} (lam^3 int |M|^2 dt = {k})")
     return replace(state, amplitude=1.0 / nrm)

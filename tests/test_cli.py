@@ -260,6 +260,61 @@ def test_wavefunction_knee_overflow_prints_the_classical_rows(tmp_path):
         assert float(r["phi_hfox"]) == pytest.approx(want, rel=1e-11)
 
 
+@pytest.mark.parametrize("alpha, lam, want", [
+    ("1.5", "0.05", 0.7706457778459685), ("1.5", "1e-3", 0.7083074106339453),
+    ("1.2", "1e-8", 0.7071067931790682)])
+def test_wavefunction_at_small_lambda(tmp_path, capsys, alpha, lam, want):
+    # below lam ~ 0.077 the profile's y^(-lam) tail passes the double range
+    # in position space; the norm is read off its Mellin transform instead
+    # (want: 30-digit mpmath values at gamma = D = hbar = 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, path = run(tmp_path, "--mode", "wavefunction", "--alpha", alpha,
+                         "--lambda", lam, "--x-min", "0", "--x-max", "6",
+                         "--x-steps", "7", out="w.csv")
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    comments, rows = read_csv(path)
+    meta = dict(c.lstrip("# ").split(" = ") for c in comments)
+    assert float(meta["normalization"]) == pytest.approx(want, rel=1e-10)
+    assert len(rows) == 7
+
+
+@pytest.mark.parametrize("lam", ["1e-13", "1e-15"])
+def test_wavefunction_h_strip_below_pole_tolerance_exits_3(capsys, lam):
+    # the H block's strip 0 < Re s < lam is narrower than the engine's pole
+    # tolerance; the block comes from valid input, so this is a typed
+    # numerical failure that names lam, not bad input (exit 2)
+    code = cli.main(["--mode", "wavefunction", "--alpha", "1.5", "--lambda", lam,
+                     "--x-steps", "3"])
+    assert code == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"NumericalFailure: lam = {float(lam)!r}" in err
+
+
+_TYPED = {c.__name__ for c in (NumericalFailure, OverflowError,
+                               *NumericalFailure.__subclasses__())}
+
+
+@pytest.mark.parametrize("mode", ["energy", "wavefunction"])
+@pytest.mark.parametrize("lam", ["1e-300", "1e-310", "1e-320", "5e-324"])
+def test_subnormal_lambda_prints_or_fails_typed(capsys, lam, mode):
+    # lam/2 loses digits below 2.2e-308 and is 0 at 5e-324: each request
+    # is valid, so it prints (exit 0) or fails typed (exit 3), unwarned
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["--mode", mode, "--alpha", "1.5", "--lambda", lam,
+                         "--x-steps", "3"])
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert err == "" and out != ""
+    else:
+        assert code == 3 and out == ""
+        failure = re.fullmatch(r"fracwell: convergence failure: (\w+): .*\n", err)
+        assert failure and failure[1] in _TYPED, err
+
+
 def test_wavefunction_byte_deterministic(tmp_path):
     args = ["--mode", "wavefunction", "--alpha", "1.8", "--lambda", "0.5",
             "--x-min", "0", "--x-max", "4", "--x-steps", "6",

@@ -220,13 +220,14 @@ def test_validate_contour_work_counter(monkeypatch):
 
 
 def test_validate_gamma_kernel_work_is_pinned(monkeypatch):
-    # deterministic work of one validation run: 117 gamma-kernel calls
-    # over 12054 arguments, 9460 of them complex, and 27 _log_h calls
-    # (136, 12410, 9844 and 38 when each contour line took its probes and
+    # deterministic work of one validation run: 119 gamma-kernel calls
+    # over 12183 arguments, 9589 of them complex, and 27 _log_h calls
+    # (138, 12539, 9973 and 38 when each contour line took its probes and
     # each level in calls of their own and every factor row its own gamma
-    # pass); the Mellin grids end where the first omitted residue is 1e-17
-    # of the leading one, 43 + 45 nodes (351 + 629 when the cut read the
-    # pole gap alone)
+    # pass); normalize's Mellin-Parseval integrand takes two of the calls,
+    # on 65 + 64 complex nodes; the Mellin grids end where the first
+    # omitted residue is 1e-17 of the leading one, 43 + 45 nodes (351 +
+    # 629 when the cut read the pole gap alone)
     from fracwell import checks, gammafn
     kernel, log_h, grids = [], [], []
     core, _log_h, evaluate = gammafn._core_loggamma, hf._log_h, hf._evaluate
@@ -242,9 +243,9 @@ def test_validate_gamma_kernel_work_is_pinned(monkeypatch):
     monkeypatch.setattr(gammafn, "_core_loggamma", counted_core)
     monkeypatch.setattr(hf, "_log_h", counted_log_h)
     assert all(r.passed for r in checks.run_all())
-    assert len(kernel) == 117 and len(log_h) == 27
-    assert sum(n for n, _ in kernel) == 12054
-    assert sum(n for n, complex_ in kernel if complex_) == 9460
+    assert len(kernel) == 119 and len(log_h) == 27
+    assert sum(n for n, _ in kernel) == 12183
+    assert sum(n for n, complex_ in kernel if complex_) == 9589
 
     def grid(params, z, quad):
         grids.append(np.size(z))
@@ -486,14 +487,21 @@ def test_normalize_matches_mellin_parseval(alpha, lam):
                     rtol=1e-8)
 
 
-@pytest.mark.parametrize("lam", [0.05, 0.07])
-def test_normalize_refuses_where_its_tail_passes_double_range(lam):
-    # the integrand falls off as y^(-lam), so its e^-40 point lies past
-    # y = 1.8e308 at lam = 0.05, and past 1e279, where the oscillatory
-    # nodes u/y underflow, at 0.07 (ROADMAP item 3)
-    cfg = PotentialConfig(alpha=1.5, lam=lam)
-    with pytest.raises(OverflowError, match="knee"):
-        dw.normalize(dw.energy_closed_form(cfg), cfg)
+@pytest.mark.parametrize("alpha, lam, want", [
+    (1.5, 0.05, 0.7706457778459685), (1.5, 0.01, 0.7192379880611765),
+    (1.5, 1e-3, 0.7083074106339453), (1.2, 1e-8, 0.7071067931790682),
+    (1.05, 1.0, 8261381909.015924),
+    (1.5, 0.8, 3.824833423168633), (1.2, 0.3, 1.2670262360256568),
+    (1.5, 0.1, 0.8419235065237934)])
+def test_normalize_matches_reference_amplitudes(alpha, lam, want):
+    # gamma = D = hbar = 1.  The first five are 30-digit mpmath values of
+    # 1/norm, lam down to 1e-8, where the position-space integrand's
+    # y^(-lam) tail passes the double range; the last three come from
+    # int I(y)^2 d^lam y taken in position space (nested exp-sinh and
+    # Ooura-Mori quadratures of the profile, with a small-y head form)
+    cfg = PotentialConfig(alpha=alpha, lam=lam)
+    assert_allclose(dw.normalize(dw.energy_closed_form(cfg), cfg).amplitude,
+                    want, rtol=1e-10)
 
 
 def test_normalize_idempotent():
