@@ -55,8 +55,8 @@ def main():
         show("after cancellation", step)
 
     print("\nnumeric consistency along the chain at z = 0.7:")
-    v_full = eval_contour(shifted, 0.7).value
-    v_red = eval_auto(step, 0.7).value
+    v_full = eval_contour(shifted, 0.7)[0]
+    v_red = eval_auto(step, 0.7)[0]
     print(f"   unreduced (contour): {v_full:.15f}")
     print(f"   reduced   (series):  {v_red:.15f}")
     print(f"   e^-0.7:              {math.exp(-0.7):.15f}")

@@ -7,8 +7,9 @@ The package has four numerical layers plus a command line front end:
   in the package is cross-checked against this layer, so it stays
   deliberately independent of the rest.
 - ``gammafn`` / ``hfox``: complex gamma kernel and a Fox H-function
-  engine (residue series with a Mellin-Barnes contour fallback behind
-  eval_auto, Mellin transform, parameter algebra).
+  engine (eval_auto: residue series with eval_contour, the Mellin-Barnes
+  contour, as its fallback; Mellin transform; parameter algebra), each
+  evaluation over a whole argument array.
 - ``measure``: the fractional measure d^lam(x), its delta family,
   Fourier transforms.
 - ``deltawell``: the spectral problem itself; closed-form energy, an

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gammafn import gamma_real
-from .hfox import (HFoxParams, _evaluate, mellin_numeric_check,
+from .hfox import (HFoxParams, eval_auto, mellin_numeric_check,
                    rescale_power, reduce_fully, cosine_transform,
                    cosine_transform_check)
 from .measure import MeasureDim, DeltaFamily, integrate as measure_integrate, \
@@ -96,21 +96,16 @@ def check_delta_sifting():
 
 # --- H-function engine ------------------------------------------------------
 
-def _values(params, z):
-    """H values of params at every z, from one engine call."""
-    return _evaluate(params, z, _QUAD)[0]
-
-
 def check_hfox_exp():
     z = np.array([0.1, 1.0, 5.0])
-    worst = np.max(np.abs(_values(_EXP, z) - np.exp(-z)) / np.exp(-z))
+    worst = np.max(np.abs(eval_auto(_EXP, z, _QUAD)[0] - np.exp(-z)) / np.exp(-z))
     return _result("hfox_exp_pointwise", worst, 1e-10,
                    "H^{1,0}_{0,1}[z|(0,1)] vs exp(-z) at z in {0.1,1,5}")
 
 
 def check_hfox_rational():
     z = np.array([0.3, 1.26, 3.0])
-    worst = np.max(np.abs(_values(_RAT, z) - 1.0 / (1.0 + z)) * (1.0 + z))
+    worst = np.max(np.abs(eval_auto(_RAT, z, _QUAD)[0] - 1.0 / (1.0 + z)) * (1.0 + z))
     return _result("hfox_rational_pointwise", worst, 1e-10,
                    "H^{1,1}_{1,1}[z|(0,1);(0,1)] vs 1/(1+z), includes the "
                    "inversion region")
@@ -148,8 +143,8 @@ def check_hfox_rescale():
     _, ct = _classical_chain()
     new, mult = rescale_power(ct.params, 2.0)
     z = np.array([0.6, 1.1])
-    lhs = _values(ct.params, z ** 2.0)
-    worst = _worst_rel(mult * _values(new, z), lhs)
+    lhs = eval_auto(ct.params, z ** 2.0, _QUAD)[0]
+    worst = _worst_rel(mult * eval_auto(new, z, _QUAD)[0], lhs)
     return _result("hfox_rescale_identity", worst, 1e-8,
                    "argument-power identity on the classical chain block")
 
@@ -158,7 +153,7 @@ def check_hfox_cancellation():
     _, ct = _classical_chain()
     reduced = reduce_fully(ct.params)
     z = np.array([0.25, 0.7])
-    worst = _worst_rel(_values(ct.params, z), _values(reduced, z))
+    worst = _worst_rel(eval_auto(ct.params, z, _QUAD)[0], eval_auto(reduced, z, _QUAD)[0])
     return _result("hfox_cancellation_chain", worst, 1e-8,
                    f"{ct.params.m+ct.params.n}+{ct.params.p}+{ct.params.q} "
                    f"block vs its {reduced.p}+{reduced.q} reduction")

@@ -301,8 +301,9 @@ def run_hfox_eval(rc):
     quad = _quad(rc)
     rows = []
     for z in zs:
-        out = eval_auto(params, z, quad)
-        rows.append([z, out.value, out.err_est, out.method])
+        # one engine call per z: a contour value depends on the grid it shares
+        v, e, series = eval_auto(params, z, quad)
+        rows.append([z, float(v), float(e), "series" if series else "contour"])
     meta = _base_meta(rc, {"hfox": rc["hfox"]})
     _emit(rc, meta, ["z", "value", "err_est", "method"], rows)
     return 0

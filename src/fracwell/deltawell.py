@@ -50,7 +50,7 @@ from functools import cached_property
 import numpy as np
 
 from .gammafn import _log_sin_pi, gammaln_sign, loggamma
-from .hfox import HFoxParams, _evaluate
+from .hfox import HFoxParams, eval_auto
 from .measure import MeasureDim
 from .quadrature import (NumericalFailure, QuadSpec, QuadFailure,
                          integrate_oscillatory, integrate_sinh)
@@ -103,10 +103,14 @@ class PotentialConfig:
     def dim(self):
         return MeasureDim(self.lam)
 
-    @property
+    @cached_property
     def measure_norm(self):
-        """Surface factor 2 pi^(lam/2) / Gamma(lam/2) of the measure."""
-        return 2.0 * self.dim.weight_norm
+        """Surface factor 2 pi^(lam/2) / Gamma(lam/2) of the measure, as
+        lam pi^(lam/2) / Gamma(1 + lam/2): twice dim.weight_norm bit for bit
+        at normal lam, and lam itself, not 0, at the smallest subnormal
+        lam, where lam/2 rounds to 0."""
+        lam = self.lam
+        return math.pi ** (lam / 2.0) * lam / math.exp(gammaln_sign(1.0 + lam / 2.0)[0])
 
 
 @dataclass(frozen=True)
@@ -305,7 +309,7 @@ def _profile_hfox(cfg, y, spec):
     value = np.full_like(y, math.pi / (a * math.sin(math.pi * lam / a)))
     err = np.zeros_like(y)
     pos = y > 0
-    h, e, _ = _evaluate(_profile_block(cfg), y[pos] / 2.0, spec)
+    h, e, _ = eval_auto(_profile_block(cfg), y[pos] / 2.0, spec)
     c = math.sqrt(math.pi) / (2.0 * a)
     value[pos], err[pos] = c * h, c * e
     return value, err
@@ -373,7 +377,7 @@ def normalize(state, cfg, spec=QuadSpec()):
     k, _ = integrate_sinh(g, 1.0, spec)
     # lam out of P and of the root, so no power of lam, P or kappa over- or underflows
     nrm = (_profile_amplitude(replace(state, amplitude=1.0), cfg) / lam
-           * math.sqrt(2.0 * (cfg.dim.weight_norm / lam) * k / math.pi)
+           * math.sqrt(cfg.measure_norm / lam * k / math.pi)
            * state.kappa ** (-0.5 * lam))
     if not (nrm > 0 and math.isfinite(nrm)):
         raise QuadFailure(f"norm came out {nrm} (lam^3 int |M|^2 dt = {k})")

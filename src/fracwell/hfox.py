@@ -1,6 +1,7 @@
-"""Fox H-function engine: one way to an H value (the dispatcher _evaluate
-behind eval_auto), Mellin transform, and the parameter algebra (argument
-rescaling, pair cancellation, cosine transform).
+"""Fox H-function engine: one way to an H value (the dispatcher
+eval_auto, with eval_contour as its fallback), Mellin transform, and the
+parameter algebra (argument rescaling, pair cancellation, cosine
+transform).  Each evaluation takes a whole argument set of any shape.
 
 An H-function exists only for a valid parameter block: orders in range,
 every A_j, B_j > 0, and no left pole on a right pole (Kilbas & Saigo,
@@ -17,13 +18,13 @@ The engine evaluates
     h(s) = prod_{j<=m} Gamma(b_j + B_j s) * prod_{j<=n} Gamma(1 - a_j - A_j s)
          / ( prod_{j>m} Gamma(1 - b_j - B_j s) * prod_{j>n} Gamma(a_j + A_j s) ),
 
-with w = arg_scale * z.  _factors is the one place where this layout
-lives: every routine that evaluates h(s), bounds its strip or sums its
-residues reads the factor table from there.  A block builds that table,
-its strip and its swapped block once, when it is made, so no evaluation
-builds them again; none of them depends on the gamma kernel.  Source
-texts for this function family disagree on the sign of the A_j s / B_j s
-terms and on the kernel power (z^s vs z^{-s}); the convention above is
+with w = arg_scale * z.  A block's _factors field is the one place where
+this layout lives: every routine that evaluates h(s), bounds its strip or
+sums its residues reads the factor table from there.  A block builds that
+table, its strip and its swapped block once, when it is made (see
+HFoxParams), so no evaluation builds them again.  Source texts for this
+function family disagree on the sign of the A_j s / B_j s terms and on
+the kernel power (z^s vs z^{-s}); the convention above is
 the one fixed by the anchor values H^{1,0}_{0,1}[z|(0,1)] = exp(-z),
 H^{1,1}_{1,1}[z|(0,1);(0,1)] = 1/(1+z), and the Mellin transform value
 Gamma(1/2)^2 = pi of the rational family at s = 1/2, all of which are
@@ -31,7 +32,7 @@ enforced by the test suite against the quadrature oracle.
 
 Pole families: Gamma(b_j + B_j s), j <= m, contributes the left set
 s = -(b_j + k)/B_j; Gamma(1 - a_j - A_j s), j <= n, the right set
-s = (1 - a_j + k)/A_j.  _evaluate first sums the residue series over
+s = (1 - a_j + k)/A_j.  eval_auto first sums the residue series over
 the left set, the ascending expansion; where it converges only inside
 |w| < radius, it continues it through the inversion identity
 
@@ -39,10 +40,10 @@ the left set, the ascending expansion; where it converges only inside
 
 Each argument's series stops on its own terms (_series_core), so a
 series value does not depend on the rest of its grid.  What the series
-cannot sum or does not pass goes to one contour call (see _evaluate);
-eval_contour is the contour alone.  Arguments on one contour line share
-its t_max, first step and halvings, sized by the largest |log w| among
-them, so a contour value's last digits and err_est depend on the others.
+cannot sum or does not pass goes to one eval_contour call, the contour
+alone.  Arguments on one contour line share its t_max, first step and
+halvings, sized by the largest |log w| among them, so a contour value's
+last digits and err_est depend on the others.
 
 The contour takes H(w) = (1/pi) int_0^inf Re[h(c + it) w^{-c-it}] dt on
 a line Re s = c right of the left poles (_contour_position) and adds back
@@ -77,7 +78,6 @@ from .quadrature import BLOCK, QuadFailure, QuadSpec, integrate_oscillatory
 
 __all__ = [
     "HFoxParams",
-    "EvalOutcome",
     "CosineTransform",
     "MellinCheck",
     "CosineTransformCheck",
@@ -138,12 +138,27 @@ class HFoxParams:
     A block that defines no H-function raises ValueError with every
     reason _violations finds.
 
-    A block builds its gamma-free tables once, when it is made: the
-    factor table (_factors), the fundamental strip (_strip) and the
-    swapped block of the inversion identity (_swap).  The swapped block
-    comes with its own tables but is not validated again: the identity
-    maps a valid block to a valid one.  Nothing here depends on the
-    gamma kernel, whose coefficients may change between calls.
+    A block builds its gamma-free tables once, when it is made, as
+    read-only fields:
+
+    - _factors, the table (c, d, e) with h(s) = prod Gamma(c + d s)^e.
+      Rows run lower[:m], upper[:n] (numerators, e = +1), then lower[m:],
+      upper[n:] (denominators, e = -1).  A numerator row with d > 0 is a
+      left pole family, one with d < 0 a right family.
+    - _distinct, the distinct (c, d) rows and each row's index among
+      them, or the rows themselves and None when every row is distinct:
+      _log_h takes one gamma pass per distinct row.
+    - _strip, the fundamental strip (left_max, right_min): the rightmost
+      left pole and the leftmost right pole, -inf / +inf for an empty
+      family.
+    - _swap, the block of the inversion identity H[w | params] =
+      H[1/w | _swap], which exchanges the roles of the left and right
+      pole families (arg_scale 1).  It comes with its own tables but is
+      not validated again: the identity maps a valid block to a valid
+      one.
+
+    Nothing here depends on the gamma kernel, whose coefficients may
+    change between calls.
     """
 
     m: int
@@ -151,9 +166,10 @@ class HFoxParams:
     upper: tuple
     lower: tuple
     arg_scale: float = 1.0
-    _table: tuple = field(init=False, repr=False, compare=False)
-    _edges: tuple = field(init=False, repr=False, compare=False)
-    _mirror: "HFoxParams" = field(init=False, repr=False, compare=False)
+    _factors: tuple = field(init=False, repr=False, compare=False)
+    _distinct: tuple = field(init=False, repr=False, compare=False)
+    _strip: tuple = field(init=False, repr=False, compare=False)
+    _swap: "HFoxParams" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "upper", tuple((float(a), float(A)) for a, A in self.upper))
@@ -162,7 +178,7 @@ class HFoxParams:
         bad = _violations(self)
         if bad:
             raise ValueError("invalid H-function parameters: " + "; ".join(bad))
-        object.__setattr__(self, "_mirror", _mirrored(self))
+        object.__setattr__(self, "_swap", _mirrored(self))
 
     @property
     def p(self):
@@ -171,13 +187,6 @@ class HFoxParams:
     @property
     def q(self):
         return len(self.lower)
-
-
-@dataclass(frozen=True)
-class EvalOutcome:
-    value: float
-    err_est: float
-    method: str
 
 
 @dataclass(frozen=True)
@@ -211,16 +220,13 @@ class CosineTransformCheck:
 
 
 def _build_tables(params):
-    """Set params' factor table and strip (see _factors and _strip)."""
+    """Set params' _factors, _distinct and _strip (see HFoxParams)."""
     m, n = params.m, params.n
     rows = ([(b, B, 1.0) for b, B in params.lower[:m]]
             + [(1.0 - a, -A, 1.0) for a, A in params.upper[:n]]
             + [(1.0 - b, -B, -1.0) for b, B in params.lower[m:]]
             + [(a, A, -1.0) for a, A in params.upper[n:]])
     table = np.array(rows, dtype=float).reshape(-1, 3)
-    # the distinct (c, d) rows and each row's index among them, or the rows
-    # themselves and None when every row is distinct: _log_h takes one
-    # gamma pass per distinct row
     distinct = {}
     index = [distinct.setdefault(row[:2], len(distinct)) for row in rows]
     if len(distinct) == len(rows):
@@ -232,8 +238,9 @@ def _build_tables(params):
             a.flags.writeable = False
     left = [-c / d for c, d, e in rows if e > 0 and d > 0]
     right = [-c / d for c, d, e in rows if e > 0 and d < 0]
-    object.__setattr__(params, "_table", (*table.T, *cd.T, index))
-    object.__setattr__(params, "_edges", (max(left, default=-math.inf),
+    object.__setattr__(params, "_factors", tuple(table.T))
+    object.__setattr__(params, "_distinct", (*cd.T, index))
+    object.__setattr__(params, "_strip", (max(left, default=-math.inf),
                                           min(right, default=math.inf)))
 
 
@@ -248,25 +255,8 @@ def _mirrored(params, back=None):
                         ("lower", tuple((1.0 - a, A) for a, A in params.upper))):
         object.__setattr__(sw, name, value)
     _build_tables(sw)
-    object.__setattr__(sw, "_mirror", _mirrored(sw, sw) if back is None else back)
+    object.__setattr__(sw, "_swap", _mirrored(sw, sw) if back is None else back)
     return sw
-
-
-def _factors(params):
-    """Gamma-factor table (c, d, e) with h(s) = prod Gamma(c + d s)^e.
-
-    Rows run lower[:m], upper[:n] (numerators, e = +1), then lower[m:],
-    upper[n:] (denominators, e = -1).  A numerator row with d > 0 is a
-    left pole family, one with d < 0 a right family.  Built once, with
-    the block; read-only.
-    """
-    return params._table[:3]
-
-
-def _strip(params):
-    """Fundamental strip (left_max, right_min): the rightmost left pole
-    and the leftmost right pole, -inf / +inf for an empty family."""
-    return params._edges
 
 
 def _violations(params):
@@ -295,10 +285,10 @@ def _violations(params):
         v.append(f"arg_scale must be finite and positive, got {params.arg_scale}")
     if v or m == 0 or n == 0:
         return v
-    left_max, right_min = _strip(params)
+    left_max, right_min = params._strip
     if left_max < right_min - COINCIDENCE_TOL:
         return v
-    c, d, _ = _factors(params)
+    c, d, _ = params._factors
     # poles k of left family fam[k] at s[k] >= right_min - 1e-9
     ks = [np.arange(min(max(0, math.floor((1e-9 - right_min) * d[j] - c[j]) + 1),
                         _POLE_CAP)) for j in range(m)]
@@ -320,7 +310,7 @@ def _violations(params):
 def _mu_log_rho(params):
     """(mu, log rho): mu = sum(B) - sum(A) and rho = prod B^B / prod A^A,
     each row of _factors adding e d and e d log|d|."""
-    _, d, e = _factors(params)
+    _, d, e = params._factors
     return float(np.sum(e * d)), float(np.sum(e * d * np.log(np.abs(d))))
 
 
@@ -335,13 +325,6 @@ def _radius(params):
     return math.exp(log_rho)
 
 
-def _swap(params):
-    """Inversion identity: H[w | params] = H[1/w | swapped], which
-    exchanges the roles of the left and right pole families; the block
-    built with params (arg_scale 1)."""
-    return params._mirror
-
-
 # --- residue series -------------------------------------------------------
 
 def _residues(params, terms):
@@ -353,7 +336,7 @@ def _residues(params, terms):
     Each entry depends on k alone, so the horizons of _series_core (32,
     64, ..., _MAX_TERMS terms) read heads of one table."""
     m = params.m
-    c, d, e = _factors(params)
+    c, d, e = params._factors
     ks = np.arange(terms)
     power = (c[:m, None] + ks) / d[:m, None]
     logabs = np.array([-_LOG_FACT[:terms] - math.log(B) for B in d[:m]]).reshape(m, terms)
@@ -447,7 +430,7 @@ def _log_h_real(params, s):
     """(log|h(s)|, sign of h(s)) at real s (scalar or 1-d), one
     gammaln_sign call over the factor table.  Where any gamma argument
     sits on a pole the pair is (inf, 0.0)."""
-    c, d, e = _factors(params)
+    c, d, e = params._factors
     la, sg = gammaln_sign(c + d * np.asarray(s, dtype=float)[..., None])
     sign = np.prod(sg, axis=-1)
     with np.errstate(invalid="ignore"):
@@ -460,7 +443,7 @@ def _contour_position(params, w):
     left poles: the rung c = left_max + 0.5, 1, 2, ..., 512 that minimizes
     the larger of the t = 0 amplitude |h(c)| w^{-c} and the largest
     residue at the right poles left of c; passed is the sum of those
-    residues and top the largest, the first terms of _swap(params)'s
+    residues and top the largest, the first terms of params._swap's
     series at 1/w.  A rung where h is 0, infinite or nan, or that passes
     a double pole or the table's end, is never taken; ties go to the
     first rung, which is also taken (with passed nan) when none is usable.
@@ -475,11 +458,11 @@ def _contour_position(params, w):
     every argument, the table stops.  A rung inside the table reads the
     same poles in the same order at any size, so the choice and both
     sums are those of the whole table, bit for bit."""
-    c = _strip(params)[0] + 2.0 ** np.arange(-1, 10)
-    logh, logw, n, swapped = _log_h_real(params, c)[0], np.log(w), params.n, _swap(params)
+    c = params._strip[0] + 2.0 ** np.arange(-1, 10)
+    logh, logw, n, swapped = _log_h_real(params, c)[0], np.log(w), params.n, params._swap
     # the whole table holds the poles left of the last rung where h is
     # finite; none is passed at or beyond its first double pole or its end
-    cs, ds, _ = _factors(swapped)
+    cs, ds, _ = swapped._factors
     reach = c[np.max(np.flatnonzero(logh < math.inf), initial=0)]
     whole = min(_MAX_TERMS, max(0, math.floor(np.max(reach * ds[:n] - cs[:n], initial=-1)) + 1))
     at, terms = np.arange(w.size), min(whole, _LADDER_TERMS)
@@ -511,7 +494,7 @@ def _passed_residues(swapped, terms, c, logw):
     big, tot = np.full((c.size, logw.size), -np.inf), np.zeros((c.size, logw.size))
     beyond, limit = np.full(logw.size, -np.inf), math.inf
     if terms:
-        cs, ds, _ = _factors(swapped)
+        cs, ds, _ = swapped._factors
         power, logabs, sign, clash = _residues(swapped, terms)
         limit = np.min((cs[:n] + clash) / ds[:n])
         live = sign != 0.0   # a vanishing residue adds nothing
@@ -538,7 +521,7 @@ def _log_h(params, s):
     sum, so a repeated row costs nothing and the sum is that of the whole
     table, bit for bit (a numerator and a denominator row that cancel are
     still both summed)."""
-    _, _, e, c, d, index = params._table
+    e, (c, d, index) = params._factors[2], params._distinct
     s = np.asarray(s, dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore"):
         lg = loggamma(c[:, None] + d[:, None] * s.reshape(1, -1))
@@ -573,12 +556,12 @@ def _contour(params, w, quad):
     line of more than _MAX_NODES nodes at any level raises QuadFailure.
     The passed residues are added back, with LANCZOS_REL_ACC times the
     largest in err_est.  A block with no left poles (m = 0) is taken as
-    _swap(params) at 1/w, so every line lies right of the left poles of
+    params._swap at 1/w, so every line lies right of the left poles of
     its own block.
     """
     if params.m == 0:
-        return _contour(_swap(params), 1.0 / w, quad)
-    _, d, e = _factors(params)
+        return _contour(params._swap, 1.0 / w, quad)
+    _, d, e = params._factors
     delta = float(np.sum(e * np.abs(d)))
     if delta <= 0:
         raise QuadFailure(f"contour integrand does not decay (delta = {delta})")
@@ -636,81 +619,71 @@ def _contour(params, w, quad):
 
 
 def eval_contour(params, z, quad=QuadSpec()):
-    """Mellin-Barnes line integral of H[arg_scale * z] at scalar z > 0:
-    _contour at one argument, QuadFailure where it does not settle."""
-    if not (math.isfinite(z) and z > 0):
-        raise ValueError(f"argument must be finite and positive, got {z!r}")
-    w = params.arg_scale * float(z)
-    v, e = _contour(params, np.array([w]), quad)
-    if not np.isfinite(e[0]):
-        raise QuadFailure(f"contour did not settle at w = {w:.6g}")
-    return EvalOutcome(value=float(v[0]), err_est=float(e[0]), method="contour")
-
-
-def _evaluate(params, z, quad):
-    """The one H-value dispatcher: (values, err_ests, from_series) at
-    finite positive z of any shape.  The direct series serves scaled
-    arguments w = arg_scale * z inside 0.8 of the series radius
-    (_radius), the inversion identity (the swapped block at 1/w) those
-    beyond 1.25 of it; a series value stands when finite with err_est <=
-    max(5e-14, 1e-8 |value|).  Every other argument goes to one _contour
-    call, and one where the contour does not settle raises QuadFailure.
-    """
+    """Mellin-Barnes line integrals of H[arg_scale * z] at z of any shape:
+    (values, err_ests) in z's shape, from one _contour call.  ValueError
+    names the first z that is not finite and positive, QuadFailure the
+    first w = arg_scale * z where the contour did not settle."""
     z = np.asarray(z, dtype=float)
     good = np.isfinite(z) & (z > 0)
     if not np.all(good):
         raise ValueError(f"arguments must be finite and positive, got {z[~good][0]}")
-    # the scale is in w: nothing below reads params.arg_scale
     w = params.arg_scale * z.reshape(-1)
+    vals, errs = _contour(params, w, quad)
+    lost = np.flatnonzero(~np.isfinite(errs))
+    if lost.size:
+        raise QuadFailure(f"contour did not settle at w = {w[lost[0]]:.6g}")
+    return vals.reshape(z.shape), errs.reshape(z.shape)
+
+
+def eval_auto(params, z, quad=QuadSpec()):
+    """The one H-value dispatcher: (values, err_ests, from_series) in z's
+    shape.  The direct series serves scaled arguments w = arg_scale * z
+    inside 0.8 of the series radius (_radius), the inversion identity (the
+    swapped block at 1/w) those beyond 1.25 of it; a series value stands
+    when finite with err_est <= max(5e-14, 1e-8 |value|).  Every other
+    argument goes to one eval_contour call, which refuses a z that is not
+    finite and positive and a w where the contour does not settle.
+    """
+    z = np.asarray(z, dtype=float)
+    flat = z.reshape(-1)
+    w = params.arg_scale * flat
+    good = np.isfinite(flat) & (flat > 0)   # eval_contour refuses the rest
     radius = _radius(params)
     vals, errs = np.full_like(w, np.nan), np.full_like(w, np.inf)
     for block, inverse, band in ((params, False, w <= 0.8 * radius),
-                                 (_swap(params), True, w >= 1.25 * radius)):
-        idx = np.flatnonzero(band)
+                                 (params._swap, True, w >= 1.25 * radius)):
+        idx = np.flatnonzero(good & band)
         if idx.size:
             arg = 1.0 / w[idx] if inverse else w[idx]
             vals[idx], errs[idx] = _series_core(block, arg)
     series = np.isfinite(vals) & (errs <= np.maximum(5e-14, 1e-8 * np.abs(vals)))
-    rest = np.flatnonzero(~series)
-    if rest.size:
-        vals[rest], errs[rest] = _contour(params, w[rest], quad)
-        lost = rest[~np.isfinite(errs[rest])]
-        if lost.size:
-            raise QuadFailure(f"contour did not settle at w = {w[lost[0]]:.6g}")
+    if not np.all(series):
+        vals[~series], errs[~series] = eval_contour(params, flat[~series], quad)
     return vals.reshape(z.shape), errs.reshape(z.shape), series.reshape(z.shape)
-
-
-def eval_auto(params, z, quad=QuadSpec()):
-    """Series evaluation with automatic contour fallback (see _evaluate)."""
-    v, e, series = _evaluate(params, [z], quad)
-    return EvalOutcome(value=float(v[0]), err_est=float(e[0]),
-                       method="series" if series[0] else "contour")
 
 
 # --- Mellin transform -----------------------------------------------------
 
 def mellin(params, s):
-    """Closed-form Mellin transform: integral_0^inf z^{s-1} H[a z] dz.
+    """Closed-form Mellin transform integral_0^inf z^{s-1} H[a z] dz at s
+    of any shape, in s's shape, from one _log_h_real call.
 
     Equals a^{-s} h(s) inside the fundamental strip, where every
     numerator gamma argument is positive (by more than the gamma kernel's
     pole tolerance), so h(s) is finite there and 0 where a reciprocal
-    gamma vanishes.
+    gamma vanishes.  OutOfStrip names the first s outside the strip.
     """
-    return _mellin_values(params, np.array([float(s)]))[0]
-
-
-def _mellin_values(params, s):
-    """mellin at each s of a 1-d array, from one _log_h_real call;
-    OutOfStrip names the first s outside the strip."""
-    c, d, e = _factors(params)
-    inside = np.min(c[e > 0] + d[e > 0] * s[:, None], axis=1) >= _POLE_TOL
+    s = np.asarray(s, dtype=float)
+    flat = s.reshape(-1)
+    c, d, e = params._factors
+    inside = np.min(c[e > 0] + d[e > 0] * flat[:, None], axis=1) >= _POLE_TOL
     if not np.all(inside):
-        raise OutOfStrip(f"s = {float(s[np.argmin(inside)])} outside the fundamental "
-                         f"strip {_strip(params)}")
-    logabs, sign = _log_h_real(params, s)
-    return [float(sg) * math.exp(float(la) - x * math.log(params.arg_scale)) if sg else 0.0
-            for la, sg, x in zip(logabs, sign, s.tolist())]
+        raise OutOfStrip(f"s = {float(flat[np.argmin(inside)])} outside the fundamental "
+                         f"strip {params._strip}")
+    logabs, sign = _log_h_real(params, flat)
+    return np.array([float(sg) * math.exp(float(la) - x * math.log(params.arg_scale))
+                     if sg else 0.0
+                     for la, sg, x in zip(logabs, sign, flat.tolist())]).reshape(s.shape)
 
 
 def _grid_end(params, s, side):
@@ -727,7 +700,7 @@ def _grid_end(params, s, side):
     nonzero residue, so the cut reads residue ratios, not the pole gap
     alone (a double pole's term is taken with a residue ratio of 1), and
     at most 0.  A leading pole that is not simple raises QuadFailure.
-    With none, H(w) is _swap(params) at w' = 1/w, under Braaksma's bound
+    With none, H(w) is params._swap at w' = 1/w, under Braaksma's bound
     w'^theta exp(-mu (w'/rho)^(1/mu)), rho = prod B^B / prod A^A (Kilbas &
     Saigo, H-Transforms, 2004, ch. 1); t is where that times w^s is under
     e^(_MELLIN_CUT - 10), the margin for its constant factor, and lead is
@@ -753,7 +726,7 @@ def _grid_end(params, s, side):
         ratio = np.append(logabs[other] - logabs.flat[first], np.zeros(np.sum(double)))
         t = float(np.min((_MELLIN_CUT - ratio) / gap, initial=0.0))
         return t, sign[taken] * np.exp(logabs[taken]), s[:, None] + power[taken]
-    sw = _swap(params)
+    sw = params._swap
     mu, log_rho = _mu_log_rho(sw)
     if not mu > 0:
         raise QuadFailure(f"no {side} pole family and no exponential decay (mu = {mu})")
@@ -771,14 +744,13 @@ def mellin_numeric_check(params, svals, quad=QuadSpec()):
 
     int_0^inf z^(s-1) H[a z] dz = a^-s int e^(s t) H(e^t) dt by the
     trapezoid rule on t = k _MELLIN_STEP, with H for every s from one
-    _evaluate call, so this exercises the whole engine.  Beyond each end
-    of the grid (_grid_end; the right end on _swap(params)) the sum is
+    eval_auto call, so this exercises the whole engine.  Beyond each end
+    of the grid (_grid_end; the right end on params._swap) the sum is
     the residue series of the leading poles, each term a geometric series
     taken in closed form, so the grid does not depend on how close s is
     to a strip edge and ends where the first omitted residue is
-    negligible.  The analytic values are mellin's, from one _log_h_real
-    call over all s (_mellin_values); the first s outside the strip
-    raises OutOfStrip.
+    negligible.  The analytic values are from one mellin call over all
+    s; the first s outside the strip raises OutOfStrip.
     quad_err is |T_h - T_2h| plus the engine's err_est summed by the rule.
     |T_h - T_2h| is the error of the step-2h sum.  The trapezoid rule
     converges geometrically, so the returned step-h sum's relative error
@@ -786,17 +758,17 @@ def mellin_numeric_check(params, svals, quad=QuadSpec()):
     orders of magnitude where the 2h sum is far from converged.
     """
     s = np.array(svals, dtype=float).reshape(-1)
-    analytic = _mellin_values(params, s)
+    analytic = mellin(params, s).tolist()
     base = params if params.arg_scale == 1.0 else replace(params, arg_scale=1.0)
     h = _MELLIN_STEP
-    ends = (_grid_end(base, s, "left"), _grid_end(_swap(base), -s, "right"))
+    ends = (_grid_end(base, s, "left"), _grid_end(base._swap, -s, "right"))
     lo, hi = ends[0][0], -ends[1][0]
     if not max(-lo, hi) < 700.0:
         raise QuadFailure(f"s = {s.tolist()}: the grid [{lo:.6g}, {hi:.6g}] in log w "
                           "leaves the double range")
     # both ends on even k, so the T_2h nodes are every other node
     t = h * np.arange(2 * math.floor(lo / (2 * h)), 2 * math.ceil(hi / (2 * h)) + 1)
-    vals, errs, _ = _evaluate(base, np.exp(t), quad)
+    vals, errs, _ = eval_auto(base, np.exp(t), quad)
     y, sums = np.exp(np.outer(s, t)), []
     for k in (1, 2):   # T_h and T_2h, each with its closed-form tails
         tails = sum(np.sum(lead * np.exp(rate * end) / np.expm1(rate * k * h), axis=1)
@@ -907,7 +879,7 @@ def cosine_transform(params, k, s, mu):
         raise ValueError(f"argument power must be positive, got {mu!r}")
     # min(b/B) = -left_max and max((a-1)/A) = -right_min; an empty family
     # leaves an infinite edge, which passes its test
-    left_max, right_min = _strip(params)
+    left_max, right_min = params._strip
     zero_power = s - mu * left_max
     if not zero_power > 0:
         raise StripViolation(
@@ -938,15 +910,15 @@ def cosine_transform_check(params, k, s, mu, quad=QuadSpec()):
 
     lead = s - 1.0
     if params.m > 0:
-        lead -= mu * _strip(params)[0]
+        lead -= mu * params._strip[0]
 
     def envelope(p):
-        return p ** (s - 1.0) * _evaluate(params, p ** mu, quad)[0]
+        return p ** (s - 1.0) * eval_auto(params, p ** mu, quad)[0]
 
     lhs, _ = integrate_oscillatory(envelope, k, singularity_power=lead)
 
     reduced = reduce_fully(ct.params)
-    rhs = ct.multiplier * eval_auto(reduced, ct.argument, quad).value
+    rhs = ct.multiplier * float(eval_auto(reduced, ct.argument, quad)[0])
     rel = abs(lhs - rhs) / max(abs(lhs), 1e-300)
     passed = rel <= 1e-6
     return CosineTransformCheck(lhs=lhs, rhs=rhs, rel_err=rel, passed=passed,

@@ -217,7 +217,10 @@ def _de_rows(envelope, rows, c, kernel):
     from one envelope call on the nodes of both rules, the reported rule's
     first and its twice-the-step check's after them."""
     (u, w), (u2, w2) = _DE_TABLES[kernel]
-    p = np.concatenate([u, u2]) / rows
+    # a subnormal row overflows nodes to inf, which the envelope's own
+    # check reports
+    with np.errstate(over="ignore"):
+        p = np.concatenate([u, u2]) / rows
     f = np.asarray(envelope(p), dtype=float)
     if f.shape != p.shape:
         raise ValueError("envelope must return an array matching its input")

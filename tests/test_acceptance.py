@@ -122,11 +122,11 @@ def test_criterion_6_hfox_identity_suite():
     EXP = HFoxParams(m=1, n=0, upper=(), lower=((0.0, 1.0),))
     RAT = HFoxParams(m=1, n=1, upper=((0.0, 1.0),), lower=((0.0, 1.0),))
 
-    worst_exp = max(abs(hf.eval_auto(EXP, z).value - math.exp(-z))
+    worst_exp = max(abs(hf.eval_auto(EXP, z)[0] - math.exp(-z))
                     / math.exp(-z) for z in (0.3, 1.0, 3.0))
     assert worst_exp <= 1e-10
 
-    worst_rat = max(abs(hf.eval_auto(RAT, z).value - 1.0 / (1.0 + z))
+    worst_rat = max(abs(hf.eval_auto(RAT, z)[0] - 1.0 / (1.0 + z))
                     * (1.0 + z) for z in (0.3, 1.26, 3.0))
     assert worst_rat <= 1e-10
 
@@ -142,8 +142,8 @@ def test_criterion_6_hfox_identity_suite():
     new, mult = hf.rescale_power(kern, 2.0)
     worst_resc = 0.0
     for z in (0.7, 1.3):
-        lhs = hf.eval_auto(kern, z ** 2).value
-        rhs = mult * hf.eval_auto(new, z).value
+        lhs = hf.eval_auto(kern, z ** 2)[0]
+        rhs = mult * hf.eval_auto(new, z)[0]
         worst_resc = max(worst_resc, abs(lhs - rhs) / abs(lhs))
     assert worst_resc <= 1e-8
 
@@ -151,8 +151,8 @@ def test_criterion_6_hfox_identity_suite():
     ct = hf.cosine_transform(kern, k=1.0, s=1.0, mu=2.0)
     resc, _ = hf.rescale_power(ct.params, 2.0)
     shifted = hf._shift(resc, -1.0)
-    full = hf.eval_contour(shifted, 0.7).value
-    red, _, from_series = hf._evaluate(hf.reduce_fully(shifted), [0.7], QuadSpec())
+    full = hf.eval_contour(shifted, 0.7)[0]
+    red, _, from_series = hf.eval_auto(hf.reduce_fully(shifted), [0.7], QuadSpec())
     assert from_series[0]
     cancel_dev = abs(full - red[0])
     assert cancel_dev <= 1e-8

@@ -187,13 +187,13 @@ def test_wavefunction_json_fractional_verified(tmp_path):
 def test_wavefunction_verified_reads_the_printed_rows(tmp_path, monkeypatch):
     # a stand-in engine defect: the H route 1e-3 high past z = 2.5, i.e.
     # kappa x = 5, which the rows out to x = 12 reach
-    evaluate = deltawell._evaluate
+    evaluate = deltawell.eval_auto
 
     def skewed(params, z, quad):
         v, e, series = evaluate(params, z, quad)
         return np.where(np.asarray(z) > 2.5, v * (1.0 + 1e-3), v), e, series
 
-    monkeypatch.setattr(deltawell, "_evaluate", skewed)
+    monkeypatch.setattr(deltawell, "eval_auto", skewed)
     code, path = run(tmp_path, "--mode", "wavefunction", "--alpha", "1.5",
                      "--lambda", "0.8", "--x-min", "0", "--x-max", "12",
                      "--x-steps", "7", out="w.csv")
@@ -313,6 +313,23 @@ def test_subnormal_lambda_prints_or_fails_typed(capsys, lam, mode):
         assert code == 3 and out == ""
         failure = re.fullmatch(r"fracwell: convergence failure: (\w+): .*\n", err)
         assert failure and failure[1] in _TYPED, err
+
+
+@pytest.mark.parametrize("x_min, x_max", [("0", "1e-310"), ("-1e-320", "1e-320"),
+                                          ("0", "5e-324")])
+def test_subnormal_x_fails_typed_unwarned(capsys, x_min, x_max):
+    # u/y overflows the oscillatory nodes at a subnormal y = kappa |x|: the
+    # envelope's own check reports the infinite nodes, and the division
+    # that forms them leaks no RuntimeWarning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["--mode", "wavefunction", "--alpha", "1.5", "--lambda", "0.8",
+                         f"--x-min={x_min}", f"--x-max={x_max}", "--x-steps=2"])
+    assert code == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("fracwell: convergence failure: OverflowError: oscillatory nodes "
+                   "q = u/y past the double range about the knee q = 1 of the profile\n")
 
 
 def test_wavefunction_byte_deterministic(tmp_path):

@@ -200,7 +200,7 @@ def test_validate_contour_work_counter(monkeypatch):
     # contour calls (10)
     from fracwell import checks
     sent, evaluated = [], []
-    contour, evaluate = hf._contour, hf._evaluate
+    contour, evaluate = hf._contour, hf.eval_auto
 
     def counted(params, w, quad):
         sent.append(len(w))
@@ -211,8 +211,8 @@ def test_validate_contour_work_counter(monkeypatch):
         return evaluate(params, z, quad)
 
     monkeypatch.setattr(hf, "_contour", counted)
-    monkeypatch.setattr(hf, "_evaluate", dispatched)
-    monkeypatch.setattr(checks, "_evaluate", dispatched)
+    monkeypatch.setattr(hf, "eval_auto", dispatched)
+    monkeypatch.setattr(checks, "eval_auto", dispatched)
     assert all(r.passed for r in checks.run_all())
     assert sum(sent) <= 700
     assert len(sent) <= 6
@@ -230,7 +230,7 @@ def test_validate_gamma_kernel_work_is_pinned(monkeypatch):
     # 629 when the cut read the pole gap alone)
     from fracwell import checks, gammafn
     kernel, log_h, grids = [], [], []
-    core, _log_h, evaluate = gammafn._core_loggamma, hf._log_h, hf._evaluate
+    core, _log_h, evaluate = gammafn._core_loggamma, hf._log_h, hf.eval_auto
 
     def counted_core(z):
         kernel.append((np.size(z), np.iscomplexobj(z)))
@@ -251,7 +251,7 @@ def test_validate_gamma_kernel_work_is_pinned(monkeypatch):
         grids.append(np.size(z))
         return evaluate(params, z, quad)
 
-    monkeypatch.setattr(hf, "_evaluate", grid)
+    monkeypatch.setattr(hf, "eval_auto", grid)
     assert checks.check_hfox_mellin_exp().passed and checks.check_hfox_mellin_rational().passed
     assert grids == [43, 45]
 
@@ -264,6 +264,19 @@ def test_config_builds_its_measure_once():
     assert cfg == other and hash(cfg) == hash(other) and repr(cfg) == repr(other)
     assert repr(cfg) == ("PotentialConfig(alpha=1.5, d_alpha=1.0, "
                          "gamma_strength=1.0, hbar=1.0, lam=0.5)")
+
+
+@pytest.mark.parametrize("lam", [5e-324, 1e-310])
+def test_measure_norm_at_subnormal_lam(lam):
+    # 2 pi^(lam/2) / Gamma(lam/2) = lam (1 + O(lam)): formed from lam, not
+    # from lam/2, which is 0 at 5e-324 and loses digits below 2.2e-308
+    assert PotentialConfig(alpha=1.5, lam=lam).measure_norm == lam
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.8, 0.3, 1e-3, 1e-100, 2.0 ** -1021])
+def test_measure_norm_is_twice_the_weight_norm(lam):
+    cfg = PotentialConfig(alpha=1.5, lam=lam)
+    assert cfg.measure_norm == 2.0 * cfg.dim.weight_norm
 
 
 def test_energy_oracle_beyond_two_to_the_200():

@@ -1,6 +1,8 @@
 """The public surface: each name has one import path, its module."""
 
+import ast
 import importlib
+import pathlib
 import types
 
 import pytest
@@ -15,6 +17,18 @@ def test_every_all_entry_resolves(module):
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
     assert len(set(mod.__all__)) == len(mod.__all__)
+
+
+def test_no_module_imports_a_private_engine_name():
+    # the H engine's callers go through its public names
+    src = pathlib.Path(fracwell.__file__).parent
+    private = [(path.name, alias.name)
+               for path in sorted(src.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ImportFrom)
+               and node.module in ("hfox", "fracwell.hfox")
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 def test_package_exports_only_its_version():
