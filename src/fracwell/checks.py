@@ -27,7 +27,7 @@ from .measure import MeasureDim, DeltaFamily, integrate as measure_integrate, \
 from .quadrature import QuadSpec
 from .deltawell import (SHAPE_TOL, PotentialConfig, DomainError,
                         energy_closed_form, energy_oracle, normalize,
-                        _x0_identity, position_wavefunction_quadrature,
+                        x0_identity, position_wavefunction_quadrature,
                         position_wavefunction_hfox)
 
 # accuracy pinned for the whole suite; user overrides do not reach here
@@ -242,7 +242,7 @@ def check_fixed_point():
     worst = 0.0
     for a, lam in ((2.0, 1.0), (1.5, 0.8)):
         cfg = PotentialConfig(alpha=a, lam=lam)
-        val, want = _x0_identity(cfg, energy_closed_form(cfg), _QUAD)
+        val, want = x0_identity(cfg, energy_closed_form(cfg), _QUAD)
         worst = max(worst, abs(val / want - 1.0))
     return _result("energy_fixed_point", worst, 1e-8,
                    "bound-energy self-consistency of the momentum profile")
@@ -274,7 +274,7 @@ def check_x0_identity_fractional():
     for a in (1.5, 1.8):
         for lam in (0.5, 0.8):
             cfg = PotentialConfig(alpha=a, lam=lam)
-            val, want = _x0_identity(cfg, energy_closed_form(cfg), _QUAD)
+            val, want = x0_identity(cfg, energy_closed_form(cfg), _QUAD)
             errs.append(abs(val - want) / abs(want))
     # np.max keeps a nan, which then fails the check
     return _result("wavefunction_x0_identity", np.max(errs), 1e-8,

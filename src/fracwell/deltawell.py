@@ -3,10 +3,11 @@
 The Hamiltonian combines a Riesz-type kinetic term D_alpha |p|^alpha
 (1 < alpha <= 2) with an attractive point interaction -gamma
 delta^lam(x) acting against the lam-dimensional measure of
-fracwell.measure.  The well supports a single bound state E < 0
-whenever 0 < lam < alpha; with lam <= 1 and alpha > 1 that window is
-automatic, but it is asserted anyway because out-of-range lam inputs
-must fail loudly before any quadrature runs.
+fracwell.measure, whose norm PotentialConfig.measure_norm takes from
+there.  The well supports a single bound state E < 0 whenever
+0 < lam < alpha; with lam <= 1 and alpha > 1 that window is automatic,
+but it is asserted anyway because out-of-range lam inputs must fail
+loudly before any quadrature runs.
 
 Two independent energy routes are provided.  energy_closed_form
 evaluates the analytic eigenvalue obtained by pushing the bound-state
@@ -49,16 +50,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .gammafn import _log_sin_pi, gammaln_sign, loggamma
+from .gammafn import gammaln_sign, log_sin_pi, loggamma
 from .hfox import HFoxParams, eval_auto
-from .measure import MeasureDim
+from .measure import measure_norm
 from .quadrature import (NumericalFailure, QuadSpec, QuadFailure,
                          integrate_oscillatory, integrate_sinh)
 
 __all__ = ["SHAPE_TOL", "DomainError", "PotentialConfig", "BoundState",
            "energy_closed_form", "energy_oracle", "momentum_wavefunction",
            "position_wavefunction_quadrature", "position_wavefunction_hfox",
-           "normalize"]
+           "x0_identity", "normalize"]
 
 # largest relative gap between the two position routes, beyond their
 # summed err_est, at which a printed row counts the H route as verified
@@ -100,17 +101,10 @@ class PotentialConfig:
             raise DomainError(f"lam must lie in (0, 1], got {lam}")
 
     @cached_property
-    def dim(self):
-        return MeasureDim(self.lam)
-
-    @cached_property
     def measure_norm(self):
-        """Surface factor 2 pi^(lam/2) / Gamma(lam/2) of the measure, as
-        lam pi^(lam/2) / Gamma(1 + lam/2): twice dim.weight_norm bit for bit
-        at normal lam, and lam itself, not 0, at the smallest subnormal
-        lam, where lam/2 rounds to 0."""
-        lam = self.lam
-        return math.pi ** (lam / 2.0) * lam / math.exp(gammaln_sign(1.0 + lam / 2.0)[0])
+        """Surface factor 2 pi^(lam/2) / Gamma(lam/2) of the measure
+        (fracwell.measure.measure_norm)."""
+        return measure_norm(self.lam)
 
 
 @dataclass(frozen=True)
@@ -340,7 +334,7 @@ def position_wavefunction_hfox(state, cfg, x, spec=QuadSpec()):
     return _position(_profile_hfox, state, cfg, x, spec)
 
 
-def _x0_identity(cfg, state, spec):
+def x0_identity(cfg, state, spec):
     """(radial integral at the state's energy, its closed value
     (2 pi hbar)^lam / (gamma measure_norm)): the identity at x = 0.  Their
     ratio is e^h(log|E|) of _energy_condition."""
@@ -371,7 +365,7 @@ def normalize(state, cfg, spec=QuadSpec()):
     def g(v):
         s = 0.5 * lam + 1j * np.exp(log_t0 + v)
         with np.errstate(divide="ignore"):
-            log_m = loggamma(s) + _log_sin_pi(0.5 * s + 0.5) - _log_sin_pi((lam - s) / a)
+            log_m = loggamma(s) + log_sin_pi(0.5 * s + 0.5) - log_sin_pi((lam - s) / a)
         return np.exp(2.0 * log_m.real + const + v)
 
     k, _ = integrate_sinh(g, 1.0, spec)

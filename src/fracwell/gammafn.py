@@ -31,7 +31,9 @@ __all__ = [
     "LANCZOS_G",
     "LANCZOS_COEFFS",
     "LANCZOS_REL_ACC",
+    "POLE_TOL",
     "loggamma",
+    "log_sin_pi",
     "gammaln_sign",
     "gamma_real",
 ]
@@ -57,9 +59,10 @@ LANCZOS_COEFFS = np.array([
     1.5056327351493116e-7,
 ])
 LANCZOS_REL_ACC = 1e-13
+# a real argument within POLE_TOL max(1, |x|) of a non-positive integer is a pole
+POLE_TOL = 5e-13
 
 _HALF_LOG_TWO_PI = 0.91893853320467274178  # log(2*pi)/2
-_POLE_TOL = 5e-13
 # the offsets 1..8 of the partial fractions, one per coefficient after the first
 _LANCZOS_K = np.arange(1.0, len(LANCZOS_COEFFS))
 
@@ -99,7 +102,7 @@ def _core_loggamma(z):
     return _HALF_LOG_TWO_PI + (w + 0.5) * _clog(t) - t + _clog(acc)
 
 
-def _log_sin_pi(z):
+def log_sin_pi(z):
     """log(sin(pi z)), stable for large |Im z| and next to a pole.
 
     Uses sin(pi z) = (-1)^n (e^{pi |y|}/2) b with the bracket
@@ -138,7 +141,7 @@ def loggamma(z):
         return _core_loggamma(z)[()]
     # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z)
     core = _core_loggamma(np.where(left, 1.0 - z, z))
-    return np.where(left, np.log(np.pi) - _log_sin_pi(z) - core, core)[()]
+    return np.where(left, np.log(np.pi) - log_sin_pi(z) - core, core)[()]
 
 
 def gammaln_sign(x):
@@ -158,7 +161,7 @@ def gammaln_sign(x):
     # sin(pi * x) loses it to the rounding of pi * x
     n = np.rint(x)
     r = x - n
-    pole = (n <= 0.0) & (np.abs(r) < _POLE_TOL * np.maximum(1.0, np.abs(x)))
+    pole = (n <= 0.0) & (np.abs(r) < POLE_TOL * np.maximum(1.0, np.abs(x)))
     core = _core_loggamma(np.where(left, 1.0 - x, x))
     # the quotient is inf only at a pole (at x = 0 also a zero divide),
     # where the pole mask below puts (inf, 0) in any case

@@ -73,7 +73,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .gammafn import _POLE_TOL, LANCZOS_REL_ACC, gammaln_sign, loggamma
+from .gammafn import LANCZOS_REL_ACC, POLE_TOL, gammaln_sign, loggamma
 from .quadrature import BLOCK, QuadFailure, QuadSpec, integrate_oscillatory
 
 __all__ = [
@@ -621,13 +621,19 @@ def _contour(params, w, quad):
 def eval_contour(params, z, quad=QuadSpec()):
     """Mellin-Barnes line integrals of H[arg_scale * z] at z of any shape:
     (values, err_ests) in z's shape, from one _contour call.  ValueError
-    names the first z that is not finite and positive, QuadFailure the
-    first w = arg_scale * z where the contour did not settle."""
+    names the first z that is not finite and positive, then the first z
+    whose w = arg_scale * z over- or underflows, and QuadFailure the first
+    w where the contour did not settle."""
     z = np.asarray(z, dtype=float)
     good = np.isfinite(z) & (z > 0)
     if not np.all(good):
         raise ValueError(f"arguments must be finite and positive, got {z[~good][0]}")
-    w = params.arg_scale * z.reshape(-1)
+    with np.errstate(over="ignore", under="ignore"):
+        w = params.arg_scale * z.reshape(-1)
+    bad = np.flatnonzero(~(np.isfinite(w) & (w > 0)))
+    if bad.size:
+        raise ValueError(f"scaled argument w = arg_scale * z out of the double range: "
+                         f"z = {z.reshape(-1)[bad[0]]} gives w = {w[bad[0]]}")
     vals, errs = _contour(params, w, quad)
     lost = np.flatnonzero(~np.isfinite(errs))
     if lost.size:
@@ -642,12 +648,14 @@ def eval_auto(params, z, quad=QuadSpec()):
     swapped block at 1/w) those beyond 1.25 of it; a series value stands
     when finite with err_est <= max(5e-14, 1e-8 |value|).  Every other
     argument goes to one eval_contour call, which refuses a z that is not
-    finite and positive and a w where the contour does not settle.
+    finite and positive, a w that is not either, and a w where the contour
+    does not settle.
     """
     z = np.asarray(z, dtype=float)
     flat = z.reshape(-1)
-    w = params.arg_scale * flat
-    good = np.isfinite(flat) & (flat > 0)   # eval_contour refuses the rest
+    with np.errstate(over="ignore", under="ignore"):
+        w = params.arg_scale * flat
+    good = np.isfinite(w) & (w > 0)   # eval_contour refuses the rest
     radius = _radius(params)
     vals, errs = np.full_like(w, np.nan), np.full_like(w, np.inf)
     for block, inverse, band in ((params, False, w <= 0.8 * radius),
@@ -676,7 +684,7 @@ def mellin(params, s):
     s = np.asarray(s, dtype=float)
     flat = s.reshape(-1)
     c, d, e = params._factors
-    inside = np.min(c[e > 0] + d[e > 0] * flat[:, None], axis=1) >= _POLE_TOL
+    inside = np.min(c[e > 0] + d[e > 0] * flat[:, None], axis=1) >= POLE_TOL
     if not np.all(inside):
         raise OutOfStrip(f"s = {float(flat[np.argmin(inside)])} outside the fundamental "
                          f"strip {params._strip}")

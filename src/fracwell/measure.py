@@ -9,10 +9,13 @@ family eps^lam exp(-pi eps^2 x^2) at finite eps - never as a symbolic
 atom - because the defining Fourier integral does not converge
 pointwise for lam < 1.  All delta properties are eps-limits here.
 
-Each side of 0 is integrated in t = log|x|, where the weighted element
-|x|^{lam-1} dx becomes e^{lam t} dt: the |x|^{lam-1} endpoint power
-turns into an exponential tail that the quadrature layer's trapezoid
-rule takes like any other, at every lam.
+measure_norm is the one formula for the measure's norm: the weight norm
+of MeasureDim is half of it, and fracwell.deltawell reads it whole.
+integrate takes the integral over the line, each side of 0 in
+t = log|x|, where the weighted element |x|^{lam-1} dx becomes
+e^{lam t} dt: the |x|^{lam-1} endpoint power turns into an exponential
+tail that the quadrature layer's trapezoid rule takes like any other, at
+every lam.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .gammafn import gammaln_sign
 from .quadrature import QuadSpec, integrate_oscillatory, integrate_sinh
 
 __all__ = [
+    "measure_norm",
     "MeasureDim",
     "DeltaFamily",
     "integrate",
@@ -36,10 +40,19 @@ __all__ = [
 ]
 
 
+def measure_norm(lam):
+    """Surface factor 2 pi^(lam/2) / Gamma(lam/2) of the measure, formed as
+    lam pi^(lam/2) / Gamma(1 + lam/2): 1/Gamma(x) = x/Gamma(1 + x) stays
+    finite as x -> 0, and the factor is lam itself, not 0, at the smallest
+    subnormal lam, where lam/2 rounds to 0."""
+    # Gamma(1 + lam/2) lies in [0.88, 1] for lam in (0, 1]: no pole, no overflow
+    return math.pi ** (lam / 2.0) * lam / math.exp(gammaln_sign(1.0 + lam / 2.0)[0])
+
+
 @dataclass(frozen=True)
 class MeasureDim:
     """Dimension parameter lam in (0, 1] with its precomputed weight norm
-    pi^{lam/2}/Gamma(lam/2)."""
+    pi^{lam/2}/Gamma(lam/2), half of measure_norm."""
 
     lam: float
     weight_norm: float = field(init=False)
@@ -47,11 +60,7 @@ class MeasureDim:
     def __post_init__(self):
         if not (0.0 < self.lam <= 1.0):
             raise ValueError(f"measure order must lie in (0, 1], got {self.lam}")
-        # 1/Gamma(x) = x/Gamma(1 + x), which stays finite as x -> 0
-        x = self.lam / 2.0
-        # Gamma(1 + x) lies in [0.88, 1] here: no pole, no overflow
-        norm = math.pi ** x * x / math.exp(gammaln_sign(1.0 + x)[0])
-        object.__setattr__(self, "weight_norm", norm)
+        object.__setattr__(self, "weight_norm", 0.5 * measure_norm(self.lam))
 
 
 @dataclass(frozen=True)
@@ -67,47 +76,29 @@ class DeltaFamily:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
 
-def integrate(dim, f, domain=(-np.inf, np.inf), quad=QuadSpec()):
-    """Integral of f against d^lam(x) over the interval domain.
+def integrate(dim, f, quad=QuadSpec()):
+    """Integral of f against d^lam(x) over the line.
 
-    Splits at 0 and takes each side as a range [lo, hi] of |x|, for
-    quadrature.integrate_sinh in t: |x| = lo + e^t on a half-line, and
-    lo + (hi - lo) r/(1+r) with r = e^t on a finite range.  The weighted
-    element |x|^(lam-1) d|x| is formed in logs, as e^(lam t) dt itself
-    when lo = 0.  f must fall off at least as |x|^(-2 lam) at infinity,
-    and may be handed inf where |x| passes the double range.  The rule's
-    grid is fixed in t, so f may not change much faster than it: on a
-    half-line, a peak at |x| = 1 of half-width 1% of |x| is taken to
-    rel_tol 1e-8 and one of 0.5% raises QuadFailure, the bound coarsening
-    as |log|x|| grows.  Returns (value, err_est).
+    Each side of 0 is one quadrature.integrate_sinh call in t = log|x|,
+    on the weighted element e^(lam t) f(+-e^t).  f must fall off at least
+    as |x|^(-2 lam) at infinity, and may be handed inf where |x| passes
+    the double range.  The rule's grid is fixed in t, so f may not change
+    much faster than it: a peak at |x| = 1 of half-width 1% of |x| is taken
+    to rel_tol 1e-8 and one of 0.5% raises QuadFailure, the bound
+    coarsening as |log|x|| grows.  Returns (value, err_est).
     """
-    a, b = domain
-    if not a < b:
-        if a == b:
-            return 0.0, 0.0
-        raise ValueError(f"domain must be ordered, got ({a}, {b})")
-    # each side of 0 as a range of |x|: [a, b] on the right, [-b, -a] on
-    # the left, both clipped at 0
-    sides = [_side(dim.lam, lambda x: f(sign * x), max(lo, 0.0), hi, quad)
-             for sign, lo, hi in ((1.0, a, b), (-1.0, -b, -a)) if hi > 0.0]
+    lam = dim.lam
+
+    def side(sign):
+        def g(t):
+            with np.errstate(over="ignore"):
+                x = np.exp(t)
+            return np.exp(lam * t) * f(sign * x)
+        return integrate_sinh(g, lam, quad)
+
+    sides = (side(1.0), side(-1.0))
     return (dim.weight_norm * sum(v for v, _ in sides),
             dim.weight_norm * sum(e for _, e in sides))
-
-
-def _side(lam, f, lo, hi, quad):
-    """(int_lo^hi x^(lam-1) f(x) dx, err_est) for 0 <= lo < hi <= inf."""
-    def g(t):
-        if math.isinf(hi):
-            u, dlog = t, 0.0
-        else:
-            dlog = -np.logaddexp(0.0, t)        # log(1/(1+r))
-            u = math.log(hi - lo) + t + dlog    # log(x - lo)
-        log_x = np.logaddexp(math.log(lo), u) if lo > 0.0 else u
-        with np.errstate(over="ignore"):
-            x = np.exp(log_x)
-        # x^(lam-1) dx/dt, with dx/dt = (x - lo) e^dlog
-        return np.exp(lam * log_x + (u - log_x) + dlog) * f(x)
-    return integrate_sinh(g, lam, quad)
 
 
 def delta_value(family, x):
@@ -137,16 +128,25 @@ def sift(dim, f, epsilon, quad=QuadSpec()):
     def integrand(x):
         return f(x) * delta_value(family, x)
 
-    value, qerr = integrate(dim, integrand, (-np.inf, np.inf), quad)
+    value, qerr = integrate(dim, integrand, quad)
     h = 0.5 / epsilon
     fpp = (_point(f, h) - 2.0 * _point(f, 0.0) + _point(f, -h)) / (h * h)
     bias = abs(fpp) * dim.lam / (4.0 * math.pi * epsilon * epsilon)
     return value, bias + qerr
 
 
-def _half_line_oscillatory(dim, f, k):
-    """(re, im, err) of the full-line weighted integral of f(x) e^{ikx},
-    k != 0, folded onto [0, inf)."""
+def fourier_forward(dim, f, k, quad=QuadSpec()):
+    """Weighted transform integral of f(x) e^{ikx} d^lam(x) over the line.
+
+    At k != 0 the line is folded onto [0, inf): the cosine half takes the
+    even part of f, the sine half the odd part, each through the
+    Ooura-Mori double-exponential rule, whose nodes sit on the kernel's
+    zeros, so no tail is split off or summed.  Returns (complex value,
+    err_est).
+    """
+    if k == 0.0:
+        v, e = integrate(dim, f, quad)
+        return complex(v, 0.0), e
     lam = dim.lam
     N = dim.weight_norm
     w = abs(k)
@@ -161,21 +161,7 @@ def _half_line_oscillatory(dim, f, k):
     im, im_err = integrate_oscillatory(odd_env, w, singularity_power=lam - 1.0,
                                        kernel="sin")
     sign = 1.0 if k > 0 else -1.0
-    return N * re, sign * N * im, N * (re_err + im_err)
-
-
-def fourier_forward(dim, f, k, quad=QuadSpec()):
-    """Weighted transform integral of f(x) e^{ikx} d^lam(x) over the line.
-
-    The cosine and sine halves go through the Ooura-Mori
-    double-exponential rule, whose nodes sit on the kernel's zeros, so
-    no tail is split off or summed.  Returns (complex value, err_est).
-    """
-    if k == 0.0:
-        v, e = integrate(dim, f, (-np.inf, np.inf), quad)
-        return complex(v, 0.0), e
-    re, im, err = _half_line_oscillatory(dim, f, k)
-    return complex(re, im), err
+    return complex(N * re, sign * N * im), N * (re_err + im_err)
 
 
 def fourier_inverse(dim, g, x, quad=QuadSpec()):

@@ -194,7 +194,7 @@ def test_criterion_8_verification_report():
         for lam in (0.5, 0.8):
             cfg = PotentialConfig(alpha=alpha, lam=lam)
             state = dw.energy_closed_form(cfg)
-            val, want = dw._x0_identity(cfg, state, QuadSpec())
+            val, want = dw.x0_identity(cfg, state, QuadSpec())
             x0_rel_err = abs(val - want) / abs(want)
             xs = np.linspace(0.25, 4.0, 16) / state.kappa
             hq, _ = dw.position_wavefunction_quadrature(state, cfg, xs)

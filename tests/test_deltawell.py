@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from fracwell import deltawell as dw
 from fracwell import hfox as hf
 from fracwell.deltawell import BoundState, DomainError, PotentialConfig
+from fracwell.measure import MeasureDim
 from fracwell.quadrature import QuadSpec
 
 
@@ -259,8 +260,8 @@ def test_validate_gamma_kernel_work_is_pinned(monkeypatch):
 def test_config_builds_its_measure_once():
     cfg = PotentialConfig(alpha=1.5, lam=0.5)
     other = PotentialConfig(alpha=1.5, lam=0.5)
-    assert cfg.dim is cfg.dim
-    assert cfg.dim == other.dim
+    assert cfg.measure_norm is cfg.measure_norm
+    assert cfg.measure_norm == other.measure_norm
     assert cfg == other and hash(cfg) == hash(other) and repr(cfg) == repr(other)
     assert repr(cfg) == ("PotentialConfig(alpha=1.5, d_alpha=1.0, "
                          "gamma_strength=1.0, hbar=1.0, lam=0.5)")
@@ -276,7 +277,7 @@ def test_measure_norm_at_subnormal_lam(lam):
 @pytest.mark.parametrize("lam", [1.0, 0.8, 0.3, 1e-3, 1e-100, 2.0 ** -1021])
 def test_measure_norm_is_twice_the_weight_norm(lam):
     cfg = PotentialConfig(alpha=1.5, lam=lam)
-    assert cfg.measure_norm == 2.0 * cfg.dim.weight_norm
+    assert cfg.measure_norm == 2.0 * MeasureDim(lam).weight_norm
 
 
 def test_energy_oracle_beyond_two_to_the_200():
@@ -494,8 +495,8 @@ def test_normalize_matches_mellin_parseval(alpha, lam):
     st = dw.energy_closed_form(cfg)
     j = si.quad(mellin_sq, 0.0, 40.0, limit=400, epsabs=0.0,
                 epsrel=1e-12)[0] / np.pi
-    nrm2 = (2.0 * cfg.dim.weight_norm * dw._profile_amplitude(st, cfg) ** 2
-            * st.kappa ** -lam * j)
+    nrm2 = (2.0 * MeasureDim(lam).weight_norm
+            * dw._profile_amplitude(st, cfg) ** 2 * st.kappa ** -lam * j)
     assert_allclose(dw.normalize(st, cfg).amplitude, 1.0 / math.sqrt(nrm2),
                     rtol=1e-8)
 
@@ -629,7 +630,7 @@ def test_hfox_route_matches_quadrature(alpha, lam, ks):
 def _x0_rel_err(cfg, state):
     # relative error of the identity at x = 0: the radial integral at the
     # bound energy against its closed value
-    val, want = dw._x0_identity(cfg, state, QuadSpec())
+    val, want = dw.x0_identity(cfg, state, QuadSpec())
     return abs(val - want) / abs(want)
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import warnings
 from dataclasses import replace
@@ -175,6 +176,19 @@ def test_eval_contour_names_the_first_w_that_did_not_settle(monkeypatch):
     # the rest
     with pytest.raises(QuadFailure, match=r"^contour did not settle at w = 12$"):
         hf.eval_auto(replace(EXP, arg_scale=2.0), np.array([0.5, 1.0, 6.0, 400.0]))
+
+
+@pytest.mark.parametrize("arg_scale, z, w", [(1e10, "1e+300", "inf"),
+                                             (1e-30, "1e-300", "0.0")])
+def test_scaled_argument_past_the_double_range_is_named(arg_scale, z, w):
+    # a finite positive z whose w = arg_scale * z over- or underflows is
+    # refused by name, with no warning and no contour line of inf nodes
+    params = replace(EXP, arg_scale=arg_scale)
+    msg = re.escape(f"scaled argument w = arg_scale * z out of the double range: "
+                    f"z = {z} gives w = {w}")
+    for call in (hf.eval_auto, hf.eval_contour):
+        with pytest.raises(ValueError, match=f"^{msg}$"):
+            call(params, np.array([1.0, float(z)]))
 
 
 # ----------------------------------------------------------------- series
