@@ -261,7 +261,9 @@ def _profile_amplitude(state, cfg):
 def _profile_quadrature(cfg, y, spec):
     """(I(y), err_est) by quadrature on a 1-d array y >= 0: one
     integrate_oscillatory call over every y > 0.  I(0) is J of
-    _radial_integral, so the x = 0 identity is measured, not substituted."""
+    _radial_integral, so the x = 0 identity is measured, not substituted.
+    NumericalFailure names lam where lam - 1 rounds to -1 (lam <= 2^-54)
+    and some y > 0."""
     lam, a = cfg.lam, cfg.alpha
     value = np.empty(y.shape)
     err = np.empty(y.shape)
@@ -269,6 +271,10 @@ def _profile_quadrature(cfg, y, spec):
     if zero.any():
         value[zero], err[zero] = _radial_integral(cfg, spec)
     if not zero.all():
+        if lam - 1.0 == -1.0:   # the envelope power q^(lam-1) would read as q^-1
+            raise NumericalFailure(f"lam = {lam!r} too small for the quadrature route: "
+                                   "lam - 1 rounds to -1")
+
         def envelope(q):
             # q = u/y overflows q^alpha at tiny y and underflows to 0 at huge y
             with np.errstate(over="ignore"):

@@ -52,13 +52,14 @@ inverted series (Braaksma, Compositio Math. 15, 1964; Paris & Kaminski,
 Asymptotics and Mellin-Barnes Integrals, 2001, ch. 5).  The trapezoid
 rule on nodes t = k h converges geometrically (Trefethen & Weideman,
 SIAM Rev. 56, 2014).  Arguments on one line share its nodes: log h is
-taken once per node, one gamma pass per distinct factor row, with the
-t = 0 node, the t_max probes and the first two levels in one call, and
-each H(w) is a row of one (argument x node) product, summed in units of
-its t = 0 amplitude.  err_est is |T_h - T_2h| plus 2.3e-16 h sum |y|
-(1 + |E|), the rounding of each node's exponent E = log h(s) - s log w
-in the summands y.  A line of more than _MAX_NODES nodes raises
-QuadFailure before they are allocated.
+evaluated once per node, one gamma pass per distinct factor row, the t = 0
+node and the t_max probes in one call and each level's new nodes in
+blocks, in the order the level sums them, and each H(w) is a row of one
+(argument x node) product, summed in units of its t = 0 amplitude.
+err_est is |T_h - T_2h| plus 2.3e-16 h sum |y| (1 + |E|), the rounding
+of each node's exponent E = log h(s) - s log w in the summands y.  A
+line of more than _MAX_NODES nodes raises QuadFailure before they are
+allocated.
 
 mellin_numeric_check integrates H against z^(s-1) on a log-z grid and
 sums what lies past each end of it from the residue series of the
@@ -445,8 +446,8 @@ def _contour_position(params, w):
     residue at the right poles left of c; passed is the sum of those
     residues and top the largest, the first terms of params._swap's
     series at 1/w.  A rung where h is 0, infinite or nan, or that passes
-    a double pole or the table's end, is never taken; ties go to the
-    first rung, which is also taken (with passed nan) when none is usable.
+    a double pole or the table's end, is never chosen; ties go to the
+    first rung, which is also chosen (with passed nan) when none is usable.
 
     The residue table may hold the poles up to the last rung where h is
     finite, but it starts at _LADDER_TERMS poles per family and doubles
@@ -471,7 +472,7 @@ def _contour_position(params, w):
         while True:
             big, tot, beyond, limit = _passed_residues(swapped, terms, c, logw)
             f = np.maximum(amp, big.T)
-            f = np.where(f < math.inf, f, math.inf)   # nan: never taken
+            f = np.where(f < math.inf, f, math.inf)   # nan: never chosen
             best = np.argmin(f, axis=1)
             bound = f[at, best]
             # the least score a rung past the table's limit can have
@@ -547,15 +548,14 @@ def _contour(params, w, quad):
     TAIL_CUTOFF e^-5 below its t = 0 value; h halves, at most 10 times,
     until every argument on the line has |T_h - T_2h| <= max(abs_tol,
     rel_tol |T_h|) or is down to its own rounding term, which no finer h
-    improves (such an argument keeps err_est inf).  Level 0 never stops a
-    line, so the t = 0 node, the nine t_max probes and the nodes of
-    levels 0 and 1 up to the first probe are taken in one _log_h call (in
-    blocks within BLOCK elements); a line that reaches past the first
-    probe takes its levels 0 and 1 again, and each later level its own
-    blocks.  Every level sums its nodes in its own order and blocks.  A
-    line of more than _MAX_NODES nodes at any level raises QuadFailure.
+    improves (such an argument keeps err_est inf).  One _log_h call takes
+    the t = 0 node and the nine t_max probes; every level then takes each
+    of its new nodes once, in the order it sums them, in blocks within
+    BLOCK elements.  A line of more than _MAX_NODES nodes at any level
+    raises QuadFailure before that level's nodes are allocated; a line
+    whose first probe lies past the bound, before the probes are evaluated.
     The passed residues are added back, with LANCZOS_REL_ACC times the
-    largest in err_est.  A block with no left poles (m = 0) is taken as
+    largest in err_est.  A block with no left poles (m = 0) is evaluated as
     params._swap at 1/w, so every line lies right of the left poles of
     its own block.
     """
@@ -576,23 +576,12 @@ def _contour(params, w, quad):
         h = min(0.5, 1.0 / (1.0 + reach))
         # node blocks: each temporary within BLOCK elements, or one column
         cols = max(1, BLOCK // max(lw.size, len(params.upper + params.lower)))
-
-        def log_h(t):   # log h at the nodes t of this line, block by block
-            return np.concatenate([_log_h(params, c + 1j * t[k:k + cols])
-                                   for k in range(0, t.size, cols)])
-
-        def levels01(n):   # the nodes of levels 0 and 1 up to n h
-            return np.concatenate((h * np.arange(1, n + 1, 1), (0.5 * h) * np.arange(1, 2 * n + 1, 2)))
-
-        n = _line_size(t_max[0] / h, h)
-        lh = log_h(np.concatenate(([0.0], t_max, levels01(n))))
-        lh0, settled, nodes = complex(lh[0]), lh[1:10].real - lh[0].real <= cut, lh[10:]
+        _line_size(t_max[0] / h, h)   # refuse the line before any probe
+        lh = _log_h(params, c + 1j * np.concatenate(([0.0], t_max)))
+        lh0, settled = complex(lh[0]), lh[1:].real - lh[0].real <= cut
         if not np.any(settled):
             continue
-        if not settled[0]:   # the line reaches past the first probe
-            n = _line_size(t_max[np.argmax(settled)] / h, h)
-            nodes = log_h(levels01(n))
-        step = 1
+        n, step = _line_size(t_max[np.argmax(settled)] / h, h), 1
         scale = lh0.real - c * lw   # each row sums in units of its t = 0 amplitude
         tot = 0.5 * math.cos(lh0.imag)   # the t = 0 node, weight 1/2: sign of h(c)
         mag = 0.5 * (1.0 + np.abs(lh0 - c * lw[:, 0]))
@@ -600,9 +589,8 @@ def _contour(params, w, quad):
             if level:   # halve h: the new nodes are the odd multiples
                 h, n, step = 0.5 * h, _line_size(2 * n, 0.5 * h), 2
             t, coarse = h * np.arange(1, n + 1, step), 2.0 * h * tot
-            taken = nodes[level * t.size:(level + 1) * t.size]   # levels 0 and 1
             for k in range(0, t.size, cols):
-                lh = taken[k:k + cols] if level < 2 else _log_h(params, c + 1j * t[k:k + cols])
+                lh = _log_h(params, c + 1j * t[k:k + cols])
                 re, im = lh.real - c * lw, lh.imag - t[k:k + cols] * lw
                 y = np.exp(re - scale)
                 tot = tot + np.sum(y * np.cos(im), axis=1)
@@ -706,7 +694,7 @@ def _grid_end(params, s, side):
     rate = s + (-pole).  t is where every other pole of the table has a
     term at most e^_MELLIN_CUT times that of the first leading pole with a
     nonzero residue, so the cut reads residue ratios, not the pole gap
-    alone (a double pole's term is taken with a residue ratio of 1), and
+    alone (a double pole's term counts with a residue ratio of 1), and
     at most 0.  A leading pole that is not simple raises QuadFailure.
     With none, H(w) is params._swap at w' = 1/w, under Braaksma's bound
     w'^theta exp(-mu (w'/rho)^(1/mu)), rho = prod B^B / prod A^A (Kilbas &
@@ -721,11 +709,11 @@ def _grid_end(params, s, side):
                               f"{-power[j, 0] + 0.0:.6g} of the strip is not simple")
         rows, last = np.arange(len(power)), np.minimum(clash, _MELLIN_POLES - 1)
         limit, live = np.min(power[rows, last]), sign != 0.0
-        taken = (power < limit) & live
-        if not taken.any():
+        lead = (power < limit) & live
+        if not lead.any():
             raise QuadFailure(f"s = {s.tolist()}: no residue short of the {side} "
                               f"pole {limit + 0.0:.6g}")
-        first = np.argmin(np.where(taken, power, np.inf))
+        first = np.argmin(np.where(lead, power, np.inf))
         # the other poles of the table: a simple one by its residue, a
         # double one (a clash) by the gap alone
         other = (power >= limit) & (np.arange(_MELLIN_POLES) < clash[:, None]) & live
@@ -733,7 +721,7 @@ def _grid_end(params, s, side):
         gap = np.append(power[other], power[rows, last][double]) - power.flat[first]
         ratio = np.append(logabs[other] - logabs.flat[first], np.zeros(np.sum(double)))
         t = float(np.min((_MELLIN_CUT - ratio) / gap, initial=0.0))
-        return t, sign[taken] * np.exp(logabs[taken]), s[:, None] + power[taken]
+        return t, sign[lead] * np.exp(logabs[lead]), s[:, None] + power[lead]
     sw = params._swap
     mu, log_rho = _mu_log_rho(sw)
     if not mu > 0:
@@ -755,7 +743,7 @@ def mellin_numeric_check(params, svals, quad=QuadSpec()):
     eval_auto call, so this exercises the whole engine.  Beyond each end
     of the grid (_grid_end; the right end on params._swap) the sum is
     the residue series of the leading poles, each term a geometric series
-    taken in closed form, so the grid does not depend on how close s is
+    summed in closed form, so the grid does not depend on how close s is
     to a strip edge and ends where the first omitted residue is
     negligible.  The analytic values are from one mellin call over all
     s; the first s outside the strip raises OutOfStrip.

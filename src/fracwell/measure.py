@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gammafn import gammaln_sign
-from .quadrature import QuadSpec, integrate_oscillatory, integrate_sinh
+from .quadrature import (NumericalFailure, QuadSpec, integrate_oscillatory,
+                         integrate_sinh)
 
 __all__ = [
     "measure_norm",
@@ -142,12 +143,16 @@ def fourier_forward(dim, f, k, quad=QuadSpec()):
     even part of f, the sine half the odd part, each through the
     Ooura-Mori double-exponential rule, whose nodes sit on the kernel's
     zeros, so no tail is split off or summed.  Returns (complex value,
-    err_est).
+    err_est); raises NumericalFailure at k != 0 where lam - 1 rounds to
+    -1 (lam <= 2^-54), whose endpoint power would not be integrable.
     """
     if k == 0.0:
         v, e = integrate(dim, f, quad)
         return complex(v, 0.0), e
     lam = dim.lam
+    if lam - 1.0 == -1.0:   # the endpoint power p^(lam-1) would read as p^-1
+        raise NumericalFailure(f"lam = {lam!r} too small for the quadrature route: "
+                               "lam - 1 rounds to -1")
     N = dim.weight_norm
     w = abs(k)
 

@@ -61,15 +61,16 @@ class QuadSpec:
     abs_tol / rel_tol bound the reported error estimate; the effective
     target is max(abs_tol, rel_tol * |value|).  The oscillatory rule is
     fixed: it reports its error estimate rather than refining toward
-    these.
+    these.  Both must be positive and finite: an infinite one stops every
+    refinement at its first level.
     """
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
 
     def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
 
 
 # exp-sinh trapezoid rule (Mori & Sugihara, J. Comput. Appl. Math. 127,

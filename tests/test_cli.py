@@ -95,6 +95,19 @@ def test_energy_at_tiny_lambda(tmp_path, capsys, lam):
     assert row["E_closed_form"] == pytest.approx(-1.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("lam", ["1e-17", "1e-300"])
+def test_wavefunction_below_the_quadrature_route_names_lambda(capsys, lam):
+    # lam - 1 rounds to -1 for lam <= 2^-54, where the quadrature route's
+    # envelope power would read as the non-integrable q^-1: the failure
+    # names lam, not that rounding artifact
+    code = cli.main(["--mode", "wavefunction", "--alpha", "1.5", "--lambda", lam])
+    assert code == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert (f"NumericalFailure: lam = {float(lam)!r} too small for the quadrature "
+            "route: lam - 1 rounds to -1") in err
+
+
 @pytest.mark.parametrize("extra", [
     ["--alpha", "2", "--gamma", "2e-200", "--hbar", "1e-200"],
     ["--alpha", "1.5", "--lambda", "0.8", "--gamma", "3", "--d-alpha", "0.2",
@@ -666,6 +679,15 @@ def test_bad_value_same_error_from_file_and_flag(tmp_path, capsys, key):
     assert from_file == from_flag
     assert from_file.out == ""
     assert f"argument --{key}: invalid " in from_file.err
+
+
+@pytest.mark.parametrize("value", ["0", "nan", "inf"])
+@pytest.mark.parametrize("flag", ["--quad-abs-tol", "--quad-rel-tol"])
+def test_quad_tolerance_must_be_positive_and_finite(capsys, flag, value):
+    # an infinite tolerance would stop every refinement at its first level
+    assert cli.main(["--mode", "energy", flag, value]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "tolerances must be positive and finite" in err
 
 
 @pytest.mark.parametrize("argv, message", [

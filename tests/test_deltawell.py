@@ -221,14 +221,16 @@ def test_validate_contour_work_counter(monkeypatch):
 
 
 def test_validate_gamma_kernel_work_is_pinned(monkeypatch):
-    # deterministic work of one validation run: 119 gamma-kernel calls
-    # over 12183 arguments, 9589 of them complex, and 27 _log_h calls
-    # (138, 12539, 9973 and 38 when each contour line took its probes and
-    # each level in calls of their own and every factor row its own gamma
-    # pass); normalize's Mellin-Parseval integrand takes two of the calls,
-    # on 65 + 64 complex nodes; the Mellin grids end where the first
-    # omitted residue is 1e-17 of the leading one, 43 + 45 nodes (351 +
-    # 629 when the cut read the pole gap alone)
+    # deterministic work of one validation run: 130 gamma-kernel calls
+    # over 10447 arguments, 7853 of them complex, and 38 _log_h calls on
+    # 4816 nodes, each node of a contour line taken once (119, 12183, 9589
+    # and 27 on 6044 nodes when one call took the probes with levels 0
+    # and 1 and a line reaching past its first probe took those levels
+    # again; 138, 12539, 9973 and 38 when every factor row also took its
+    # own gamma pass); normalize's Mellin-Parseval integrand takes two of
+    # the calls, on 65 + 64 complex nodes; the Mellin grids end where the
+    # first omitted residue is 1e-17 of the leading one, 43 + 45 nodes
+    # (351 + 629 when the cut read the pole gap alone)
     from fracwell import checks, gammafn
     kernel, log_h, grids = [], [], []
     core, _log_h, evaluate = gammafn._core_loggamma, hf._log_h, hf.eval_auto
@@ -244,9 +246,9 @@ def test_validate_gamma_kernel_work_is_pinned(monkeypatch):
     monkeypatch.setattr(gammafn, "_core_loggamma", counted_core)
     monkeypatch.setattr(hf, "_log_h", counted_log_h)
     assert all(r.passed for r in checks.run_all())
-    assert len(kernel) == 119 and len(log_h) == 27
-    assert sum(n for n, _ in kernel) == 12183
-    assert sum(n for n, complex_ in kernel if complex_) == 9589
+    assert len(kernel) == 130 and len(log_h) == 38 and sum(log_h) == 4816
+    assert sum(n for n, _ in kernel) == 10447
+    assert sum(n for n, complex_ in kernel if complex_) == 7853
 
     def grid(params, z, quad):
         grids.append(np.size(z))

@@ -313,6 +313,28 @@ def test_contour_stops_refining_at_its_rounding(monkeypatch):
     assert np.all(errs == math.inf)
 
 
+def test_contour_takes_each_node_once(monkeypatch):
+    # e^-z at w = 50, an argument the Mellin check sends to the contour:
+    # its line reaches past the first t_max probe.  One call takes the
+    # t = 0 node and the nine probes, and every later call takes nodes
+    # no call took before (a prefetch of levels 0 and 1 up to the first
+    # probe once took 258 of them twice)
+    calls, log_h = [], hf._log_h
+
+    def recording(params, s):
+        calls.append(np.imag(s).copy())
+        return log_h(params, s)
+
+    monkeypatch.setattr(hf, "_log_h", recording)
+    value, _ = hf.eval_contour(EXP, 50.0)
+    assert value == pytest.approx(math.exp(-50.0), rel=1e-12)
+    probes, t = calls[0], np.concatenate(calls)
+    assert probes.size == 10 and probes[0] == 0.0
+    assert np.array_equal(probes[2:], 2.0 * probes[1:-1])
+    assert t.max() > probes[1]
+    assert np.unique(t).size == t.size
+
+
 def _cosine_blocks():
     from fracwell.checks import _classical_chain
     _, ct = _classical_chain()

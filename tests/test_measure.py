@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from fracwell import deltawell as dw
 from fracwell import measure as ms
 from fracwell.measure import DeltaFamily, MeasureDim
-from fracwell.quadrature import QuadFailure
+from fracwell.quadrature import NumericalFailure, QuadFailure
 
 
 # ------------------------------------------------------------ weight norm
@@ -147,6 +147,14 @@ def test_fourier_forward_classical_gaussian():
     v, e = ms.fourier_forward(d1, lambda x: np.exp(-x * x / 2.0), 1.0)
     assert abs(v.real - 1.5203469010662807) <= max(e, 1e-9)
     assert abs(v.imag) < 1e-12     # even integrand
+
+
+@pytest.mark.parametrize("lam", [2.0 ** -54, 1e-17, 1e-300])
+def test_fourier_forward_names_lam_where_lam_minus_1_rounds_to_minus_1(lam):
+    # the endpoint power p^(lam-1) would read as the non-integrable p^-1
+    with pytest.raises(NumericalFailure, match=f"lam = {lam!r} too small for the "
+                       "quadrature route: lam - 1 rounds to -1"):
+        ms.fourier_forward(MeasureDim(lam=lam), lambda x: np.exp(-x * x), 1.0)
 
 
 def test_fourier_forward_matches_analytic_transform():
