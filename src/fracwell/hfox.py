@@ -52,10 +52,10 @@ inverted series (Braaksma, Compositio Math. 15, 1964; Paris & Kaminski,
 Asymptotics and Mellin-Barnes Integrals, 2001, ch. 5).  The trapezoid
 rule on nodes t = k h converges geometrically (Trefethen & Weideman,
 SIAM Rev. 56, 2014).  Arguments on one line share its nodes: log h is
-evaluated once per node, one gamma pass per distinct factor row, the t = 0
-node and the t_max probes in one call and each level's new nodes in
-blocks, in the order the level sums them, and each H(w) is a row of one
-(argument x node) product, summed in units of its t = 0 amplitude.
+evaluated once per node, by one gamma pass over every factor row, the
+t = 0 node and the t_max probes in one call and each level's new nodes
+in blocks, in the order the level sums them, and each H(w) is a row of
+one (argument x node) product, summed in units of its t = 0 amplitude.
 err_est is |T_h - T_2h| plus 2.3e-16 h sum |y| (1 + |E|), the rounding
 of each node's exponent E = log h(s) - s log w in the summands y.  A
 line of more than _MAX_NODES nodes raises QuadFailure before they are
@@ -146,9 +146,6 @@ class HFoxParams:
       Rows run lower[:m], upper[:n] (numerators, e = +1), then lower[m:],
       upper[n:] (denominators, e = -1).  A numerator row with d > 0 is a
       left pole family, one with d < 0 a right family.
-    - _distinct, the distinct (c, d) rows and each row's index among
-      them, or the rows themselves and None when every row is distinct:
-      _log_h takes one gamma pass per distinct row.
     - _strip, the fundamental strip (left_max, right_min): the rightmost
       left pole and the leftmost right pole, -inf / +inf for an empty
       family.
@@ -168,7 +165,6 @@ class HFoxParams:
     lower: tuple
     arg_scale: float = 1.0
     _factors: tuple = field(init=False, repr=False, compare=False)
-    _distinct: tuple = field(init=False, repr=False, compare=False)
     _strip: tuple = field(init=False, repr=False, compare=False)
     _swap: "HFoxParams" = field(init=False, repr=False, compare=False)
 
@@ -221,26 +217,17 @@ class CosineTransformCheck:
 
 
 def _build_tables(params):
-    """Set params' _factors, _distinct and _strip (see HFoxParams)."""
+    """Set params' _factors and _strip (see HFoxParams)."""
     m, n = params.m, params.n
     rows = ([(b, B, 1.0) for b, B in params.lower[:m]]
             + [(1.0 - a, -A, 1.0) for a, A in params.upper[:n]]
             + [(1.0 - b, -B, -1.0) for b, B in params.lower[m:]]
             + [(a, A, -1.0) for a, A in params.upper[n:]])
     table = np.array(rows, dtype=float).reshape(-1, 3)
-    distinct = {}
-    index = [distinct.setdefault(row[:2], len(distinct)) for row in rows]
-    if len(distinct) == len(rows):
-        cd, index = table[:, :2], None
-    else:
-        cd, index = np.array(list(distinct)).reshape(-1, 2), np.array(index)
-    for a in (table, cd, index):
-        if a is not None:
-            a.flags.writeable = False
+    table.flags.writeable = False
     left = [-c / d for c, d, e in rows if e > 0 and d > 0]
     right = [-c / d for c, d, e in rows if e > 0 and d < 0]
     object.__setattr__(params, "_factors", tuple(table.T))
-    object.__setattr__(params, "_distinct", (*cd.T, index))
     object.__setattr__(params, "_strip", (max(left, default=-math.inf),
                                           min(right, default=math.inf)))
 
@@ -516,18 +503,14 @@ def _passed_residues(swapped, terms, c, logw):
 
 
 def _log_h(params, s):
-    """log h(s) on a complex array; branch choice is irrelevant because
-    the value is only ever exponentiated.  One gamma pass per distinct
-    (c, d) row of the factor table, gathered back to every row before the
-    sum, so a repeated row costs nothing and the sum is that of the whole
-    table, bit for bit (a numerator and a denominator row that cancel are
-    still both summed)."""
-    e, (c, d, index) = params._factors[2], params._distinct
+    """log h(s) on a complex array, one loggamma call over every row of
+    the factor table, summed in row order (a numerator and a denominator
+    row that cancel are both summed); branch choice is irrelevant because
+    the value is only ever exponentiated."""
+    c, d, e = params._factors
     s = np.asarray(s, dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore"):
         lg = loggamma(c[:, None] + d[:, None] * s.reshape(1, -1))
-        if index is not None:
-            lg = lg[index]
         return np.sum(np.where(e[:, None] > 0, lg, -lg), axis=0).reshape(s.shape)
 
 

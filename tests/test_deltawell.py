@@ -222,15 +222,17 @@ def test_validate_contour_work_counter(monkeypatch):
 
 def test_validate_gamma_kernel_work_is_pinned(monkeypatch):
     # deterministic work of one validation run: 130 gamma-kernel calls
-    # over 10447 arguments, 7853 of them complex, and 38 _log_h calls on
-    # 4816 nodes, each node of a contour line taken once (119, 12183, 9589
-    # and 27 on 6044 nodes when one call took the probes with levels 0
-    # and 1 and a line reaching past its first probe took those levels
-    # again; 138, 12539, 9973 and 38 when every factor row also took its
-    # own gamma pass); normalize's Mellin-Parseval integrand takes two of
-    # the calls, on 65 + 64 complex nodes; the Mellin grids end where the
-    # first omitted residue is 1e-17 of the leading one, 43 + 45 nodes
-    # (351 + 629 when the cut read the pole gap alone)
+    # over 12567 arguments, 9973 of them complex, and 38 _log_h calls on
+    # 4816 nodes, each node of a contour line taken once and each node
+    # taking one gamma pass over every factor row (10447 and 7853 when a
+    # repeated (c, d) row of the classical chain's blocks shared the pass
+    # of its first copy; 119, 12183, 9589 and 27 on 6044 nodes when one
+    # call took the probes with levels 0 and 1 and a line reaching past
+    # its first probe took those levels again); normalize's Mellin-Parseval
+    # integrand takes two of the calls, on 65 + 64 complex nodes; the
+    # Mellin grids end where the first omitted residue is 1e-17 of the
+    # leading one, 43 + 45 nodes (351 + 629 when the cut read the pole gap
+    # alone)
     from fracwell import checks, gammafn
     kernel, log_h, grids = [], [], []
     core, _log_h, evaluate = gammafn._core_loggamma, hf._log_h, hf.eval_auto
@@ -247,8 +249,8 @@ def test_validate_gamma_kernel_work_is_pinned(monkeypatch):
     monkeypatch.setattr(hf, "_log_h", counted_log_h)
     assert all(r.passed for r in checks.run_all())
     assert len(kernel) == 130 and len(log_h) == 38 and sum(log_h) == 4816
-    assert sum(n for n, _ in kernel) == 10447
-    assert sum(n for n, complex_ in kernel if complex_) == 7853
+    assert sum(n for n, _ in kernel) == 12567
+    assert sum(n for n, complex_ in kernel if complex_) == 9973
 
     def grid(params, z, quad):
         grids.append(np.size(z))

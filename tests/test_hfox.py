@@ -2,7 +2,7 @@ import math
 import re
 import time
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -344,9 +344,9 @@ def _cosine_blocks():
 
 
 @pytest.mark.parametrize("params", _cosine_blocks())
-def test_log_h_takes_each_distinct_row_once(params, monkeypatch):
-    # one gamma pass per distinct (c, d) row, gathered back before the sum:
-    # bit for bit the sum over every row, cancelling pairs included
+def test_log_h_takes_every_row_once(params, monkeypatch):
+    # one gamma pass over every row of the factor table, repeated rows
+    # included: bit for bit the row-by-row sum, cancelling pairs included
     c, d, e = params._factors
     assert len(set(zip(c, d))) < len(c)
     s = np.concatenate([0.7 + 1j * np.linspace(0.0, 40.0, 161), [-0.3 + 2j, 2.5 - 7j]])
@@ -356,7 +356,14 @@ def test_log_h_takes_each_distinct_row_once(params, monkeypatch):
     monkeypatch.setattr(hf, "loggamma", lambda z: (sizes.append(np.size(z)), loggamma(z))[1])
     got = hf._log_h(params, s)
     assert np.array_equal(got.view(float), want.view(float))
-    assert sizes == [len(set(zip(c, d))) * s.size]
+    assert sizes == [len(c) * s.size]
+
+
+def test_block_derives_one_factor_table():
+    # a block's derived fields are its factor table, strip and swapped
+    # block; every routine reads the one table, with no shadow of it
+    names = [f.name for f in fields(HFoxParams)]
+    assert names == ["m", "n", "upper", "lower", "arg_scale", "_factors", "_strip", "_swap"]
 
 
 def test_contour_line_past_the_node_bound_raises(monkeypatch):
