@@ -297,7 +297,10 @@ def run_hfox_eval(rc):
     if rc["hfox"] is None:
         raise ValueError("hfox-eval mode needs --hfox \"m,n,p,q;a:A,...;b:B,...\"")
     params = _parse_hfox(rc["hfox"])
-    zs = [float(v) for v in rc["z"].split(",")]
+    try:
+        zs = [float(v) for v in rc["z"].split(",")]
+    except ValueError as e:
+        raise ValueError(f"bad --z list {rc['z']!r}: {e}") from None
     quad = _quad(rc)
     rows = []
     for z in zs:

@@ -262,8 +262,8 @@ def _profile_quadrature(cfg, y, spec):
     """(I(y), err_est) by quadrature on a 1-d array y >= 0: one
     integrate_oscillatory call over every y > 0.  I(0) is J of
     _radial_integral, so the x = 0 identity is measured, not substituted.
-    NumericalFailure names lam where lam - 1 rounds to -1 (lam <= 2^-54)
-    and some y > 0."""
+    The envelope's endpoint power q^(lam-1) is taken out with lam itself,
+    so a small lam keeps its digits."""
     lam, a = cfg.lam, cfg.alpha
     value = np.empty(y.shape)
     err = np.empty(y.shape)
@@ -271,10 +271,6 @@ def _profile_quadrature(cfg, y, spec):
     if zero.any():
         value[zero], err[zero] = _radial_integral(cfg, spec)
     if not zero.all():
-        if lam - 1.0 == -1.0:   # the envelope power q^(lam-1) would read as q^-1
-            raise NumericalFailure(f"lam = {lam!r} too small for the quadrature route: "
-                                   "lam - 1 rounds to -1")
-
         def envelope(q):
             # q = u/y overflows q^alpha at tiny y and underflows to 0 at huge y
             with np.errstate(over="ignore"):
@@ -285,7 +281,7 @@ def _profile_quadrature(cfg, y, spec):
                 return np.power(q, lam - 1.0) / (qa + 1.0)
 
         value[~zero], err[~zero] = integrate_oscillatory(
-            envelope, y[~zero], singularity_power=lam - 1.0)
+            envelope, y[~zero], endpoint_exponent=lam)
     return value, err
 
 

@@ -887,14 +887,14 @@ def cosine_transform_check(params, k, s, mu, quad=QuadSpec()):
     """
     ct = cosine_transform(params, k, s, mu)
 
-    lead = s - 1.0
-    if params.m > 0:
-        lead -= mu * params._strip[0]
+    # H behaves as w^(-left_max) at 0 (its leading left pole), so the
+    # envelope behaves as p^(exponent - 1)
+    exponent = s - mu * params._strip[0] if params.m > 0 else s
 
     def envelope(p):
         return p ** (s - 1.0) * eval_auto(params, p ** mu, quad)[0]
 
-    lhs, _ = integrate_oscillatory(envelope, k, singularity_power=lead)
+    lhs, _ = integrate_oscillatory(envelope, k, endpoint_exponent=exponent)
 
     reduced = reduce_fully(ct.params)
     rhs = ct.multiplier * float(eval_auto(reduced, ct.argument, quad)[0])

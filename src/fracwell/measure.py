@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gammafn import gammaln_sign
-from .quadrature import (NumericalFailure, QuadSpec, integrate_oscillatory,
-                         integrate_sinh)
+from .quadrature import QuadSpec, integrate_oscillatory, integrate_sinh
 
 __all__ = [
     "measure_norm",
@@ -142,17 +141,15 @@ def fourier_forward(dim, f, k, quad=QuadSpec()):
     At k != 0 the line is folded onto [0, inf): the cosine half takes the
     even part of f, the sine half the odd part, each through the
     Ooura-Mori double-exponential rule, whose nodes sit on the kernel's
-    zeros, so no tail is split off or summed.  Returns (complex value,
-    err_est); raises NumericalFailure at k != 0 where lam - 1 rounds to
-    -1 (lam <= 2^-54), whose endpoint power would not be integrable.
+    zeros, so no tail is split off or summed.  Each half's envelope
+    behaves as p^(lam-1) at 0, and the rule takes that power out with lam
+    itself, so no digit of a small lam is lost to lam - 1.  Returns
+    (complex value, err_est).
     """
     if k == 0.0:
         v, e = integrate(dim, f, quad)
         return complex(v, 0.0), e
     lam = dim.lam
-    if lam - 1.0 == -1.0:   # the endpoint power p^(lam-1) would read as p^-1
-        raise NumericalFailure(f"lam = {lam!r} too small for the quadrature route: "
-                               "lam - 1 rounds to -1")
     N = dim.weight_norm
     w = abs(k)
 
@@ -162,9 +159,8 @@ def fourier_forward(dim, f, k, quad=QuadSpec()):
     def odd_env(p):
         return p ** (lam - 1.0) * (f(p) - f(-p))
 
-    re, re_err = integrate_oscillatory(even_env, w, singularity_power=lam - 1.0)
-    im, im_err = integrate_oscillatory(odd_env, w, singularity_power=lam - 1.0,
-                                       kernel="sin")
+    re, re_err = integrate_oscillatory(even_env, w, endpoint_exponent=lam)
+    im, im_err = integrate_oscillatory(odd_env, w, endpoint_exponent=lam, kernel="sin")
     sign = 1.0 if k > 0 else -1.0
     return complex(N * re, sign * N * im), N * (re_err + im_err)
 

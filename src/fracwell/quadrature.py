@@ -175,7 +175,7 @@ _DE_TABLES = {k: (_de_table(_DE_STEP, k), _de_table(2.0 * _DE_STEP, k))
               for k in ("cos", "sin")}
 
 
-def integrate_oscillatory(envelope, omega, *, singularity_power=0.0,
+def integrate_oscillatory(envelope, omega, *, endpoint_exponent=1.0,
                           kernel="cos"):
     """Integrate kernel(omega*p) * envelope(p) over p in [0, inf), kernel
     being cos (default) or sin, by the Ooura-Mori rule.
@@ -186,12 +186,15 @@ def integrate_oscillatory(envelope, omega, *, singularity_power=0.0,
     array omega returns arrays equal to the scalar calls bit for bit.  The
     envelope must be finite at every node (NonIntegrable) and must not
     grow at the reported rule's outermost node, about 377/omega
-    (NonDecaying).  A declared p^c at 0, c = singularity_power > -1, is
-    taken out as g0 p^c e^(-omega p), g0 read at the smallest node, and its
-    transform g0 Gamma(1+c) (sqrt(2) omega)^-(1+c) cos or sin(pi (1+c)/4)
-    added back.  The error estimate is the gap to the rule with twice the
-    step, plus roundoff and the mass below the smallest node; the rule is
-    fixed, so no QuadSpec enters.  Returns (value, err).
+    (NonDecaying).  An envelope that behaves as p^(a-1) at 0, a =
+    endpoint_exponent > 0, has that power taken out as g0 p^(a-1)
+    e^(-omega p), g0 read at the smallest node, and its transform
+    g0 Gamma(a) (sqrt(2) omega)^-a cos or sin(pi a/4) added back.  The
+    closed form reads a itself, so a caller passes it exactly: a = lam
+    formed as (lam - 1) + 1 keeps only about 1e-16/lam of lam's digits.
+    The error estimate is the gap to the rule with twice the step, plus
+    roundoff and the mass below the smallest node; the rule is fixed, so
+    no QuadSpec enters.  Returns (value, err).
     """
     om = np.asarray(omega, dtype=float)
     if om.ndim > 1 or not np.all(om > 0):
@@ -199,12 +202,12 @@ def integrate_oscillatory(envelope, omega, *, singularity_power=0.0,
                          "at omega = 0 the integral is not oscillatory")
     if kernel not in _DE_TABLES:
         raise ValueError(f"kernel must be 'cos' or 'sin', got {kernel!r}")
-    c = float(singularity_power)
-    if c <= -1.0:
-        raise NonIntegrable(f"envelope power {c} at 0 is not integrable")
+    a = float(endpoint_exponent)
+    if not a > 0.0:
+        raise NonIntegrable(f"envelope power p^({a} - 1) at 0 is not integrable")
     rows = np.atleast_1d(om)
     step = max(1, BLOCK // sum(u.size for u, _ in _DE_TABLES[kernel]))
-    parts = [_de_rows(envelope, rows[k:k + step, None], c, kernel)
+    parts = [_de_rows(envelope, rows[k:k + step, None], a, kernel)
              for k in range(0, rows.size, step)]
     value = np.concatenate([v for v, _ in parts])
     err = np.concatenate([e for _, e in parts])
@@ -213,7 +216,7 @@ def integrate_oscillatory(envelope, omega, *, singularity_power=0.0,
     return value, err
 
 
-def _de_rows(envelope, rows, c, kernel):
+def _de_rows(envelope, rows, a, kernel):
     """integrate_oscillatory on a (rows x 1) block of omega: (value, err),
     from one envelope call on the nodes of both rules, the reported rule's
     first and its twice-the-step check's after them."""
@@ -231,12 +234,13 @@ def _de_rows(envelope, rows, c, kernel):
     if np.any(np.abs(f[:, n - 1]) > np.abs(f[:, n - 2])):
         raise NonDecaying("envelope still growing at the outermost oscillatory node")
     closed = 0.0
-    if c != 0.0:
+    if a != 1.0:
+        c = a - 1.0
         g0 = f[:, :1] * p[:, :1] ** -c
         f = f - g0 * p ** c * np.exp(-rows * p)
         kfun = math.cos if kernel == "cos" else math.sin
-        closed = (g0[:, 0] * (math.gamma(1.0 + c) * kfun(0.25 * math.pi * (1.0 + c)))
-                  * (math.sqrt(2.0) * rows[:, 0]) ** -(1.0 + c))
+        closed = (g0[:, 0] * (math.gamma(a) * kfun(0.25 * math.pi * a))
+                  * (math.sqrt(2.0) * rows[:, 0]) ** -a)
     f, f2, p = f[:, :n], f[:, n:], p[:, :n]
     fw = f * w
     fine = fw.sum(axis=-1) / rows[:, 0]
@@ -244,6 +248,6 @@ def _de_rows(envelope, rows, c, kernel):
     # roundoff: an ulp in each of the n terms, added as a random walk
     err = (np.abs(fine - coarse) + math.sqrt(len(w)) * np.finfo(float).eps
            * (np.abs(fw).sum(axis=-1) / rows[:, 0] + np.abs(closed))
-           + np.abs(f[:, 0]) * p[:, 0] / (1.0 + c))
+           + np.abs(f[:, 0]) * p[:, 0] / a)
     return fine + closed, err
 

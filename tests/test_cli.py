@@ -97,15 +97,14 @@ def test_energy_at_tiny_lambda(tmp_path, capsys, lam):
 
 @pytest.mark.parametrize("lam", ["1e-17", "1e-300"])
 def test_wavefunction_below_the_quadrature_route_names_lambda(capsys, lam):
-    # lam - 1 rounds to -1 for lam <= 2^-54, where the quadrature route's
-    # envelope power would read as the non-integrable q^-1: the failure
-    # names lam, not that rounding artifact
+    # the quadrature route takes these lam (its endpoint power is read from
+    # lam itself), but the H route's strip 0 < Re s < lam closes inside the
+    # engine's pole tolerance: the failure names lam and the H route
     code = cli.main(["--mode", "wavefunction", "--alpha", "1.5", "--lambda", lam])
     assert code == 3
     out, err = capsys.readouterr()
     assert out == ""
-    assert (f"NumericalFailure: lam = {float(lam)!r} too small for the quadrature "
-            "route: lam - 1 rounds to -1") in err
+    assert f"NumericalFailure: lam = {float(lam)!r} too small for the H route" in err
 
 
 @pytest.mark.parametrize("extra", [
@@ -695,7 +694,9 @@ def test_quad_tolerance_must_be_positive_and_finite(capsys, flag, value):
     (["--mode", "sweep", "--sweep-alpha", ""], "bad --sweep-alpha grid '': no values"),
     (["--mode", "hfox-eval", "--hfox", "1,0,0,1;;0:1", "--z", ""],
      "could not convert string to float: ''"),
-], ids=["sweep-comma", "sweep-empty", "z-empty"])
+    (["--mode", "hfox-eval", "--hfox", "1,0,0,1;;0:1", "--z", "1,,2"],
+     "bad --z list '1,,2': could not convert string to float: ''"),
+], ids=["sweep-comma", "sweep-empty", "z-empty", "z-gap"])
 def test_empty_list_exits_2(capsys, argv, message):
     # only a missing list takes its default; an empty one is a usage error
     assert cli.main(argv) == 2

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 import scipy.integrate as si
 from numpy.testing import assert_allclose
+from scipy.special import hyp1f1
 
 from fracwell import deltawell as dw
 from fracwell import measure as ms
 from fracwell.measure import DeltaFamily, MeasureDim
-from fracwell.quadrature import NumericalFailure, QuadFailure
+from fracwell.quadrature import QuadFailure
 
 
 # ------------------------------------------------------------ weight norm
@@ -149,12 +150,15 @@ def test_fourier_forward_classical_gaussian():
     assert abs(v.imag) < 1e-12     # even integrand
 
 
-@pytest.mark.parametrize("lam", [2.0 ** -54, 1e-17, 1e-300])
-def test_fourier_forward_names_lam_where_lam_minus_1_rounds_to_minus_1(lam):
-    # the endpoint power p^(lam-1) would read as the non-integrable p^-1
-    with pytest.raises(NumericalFailure, match=f"lam = {lam!r} too small for the "
-                       "quadrature route: lam - 1 rounds to -1"):
-        ms.fourier_forward(MeasureDim(lam=lam), lambda x: np.exp(-x * x), 1.0)
+@pytest.mark.parametrize("lam", [2.0 ** -54, 1e-17, 1e-300, 1e-12, 1e-9, 0.3])
+def test_fourier_forward_keeps_the_digits_of_small_lam(lam):
+    # the transform of e^(-x^2) at k = 1 is pi^(lam/2) 1F1(lam/2; 1/2; -1/4),
+    # 1 + 0.34 lam as lam -> 0; the endpoint power p^(lam-1) is taken out
+    # with lam itself, where (lam - 1) + 1 keeps about 1e-16/lam of its digits
+    v, _ = ms.fourier_forward(MeasureDim(lam=lam), lambda x: np.exp(-x * x), 1.0)
+    want = math.pi ** (lam / 2.0) * hyp1f1(lam / 2.0, 0.5, -0.25)
+    assert abs(v.real - want) <= 2e-14
+    assert abs(v.imag) <= 1e-14
 
 
 def test_fourier_forward_matches_analytic_transform():

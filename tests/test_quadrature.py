@@ -246,7 +246,7 @@ def test_oscillatory_singular_envelope():
     # mpmath evaluation of the alternating half-period series
     want = 1.3056085090234678
     v, e = integrate_oscillatory(lambda p: p ** -0.5 / (1.0 + p), 1.0,
-                                 singularity_power=-0.5)
+                                 endpoint_exponent=0.5)
     assert abs(v - want) <= max(e, 1e-7)
 
 
@@ -268,7 +268,7 @@ def test_oscillatory_omega_sweep_property():
 
 def test_oscillatory_rejects_nonintegrable_power():
     with pytest.raises(NonIntegrable):
-        integrate_oscillatory(lambda p: p ** -1.2, 1.0, singularity_power=-1.2)
+        integrate_oscillatory(lambda p: p ** -1.2, 1.0, endpoint_exponent=-0.2)
 
 
 def test_oscillatory_rejects_growing_envelope():
@@ -297,9 +297,9 @@ def test_oscillatory_array_omega_matches_scalar_calls(kernel, power):
         return p ** power / (1.0 + p * p)
 
     v, e = integrate_oscillatory(env, omegas, kernel=kernel,
-                                 singularity_power=power)
+                                 endpoint_exponent=1.0 + power)
     one = [integrate_oscillatory(env, float(w), kernel=kernel,
-                                 singularity_power=power) for w in omegas]
+                                 endpoint_exponent=1.0 + power) for w in omegas]
     assert isinstance(one[0][0], float) and v.shape == e.shape == omegas.shape
     assert np.array_equal(v, [x for x, _ in one])
     assert np.array_equal(e, [x for _, x in one])
@@ -310,9 +310,9 @@ def test_oscillatory_rows_in_blocks_match_scalar_calls():
     # and every row still equals its scalar call bit for bit
     omegas = np.geomspace(0.05, 50.0, 300)
     env = _Counted(lambda p: p ** -0.4 / (1.0 + p * p))
-    v, e = integrate_oscillatory(env, omegas, singularity_power=-0.4)
+    v, e = integrate_oscillatory(env, omegas, endpoint_exponent=0.6)
     assert len(env.sizes) > 2 and max(env.sizes) <= BLOCK
-    one = [integrate_oscillatory(env, float(w), singularity_power=-0.4)
+    one = [integrate_oscillatory(env, float(w), endpoint_exponent=0.6)
            for w in omegas]
     assert np.array_equal(v, [x for x, _ in one])
     assert np.array_equal(e, [x for _, x in one])
@@ -348,7 +348,7 @@ def test_oscillatory_envelope_called_once_per_row_block(kernel):
 def test_oscillatory_error_estimate_covers_error(kernel, env, exact, power):
     omegas = np.geomspace(0.01, 100.0, 25)
     v, e = integrate_oscillatory(env, omegas, kernel=kernel,
-                                 singularity_power=power)
+                                 endpoint_exponent=1.0 + power)
     want = np.array([exact(w) for w in omegas])
     assert np.all(np.abs(v - want) <= e)
     assert np.all(np.abs(v - want) <= 1e-13)
